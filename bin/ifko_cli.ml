@@ -244,9 +244,11 @@ let tune_cmd =
       & opt (some string) None
       & info [ "store" ] ~docv:"PATH"
           ~doc:
-            "persistent tuning store (JSON-lines journal): probe outcomes are \
-             journaled as they are computed and repeat probes — including those of a \
-             previously killed tune — are answered from it")
+            "persistent tuning store — a JSON-lines journal file, or a shard \
+             directory such as an $(b,ifko serve) --store-dir while no daemon is \
+             writing to it: probe outcomes are journaled as they are computed and \
+             repeat probes — including those of a previously killed tune — are \
+             answered from it")
   in
   let jobs_arg =
     Arg.(
@@ -717,9 +719,19 @@ let sim_cmd =
 
 let store_cmd =
   let path_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH") in
-  (* `stat` and `compact` accept either a single journal file or a
-     serve shard directory (store.meta + shard-NN.jsonl). *)
-  let shard_dir p = Sys.file_exists p && Sys.is_directory p in
+  (* PATH is a journal file or a serve shard directory (store.meta +
+     shard-NN.jsonl): one store, where a file is one shard. *)
+  let with_store p f =
+    if not (Sys.file_exists p) then begin
+      Printf.eprintf "%s: no store\n" p;
+      Stdlib.exit 1
+    end;
+    match Ifko.Store.open_ p with
+    | exception Invalid_argument msg ->
+      prerr_endline msg;
+      Stdlib.exit 1
+    | st -> Fun.protect ~finally:(fun () -> Ifko.Store.close st) (fun () -> f st)
+  in
   let stat =
     let json =
       Arg.(
@@ -727,51 +739,18 @@ let store_cmd =
         & info [ "json" ]
             ~doc:
               "machine-readable output: one JSON object with every field always \
-               present ([Diag.to_json] conventions); shard directories add a \
-               per_shard array of per-journal objects")
+               present ([Diag.to_json] conventions), including a per_shard array of \
+               per-journal objects")
     in
     let run p json =
-      if shard_dir p then
-        match Ifko.Serve.Shard_store.stat_of_dir p with
-        | None ->
-          Printf.eprintf "%s: not a shard store (no valid store.meta)\n" p;
-          Stdlib.exit 1
-        | Some s ->
-          if json then print_endline (Ifko.Serve.Shard_store.stat_json s)
-          else begin
-            Printf.printf "%s: %d shards, %d entries, %d bytes" s.Ifko.Serve.Shard_store.sh_dir
-              (List.length s.Ifko.Serve.Shard_store.sh_shards)
-              s.Ifko.Serve.Shard_store.sh_entries s.Ifko.Serve.Shard_store.sh_bytes;
-            if s.Ifko.Serve.Shard_store.sh_corrupt > 0 then
-              Printf.printf ", %d corrupt lines" s.Ifko.Serve.Shard_store.sh_corrupt;
-            if s.Ifko.Serve.Shard_store.sh_torn > 0 then
-              Printf.printf ", %d torn lines" s.Ifko.Serve.Shard_store.sh_torn;
-            print_newline ();
-            List.iter
-              (fun st -> print_string (Ifko.Store.stat_to_string st))
-              s.Ifko.Serve.Shard_store.sh_shards;
-            List.iter
-              (fun c ->
-                Printf.printf "ckpt-%s: %d warm-state snapshots, %d transients\n"
-                  c.Ifko.Serve.Shard_store.ck_machine
-                  c.Ifko.Serve.Shard_store.ck_snapshots
-                  c.Ifko.Serve.Shard_store.ck_transients)
-              s.Ifko.Serve.Shard_store.sh_ckpts
-          end
-      else if not (Sys.file_exists p) then begin
-        Printf.eprintf "%s: no store\n" p;
-        Stdlib.exit 1
-      end
-      else if json then begin
-        let st = Ifko.Store.open_ p in
-        let s = Ifko.Store.stat st in
-        Ifko.Store.close st;
-        print_endline (Ifko.Store.stat_json s)
-      end
-      else print_string (Ifko.Store.stat_string p)
+      with_store p (fun st ->
+          let s = Ifko.Store.stat st in
+          print_string
+            (if json then Ifko.Store.stat_json s ^ "\n" else Ifko.Store.stat_to_string s))
     in
     Cmd.v
-      (Cmd.info "stat" ~doc:"summarize a tuning-store journal or shard directory")
+      (Cmd.info "stat"
+         ~doc:"summarize a tuning-store journal or shard directory (never writes to it)")
       Term.(const run $ path_arg $ json)
   in
   let compact =
@@ -780,23 +759,9 @@ let store_cmd =
          ~doc:"rewrite the journal(s) with one record per key (atomic rename)")
       Term.(
         const (fun p ->
-            if shard_dir p then begin
-              let st = Ifko.Serve.Shard_store.open_ p in
-              Ifko.Serve.Shard_store.compact st;
-              let s = Ifko.Serve.Shard_store.stat st in
-              Ifko.Serve.Shard_store.close st;
-              print_endline (Ifko.Serve.Shard_store.stat_json s)
-            end
-            else if not (Sys.file_exists p) then begin
-              Printf.eprintf "%s: no store\n" p;
-              Stdlib.exit 1
-            end
-            else begin
-              let st = Ifko.Store.open_ p in
-              Ifko.Store.compact st;
-              Ifko.Store.close st;
-              print_string (Ifko.Store.stat_string p)
-            end)
+            with_store p (fun st ->
+                Ifko.Store.compact st;
+                print_string (Ifko.Store.stat_to_string (Ifko.Store.stat st))))
         $ path_arg)
   in
   let clear =

@@ -45,12 +45,11 @@ module Generic = Ifko_search.Generic
 module Store = Ifko_store.Store
 module Par = Ifko_par.Par
 
-(** Tuning as a service: the `ifko serve` daemon, its wire protocol,
-    the key-prefix-sharded probe store underneath it, and the blocking
-    client. *)
+(** Tuning as a service: the `ifko serve` daemon, its wire protocol
+    and the blocking client.  The daemon's store is an ordinary
+    {!Store} directory. *)
 module Serve = struct
   module Proto = Ifko_serve.Proto
-  module Shard_store = Ifko_serve.Shard_store
   module Server = Ifko_serve.Server
   module Client = Ifko_serve.Client
 end

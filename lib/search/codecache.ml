@@ -19,23 +19,21 @@
    function must be a pure function of that key — the same contract as
    the probe store's.
 
-   Single-flight: concurrent misses on one key run the compute once,
-   with the other callers blocking until the result lands.  A compute
-   that raises (a [Passcheck.Pass_failed] must fail the tune, never be
-   cached) clears the in-flight marker and wakes waiters to claim the
-   key themselves. *)
+   Single-flight ({!Ifko_par.Flight}): concurrent misses on one key run
+   the compute once, with the other callers blocking until the result
+   lands.  A compute that raises (a [Passcheck.Pass_failed] must fail
+   the tune, never be cached) reaches its own caller only, and a waiter
+   takes the key over. *)
 
 type result =
   | Illegal
   | Test_failed
   | Compiled of Cfg.func * Ifko_sim.Exec.compiled
 
-type cell = Done of result | Running
-
 type t = {
-  tbl : (string, cell) Hashtbl.t;
+  tbl : (string, result) Hashtbl.t;  (* finished compilations *)
   mutex : Mutex.t;
-  cond : Condition.t;
+  flight : result Ifko_par.Flight.t;
   max_entries : int;
   mutable n_hit : int;
   mutable n_miss : int;
@@ -47,7 +45,7 @@ let create ?(max_entries = 4096) () =
   {
     tbl = Hashtbl.create 64;
     mutex = Mutex.create ();
-    cond = Condition.create ();
+    flight = Ifko_par.Flight.create ();
     max_entries;
     n_hit = 0;
     n_miss = 0;
@@ -64,55 +62,38 @@ let key ~kernel ~machine ~params ~check ~seed =
       string_of_int seed;
     ]
 
-(* Evict only completed entries: wiping an in-flight marker would make
-   its waiters recompute work that is already running.  The cap is a
-   backstop for daemon lifetimes, far above any one tune's candidate
-   count. *)
-let evict_done t =
-  let running =
-    Hashtbl.fold (fun k c acc -> match c with Running -> (k, c) :: acc | Done _ -> acc)
-      t.tbl []
-  in
-  Hashtbl.reset t.tbl;
-  List.iter (fun (k, c) -> Hashtbl.add t.tbl k c) running
-
-let find_or_compile t ~key f =
+let locked t f =
   Mutex.lock t.mutex;
-  let rec claim () =
-    match Hashtbl.find_opt t.tbl key with
-    | Some (Done r) ->
-      t.n_hit <- t.n_hit + 1;
-      Mutex.unlock t.mutex;
-      `Hit r
-    | Some Running ->
-      Condition.wait t.cond t.mutex;
-      claim ()
-    | None ->
-      t.n_miss <- t.n_miss + 1;
-      if Hashtbl.length t.tbl >= t.max_entries then evict_done t;
-      Hashtbl.replace t.tbl key Running;
-      Mutex.unlock t.mutex;
-      `Compute
-  in
-  match claim () with
-  | `Hit r -> r
-  | `Compute -> (
-    match f () with
-    | exception e ->
-      Mutex.lock t.mutex;
-      Hashtbl.remove t.tbl key;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mutex;
-      raise e
-    | r ->
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.tbl key (Done r);
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+let lookup t key =
+  locked t (fun () ->
+      let r = Hashtbl.find_opt t.tbl key in
+      if Option.is_some r then t.n_hit <- t.n_hit + 1;
       r)
 
-let stats t =
-  Mutex.lock t.mutex;
-  let s = { hits = t.n_hit; misses = t.n_miss } in
-  Mutex.unlock t.mutex;
-  s
+(* Every call counts exactly one hit or miss.  In-flight keys live in
+   the flight table, so the cap (a backstop for daemon lifetimes, far
+   above any one tune's candidate count) only ever drops finished
+   entries. *)
+let find_or_compile t ~key f =
+  match lookup t key with
+  | Some r -> r
+  | None ->
+    let r, joined =
+      Ifko_par.Flight.run t.flight ~key (fun () ->
+          (* a flight that landed between the lookup and here *)
+          match lookup t key with
+          | Some r -> r
+          | None ->
+            locked t (fun () -> t.n_miss <- t.n_miss + 1);
+            let r = f () in
+            locked t (fun () ->
+                if Hashtbl.length t.tbl >= t.max_entries then Hashtbl.reset t.tbl;
+                Hashtbl.replace t.tbl key r);
+            r)
+    in
+    if joined then locked t (fun () -> t.n_hit <- t.n_hit + 1);
+    r
+
+let stats t = locked t (fun () -> { hits = t.n_hit; misses = t.n_miss })

@@ -9,10 +9,11 @@
     allocated inside [Exec.exec] — so sharing them across domains and
     tunes is safe.
 
-    Concurrent misses on one key run the compute exactly once; other
-    callers block until the result lands.  Exceptions from the compute
-    (notably [Passcheck.Pass_failed], which must fail the tune) are
-    never cached: the in-flight marker is cleared and waiters retry. *)
+    Concurrent misses on one key run the compute exactly once
+    ({!Ifko_par.Flight}); other callers block until the result lands.
+    Exceptions from the compute (notably [Passcheck.Pass_failed], which
+    must fail the tune) are never cached: they reach their own caller,
+    and one waiter takes the key over. *)
 
 type result =
   | Illegal  (** the transform pipeline rejected the point *)

@@ -58,10 +58,14 @@ let score = function
   | Ifko_store.Store.Timed { mflops; _ } -> mflops
   | Ifko_store.Store.Test_failed | Ifko_store.Store.Illegal -> neg_infinity
 
+(* The sampled-timing calibration's relative error budget: the "1%" the
+   CLI's --fidelity help promises. *)
+let error_budget = 0.01
+
 let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearch)
     ?(warm_start = false) ?donors ?store ?cache ?pool ?(jobs = 1) ?(seed = 0)
-    ?(fidelity = Ifko_sim.Timer.Full) ?(error_budget = 0.01) ?ckpt ?codecache ~cfg
-    ~context ~spec ~n ~flops_per_n ~test compiled =
+    ?(fidelity = Ifko_sim.Timer.Full) ?ckpt ?codecache ~cfg ~context ~spec ~n ~flops_per_n
+    ~test compiled =
   let report = Ifko_analysis.Report.analyze compiled in
   let default_params =
     Ifko_transform.Params.default ~line_bytes:cfg.Config.prefetchable_line report
@@ -156,9 +160,8 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
       Ifko_store.Store.Timed
         { cycles; mflops = Ifko_sim.Timer.mflops ~cfg ~flops_per_n ~n ~cycles }
   in
-  (* [cache] generalizes the plain store: the serve daemon passes the
-     sharded store's single-flight memoizer here, so concurrent tunes
-     of the same kernel share in-flight probe computations. *)
+  (* [cache] replaces the store's memoization: tests and the benchmark
+     hook it to record or replay every probe outcome. *)
   let cached =
     match cache with
     | Some c -> c
@@ -180,10 +183,9 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
            compute params))
   in
   (* Warm-start seeds: the nearest past tunes' winners, adapted into
-     this kernel's space.  Donors come from the caller (the serve
-     daemon scans its sharded store) or, by default, from the plain
-     probe store's journal; no store, no donors — a clean cold start,
-     not an error. *)
+     this kernel's space.  Donors come from the caller or, by default,
+     from the store's tune-level entries; no store, no donors — a clean
+     cold start, not an error. *)
   let feat = Ifko_analysis.Report.features report in
   let warm =
     if not warm_start then []
@@ -221,7 +223,8 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
   in
   let best = result.Strategy.best in
   (* Journal the tune-level result (winner + analysis fingerprint) so
-     later tunes of similar kernels can warm-start from it.  Guarded by
+     later tunes of similar kernels can warm-start from it and the serve
+     daemon can answer the same request from it.  Guarded by
      find_entry/add, which leave the hit/miss counters alone: those
      count probe traffic only. *)
   (match store with

@@ -71,7 +71,6 @@ val tune :
   ?jobs:int ->
   ?seed:int ->
   ?fidelity:Ifko_sim.Timer.fidelity ->
-  ?error_budget:float ->
   ?ckpt:Ifko_sim.Ckpt.t ->
   ?codecache:Codecache.t ->
   cfg:Ifko_machine.Config.t ->
@@ -97,15 +96,20 @@ val tune :
     is bit-identical to the pre-strategy driver).  [warm_start] seeds
     the chosen strategy's opening batch with the winners of the
     nearest past tunes ({!Warmstart.seeds}): donors come from
-    [?donors] when given, otherwise from [store]'s journal; with
-    neither, the tune cold-starts cleanly.  A completed tune with a
-    [store] journals its own tune-level entry (winner + analysis
-    fingerprint) to feed future warm starts.
+    [?donors] when given, otherwise from [store]'s tune-level entries;
+    with neither, the tune cold-starts cleanly.  A completed tune with
+    a [store] journals its own tune-level entry (winner + analysis
+    fingerprint) under {!Ifko_store.Store.tune_key}: it feeds future
+    warm starts, and the serve daemon answers repeat requests from it.
 
     [store] journals every probe outcome in a persistent
     content-addressed store and answers repeat probes from it, so a
     killed tune resumes without re-paying completed evaluations and a
-    second identical tune costs only hash lookups.  [seed] must be the
+    second identical tune costs only hash lookups.  Probes go through
+    {!Ifko_store.Store.cached}, which is single-flight: concurrent
+    tunes sharing a store compute each probe once.  This is the one
+    store path — the CLI passes a journal file or a daemon directory,
+    and the serve daemon passes its sharded store.  [seed] must be the
     workload seed baked into [spec]/[test] — it is part of the store
     key, so results from differently seeded workloads never alias.
 
@@ -118,19 +122,18 @@ val tune :
     [jobs]-spawned one (which is then not created; [jobs] is ignored) —
     the serve daemon shares one pool across every in-flight tune, so
     concurrent requests' probe compilations batch onto the same
-    workers.  [cache] overrides the [store] memoization with an
-    arbitrary one (the daemon passes the sharded store's single-flight
-    [cached]).  Neither affects results: probes are pure, so any
-    combination of [store]/[cache]/[pool]/[jobs] is bit-identical to a
-    sequential, storeless tune.
+    workers.  [cache] replaces the [store] memoization of probe
+    outcomes with an arbitrary hook; only tests and the benchmark use
+    it, to record or replay probes.  Neither affects results: probes
+    are pure, so any combination of [store]/[cache]/[pool]/[jobs] is
+    bit-identical to a sequential, storeless tune.
 
     [fidelity] selects the timing fidelity for every probe (default
     [Full], bit-identical to the historical behavior).  Requesting
     [Sampled] first calibrates: the default point is timed both ways,
-    and if the sampled estimate misses full fidelity by more than
-    [error_budget] (relative, default 0.01) — or the sampled path's own
-    confidence checks already fell back — the whole tune runs at full
-    fidelity.  [fidelity_used]/[calibration_error] report the outcome,
+    and if the sampled estimate misses full fidelity by more than 1%
+    (relative) — or the sampled path's own confidence checks already
+    fell back — the whole tune runs at full fidelity.  [fidelity_used]/[calibration_error] report the outcome,
     and sampled probe outcomes are stored under fidelity-tagged keys so
     they never answer full-fidelity lookups.
 

@@ -26,7 +26,7 @@ val lookup : t -> Proto.tune_args -> (Proto.tune_reply option, string) result
 (** Result-cache query; [Ok None] on a miss.  Never computes. *)
 
 val stat : t -> ((string * Proto.Json.value) list, string) result
-(** The daemon's statistics object: ["store"] ({!Shard_store.stat_fields})
+(** The daemon's statistics object: ["store"] ({!Ifko_store.Store.stat_fields})
     and ["server"] (request counters, uptime, pool geometry). *)
 
 val compact : t -> (unit, string) result

@@ -4,10 +4,11 @@
    (Proto) and answers them in order.  All in-flight tunes share one
    sharded probe store (single-flight per probe key) and one domain
    pool, so concurrent clients' probe compilations batch onto the same
-   workers and identical cold tunes coalesce into one search.  Results
-   are cached as ordinary store entries under Store.tune_key, which
-   makes warm tunes and lookups O(hash lookup) and persists them across
-   daemon restarts.
+   workers and identical cold tunes coalesce into one search.  Each
+   tune is an ordinary Driver.tune ~store, which journals the result
+   under Store.tune_key as a CLI tune does; the daemon answers warm
+   tunes and lookups from that entry (O(hash lookup), persistent across
+   restarts).
 
    The determinism contract: any reply computed here is bit-identical
    to a sequential, storeless Driver.tune of the same request — probes
@@ -60,11 +61,9 @@ let context_of = function
 
 (* ---------------- server state ---------------- *)
 
-type tune_cell = { mutable result : (Proto.tune_reply, string) result option }
-
 type t = {
   cfg : config;
-  store : Shard_store.t;
+  store : Store.t;
   pool : Ifko_par.Par.Pool.t option;
   clock : unit -> float;
   started : float;
@@ -74,7 +73,11 @@ type t = {
   mutable stopping : bool;
   mutable active : int;  (* live connection threads *)
   conns : (Unix.file_descr, unit) Hashtbl.t;
-  tune_flight : (string, tune_cell) Hashtbl.t;
+  tune_flight : (Proto.tune_reply, string) result Ifko_par.Flight.t;
+      (* whole-tune single flight: concurrent cold tunes of the same
+         request run the search once (probe-level single flight alone
+         would dedup the probes but still replay the line-search
+         bookkeeping per client) *)
   codecache : Codecache.t;
       (* daemon-wide: distinct in-flight tunes (same kernel, different
          N / context / fidelity) compile each candidate once *)
@@ -103,10 +106,9 @@ let compile_kernel src =
 
 let ( let* ) = Result.bind
 
-(* A cached tune result is an ordinary store entry: outcome carries the
-   tuned MFLOPS, params a small JSON object with the rest of the reply.
-   Reusing the probe journal means sharding, replica refresh, eviction,
-   compaction and statistics all apply to results for free. *)
+(* A tune result is the driver's tune-level store entry: the outcome
+   carries the tuned MFLOPS, params a small JSON object with the rest of
+   the reply. *)
 let decode_result (outcome, params, _prov) =
   match outcome with
   | Store.Timed { mflops; _ } -> (
@@ -122,32 +124,6 @@ let decode_result (outcome, params, _prov) =
             evaluations = int_of_float evals; hit = true }
       | _ -> None))
   | _ -> None
-
-let encode_result (tuned : Driver.tuned) =
-  (* [kernel] and [feat] make the entry usable as a warm-start donor
-     (Warmstart.donor_of_entry); decode_result ignores the extras, so
-     old and new entries interoperate both ways. *)
-  let params =
-    Json.render
-      [ ("best", Json.S (Ifko_transform.Params.canonical tuned.Driver.best_params));
-        ("fko", Json.N tuned.Driver.fko_mflops);
-        ("evals", Json.N (float_of_int tuned.Driver.evaluations));
-        ( "kernel",
-          Json.S tuned.Driver.report.Ifko_analysis.Report.kernel_name );
-        ( "feat",
-          Ifko_search.Warmstart.feat_json
-            (Ifko_analysis.Report.features tuned.Driver.report) );
-      ]
-  in
-  let reply =
-    { Proto.best = Ifko_transform.Params.canonical tuned.Driver.best_params;
-      mflops = tuned.Driver.ifko_mflops;
-      fko_mflops = tuned.Driver.fko_mflops;
-      evaluations = tuned.Driver.evaluations;
-      hit = false;
-    }
-  in
-  (params, Store.Timed { mflops = tuned.Driver.ifko_mflops; cycles = 0.0 }, reply)
 
 (* Resolve a request's kernel text down to the result-cache key.  Any
    source edit changes the lowered fingerprint, hence the key. *)
@@ -165,7 +141,7 @@ let resolve (a : Proto.tune_args) =
   Ok (cfgm, context, compiled, key)
 
 let lookup_result t key =
-  match Shard_store.find_entry t.store ~key with
+  match Store.find_entry t.store ~key with
   | None -> None
   | Some entry -> decode_result entry
 
@@ -187,19 +163,7 @@ let ckpt_for t cfgm =
   Mutex.unlock t.mu;
   c
 
-(* The daemon's donor scan for warm-started requests: every shard's
-   tune-level entries, in deterministic shard/key order.  The scan is
-   read-only and cheap next to even one probe, so it runs per warm
-   request — always reflecting the newest completed tunes. *)
-let donors_of_shards store =
-  List.rev
-    (Shard_store.fold_entries store ~init:[]
-       ~f:(fun acc ~key:_ ~params ~prov outcome ->
-         match Ifko_search.Warmstart.donor_of_entry ~params ~prov outcome with
-         | Some d -> d :: acc
-         | None -> acc))
-
-let compute_tune t (a : Proto.tune_args) cfgm context compiled key =
+let compute_tune t (a : Proto.tune_args) cfgm context compiled =
   match
     let spec = Generic.spec ~seed:a.seed compiled in
     let strategy =
@@ -207,9 +171,7 @@ let compute_tune t (a : Proto.tune_args) cfgm context compiled key =
       | Ok s -> s
       | Error msg -> failwith msg (* parse_args validated; belt and braces *)
     in
-    let donors = if a.warm_start then donors_of_shards t.store else [] in
-    Driver.tune ~check_each_pass:a.check ~strategy ~warm_start:a.warm_start ~donors
-      ~cache:(Shard_store.cached t.store)
+    Driver.tune ~check_each_pass:a.check ~strategy ~warm_start:a.warm_start ~store:t.store
       ?pool:t.pool ~seed:a.seed ~ckpt:(ckpt_for t cfgm) ~codecache:t.codecache
       ~cfg:cfgm ~context ~spec ~n:a.n
       ~flops_per_n:a.flops_per_n
@@ -219,14 +181,13 @@ let compute_tune t (a : Proto.tune_args) cfgm context compiled key =
   | exception Failure msg -> Error msg
   | exception e -> Error (Printexc.to_string e)
   | tuned ->
-    let params, outcome, reply = encode_result tuned in
-    let prov =
-      Printf.sprintf "tune %s@%s/%s/n=%d"
-        compiled.Ifko_codegen.Lower.source.Ifko_hil.Ast.k_name a.machine a.context
-        a.n
-    in
-    Shard_store.add t.store ~key ~params ~prov outcome;
-    Ok reply
+    Ok
+      { Proto.best = Ifko_transform.Params.canonical tuned.Driver.best_params;
+        mflops = tuned.Driver.ifko_mflops;
+        fko_mflops = tuned.Driver.fko_mflops;
+        evaluations = tuned.Driver.evaluations;
+        hit = false;
+      }
 
 (* Opportunistic maintenance: after every computed tune, apply the
    configured bounds (age first, then size) — shards compact themselves
@@ -237,57 +198,40 @@ let apply_bounds t =
   | None, None -> ()
   | max_bytes, max_age ->
     let dropped =
-      Shard_store.evict ?max_bytes ?max_age ~now:(t.clock ()) t.store
+      Store.evict ?max_bytes ?max_age ~now:(t.clock ()) t.store
     in
     if dropped > 0 then logf t "evicted %d entries" dropped
 
-(* Whole-tune single flight, mirroring Shard_store.cached: concurrent
-   cold tunes of the same request run the search once.  (Probe-level
-   single flight alone would dedup the probes but still replay the
-   line-search bookkeeping per client.) *)
-let rec tune_shared t (a : Proto.tune_args) cfgm context compiled key =
+let count_tune_hit t =
+  Mutex.lock t.mu;
+  t.n_tune_hits <- t.n_tune_hits + 1;
+  Mutex.unlock t.mu
+
+let tune_shared t (a : Proto.tune_args) cfgm context compiled key =
   match lookup_result t key with
   | Some r ->
-    Mutex.lock t.mu;
-    t.n_tune_hits <- t.n_tune_hits + 1;
-    Mutex.unlock t.mu;
+    count_tune_hit t;
     Ok r
   | None ->
-    Mutex.lock t.mu;
-    (match Hashtbl.find_opt t.tune_flight key with
-    | Some c ->
-      let rec wait () =
-        match c.result with
-        | Some r ->
-          (match r with
-          | Ok _ -> t.n_tune_hits <- t.n_tune_hits + 1
-          | Error _ -> ());
-          Mutex.unlock t.mu;
-          Result.map (fun (r : Proto.tune_reply) -> { r with Proto.hit = true }) r
-        | None ->
-          if not (Hashtbl.mem t.tune_flight key) then begin
+    let r, joined =
+      Ifko_par.Flight.run t.tune_flight ~key (fun () ->
+          match lookup_result t key with
+          | Some r ->
+            count_tune_hit t;
+            Ok r
+          | None ->
+            Mutex.lock t.mu;
+            t.n_tunes <- t.n_tunes + 1;
             Mutex.unlock t.mu;
-            tune_shared t a cfgm context compiled key
-          end
-          else begin
-            Condition.wait t.cv t.mu;
-            wait ()
-          end
-      in
-      wait ()
-    | None ->
-      let c = { result = None } in
-      Hashtbl.add t.tune_flight key c;
-      t.n_tunes <- t.n_tunes + 1;
-      Mutex.unlock t.mu;
-      let r = compute_tune t a cfgm context compiled key in
-      Mutex.lock t.mu;
-      c.result <- Some r;
-      Hashtbl.remove t.tune_flight key;
-      Condition.broadcast t.cv;
-      Mutex.unlock t.mu;
-      if Result.is_ok r then apply_bounds t;
-      r)
+            let r = compute_tune t a cfgm context compiled in
+            if Result.is_ok r then apply_bounds t;
+            r)
+    in
+    if not joined then r
+    else begin
+      if Result.is_ok r then count_tune_hit t;
+      Result.map (fun (r : Proto.tune_reply) -> { r with Proto.hit = true }) r
+    end
 
 let do_tune t a =
   let* cfgm, context, compiled, key = resolve a in
@@ -303,7 +247,7 @@ let do_lookup t a =
 (* ---------------- stat ---------------- *)
 
 let stat_fields t =
-  let s = Shard_store.stat t.store in
+  let s = Store.stat t.store in
   Mutex.lock t.mu;
   let ckpt_stats = Hashtbl.fold (fun _ c acc -> Ckpt.stats c :: acc) t.ckpts [] in
   let server =
@@ -313,10 +257,10 @@ let stat_fields t =
       ("tune_hits", Json.N (float_of_int t.n_tune_hits));
       ("lookups", Json.N (float_of_int t.n_lookups));
       ("errors", Json.N (float_of_int t.n_errors));
-      ("inflight_tunes", Json.N (float_of_int (Hashtbl.length t.tune_flight)));
+      ("inflight_tunes", Json.N (float_of_int (Ifko_par.Flight.inflight t.tune_flight)));
       ("connections", Json.N (float_of_int t.active));
       ("jobs", Json.N (float_of_int t.cfg.jobs));
-      ("shards", Json.N (float_of_int (Shard_store.shard_count t.store)));
+      ("shards", Json.N (float_of_int (Store.shard_count t.store)));
       ("replica", Json.B t.cfg.replica);
     ]
   in
@@ -340,7 +284,7 @@ let stat_fields t =
       ("misses", Json.N (float_of_int cc.Codecache.misses));
     ]
   in
-  [ ("store", Json.O (Shard_store.stat_fields s));
+  [ ("store", Json.O (Store.stat_fields s));
     ("server", Json.O server);
     ("ckpt", Json.O ckpt);
     ("codecache", Json.O code);
@@ -386,7 +330,7 @@ let handle t ~fd (req : Proto.req) : Proto.reply =
   | Proto.Stat -> Proto.Stats (stat_fields t)
   | Proto.Compact ->
     apply_bounds t;
-    Shard_store.compact t.store;
+    Store.compact t.store;
     Proto.Done "compact"
   | Proto.Shutdown ->
     initiate_shutdown t ~self:(Some fd);
@@ -467,8 +411,7 @@ let listen_name = function
 
 let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
   let store =
-    Shard_store.open_ ~shards:config.shards ~replica:config.replica ~clock
-      config.store_dir
+    Store.open_ ~shards:config.shards ~replica:config.replica ~clock config.store_dir
   in
   let pool =
     if config.jobs <= 1 then None
@@ -488,7 +431,7 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
       stopping = false;
       active = 0;
       conns = Hashtbl.create 16;
-      tune_flight = Hashtbl.create 16;
+      tune_flight = Ifko_par.Flight.create ();
       codecache = Codecache.create ();
       ckpts = Hashtbl.create 4;
       n_requests = 0;
@@ -501,7 +444,7 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
   let listen_fd = bind_listen config.listen in
   Unix.listen listen_fd 64;
   logf t "listening on %s (%d shards, jobs=%d%s)" (listen_name config.listen)
-    (Shard_store.shard_count store) config.jobs
+    (Store.shard_count store) config.jobs
     (if config.replica then ", replica" else "");
   ready ();
   (* select-then-accept: the self-pipe makes shutdown from another
@@ -554,7 +497,7 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
   done;
   Mutex.unlock t.mu;
   Option.iter Ifko_par.Par.Pool.shutdown pool;
-  Shard_store.close store;
+  Store.close store;
   (match config.listen with
   | `Unix path -> ( try Unix.unlink path with _ -> ())
   | `Tcp _ -> ());

@@ -3,8 +3,10 @@
     A socket server (Unix-domain or TCP) speaking the newline-delimited
     JSON protocol of {!Proto}: one systhread per connection, all
     in-flight tunes multiplexed onto one sharded probe store
-    ({!Shard_store}) and one shared domain pool, with whole-tune results
-    cached as store entries under {!Ifko_store.Store.tune_key}.
+    ({!Ifko_store.Store}) and one shared domain pool.  Each tune is a
+    {!Ifko_search.Driver.tune} with [~store], exactly as [ifko tune
+    --store] runs it; the driver's tune-level entry under
+    {!Ifko_store.Store.tune_key} answers repeat requests.
 
     Determinism contract: a [tune] reply is bit-identical to a local,
     sequential, storeless {!Ifko_search.Driver.tune} of the same

@@ -224,18 +224,24 @@ let save_file t path entry =
 (* Bring [ms] to the warm state for [key]: restore a cached snapshot if
    one exists, otherwise run [warm] (which must leave [ms] fully warmed
    and returns the metadata float to store alongside) and capture it.
-   Returns the entry's metadata.  Thread-safe: probe pools share one
-   Ckpt across domains.  Concurrent misses on the same key may both run
-   [warm] — warm-up is deterministic, so last-write-wins is benign. *)
+   Returns the entry's metadata and whether this call ran [warm].
+   Thread-safe: probe pools share one Ckpt across domains, and every
+   call counts exactly one hit, disk load or miss under the mutex.
+   Concurrent misses on the same key may both run [warm] — warm-up is
+   deterministic, so last-write-wins is benign. *)
 let with_state t ~key ms ~warm =
+  let locked f =
+    Mutex.lock t.mutex;
+    f ();
+    Mutex.unlock t.mutex
+  in
   let cached =
     Mutex.lock t.mutex;
     let c = Hashtbl.find_opt t.tbl key in
+    if Option.is_some c then t.n_hit <- t.n_hit + 1;
     Mutex.unlock t.mutex;
     match c with
-    | Some entry ->
-        t.n_hit <- t.n_hit + 1;
-        Some entry
+    | Some _ -> c
     | None -> (
         match file_of t key with
         | None -> None
@@ -244,26 +250,23 @@ let with_state t ~key ms ~warm =
             else
               match load_file t path with
               | Some entry ->
-                  t.n_disk <- t.n_disk + 1;
-                  Mutex.lock t.mutex;
-                  Hashtbl.replace t.tbl key entry;
-                  Mutex.unlock t.mutex;
+                  locked (fun () ->
+                      t.n_disk <- t.n_disk + 1;
+                      Hashtbl.replace t.tbl key entry);
                   Some entry
               | None -> None))
   in
   match cached with
   | Some (snap, meta) ->
       Memsys.restore ms snap;
-      meta
+      (meta, false)
   | None ->
-      t.n_miss <- t.n_miss + 1;
+      locked (fun () -> t.n_miss <- t.n_miss + 1);
       let meta = warm ms in
       let entry = (Memsys.snapshot ms, meta) in
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.tbl key entry;
-      Mutex.unlock t.mutex;
+      locked (fun () -> Hashtbl.replace t.tbl key entry);
       (match file_of t key with None -> () | Some path -> save_file t path entry);
-      meta
+      (meta, true)
 
 let find_transient t ~key =
   Mutex.lock t.mutex;
@@ -313,14 +316,19 @@ let master_memo t ~key f =
       m
 
 let stats t =
-  {
-    hits = t.n_hit;
-    disk_loads = t.n_disk;
-    misses = t.n_miss;
-    invalidated = t.n_inval;
-    transient_hits = t.n_thit;
-    transient_misses = t.n_tmiss;
-    transients_loaded = t.n_tload;
-  }
+  Mutex.lock t.mutex;
+  let s =
+    {
+      hits = t.n_hit;
+      disk_loads = t.n_disk;
+      misses = t.n_miss;
+      invalidated = t.n_inval;
+      transient_hits = t.n_thit;
+      transient_misses = t.n_tmiss;
+      transients_loaded = t.n_tload;
+    }
+  in
+  Mutex.unlock t.mutex;
+  s
 
 let geometry_digest t = t.geometry

@@ -41,16 +41,22 @@ val key : t -> kernel:string -> context:string -> n:int -> string
 (** Digest of (kernel fingerprint, machine name, context, N). *)
 
 val with_state :
-  t -> key:string -> Ifko_machine.Memsys.t -> warm:(Ifko_machine.Memsys.t -> float) -> float
+  t ->
+  key:string ->
+  Ifko_machine.Memsys.t ->
+  warm:(Ifko_machine.Memsys.t -> float) ->
+  float * bool
 (** Bring the memory system to the warm state for [key]: restore the
     cached snapshot when one exists, otherwise run [warm] (which must
     leave the system fully warmed) and capture the result.  Returns the
     entry's metadata float — [warm]'s return value, stored alongside
     the snapshot at creation (today's warm loops all return 0; the slot
-    keeps room for warm-up-time measurements).  Per-candidate scalars
-    belong in {!find_transient}/{!set_transient}, never here: one
-    tune's probe points share a snapshot while running different code.
-    Safe to share across domains. *)
+    keeps room for warm-up-time measurements) — and whether this call
+    ran [warm].  Per-candidate scalars belong in
+    {!find_transient}/{!set_transient}, never here: one tune's probe
+    points share a snapshot while running different code.  Safe to
+    share across domains; every call counts exactly one of {!stats}'
+    [hits], [disk_loads] or [misses]. *)
 
 val find_transient : t -> key:string -> float option
 (** Look up a per-(warm state, compiled code) scalar — the sampled

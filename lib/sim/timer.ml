@@ -112,7 +112,7 @@ let run_once ?ckpt ~cfg ~context ~spec ~n cf =
       | None -> ignore (warm ms)
       | Some (c, kernel) ->
         let key = Ckpt.key c ~kernel ~context:(context_name In_l2) ~n in
-        ignore (Ckpt.with_state c ~key ms ~warm : float)));
+        ignore (Ckpt.with_state c ~key ms ~warm : float * bool)));
     let t3 = clk () in
     let result = Exec.exec ~timing:(cfg, ms) ~ret_fsize:spec.ret_fsize cf env in
     let t4 = clk () in
@@ -428,9 +428,8 @@ let measure_ext ?(reps = 1) ?(fidelity = Full) ?ckpt ~cfg ~context ~spec ~n cf =
             ignore (warm ms : float);
             elems := !elems + n_warm
           | Some (c, kernel) ->
-            let before = (Ckpt.stats c).Ckpt.misses in
-            ignore (Ckpt.with_state c ~key:(snap_key c kernel) ms ~warm : float);
-            if (Ckpt.stats c).Ckpt.misses > before then elems := !elems + n_warm);
+            let _, warmed = Ckpt.with_state c ~key:(snap_key c kernel) ms ~warm in
+            if warmed then elems := !elems + n_warm);
           (* the warm closure's own exec/env time is already counted in
              those buckets; keep only the remainder as restore time *)
           a_restore := !a_restore +. (clk () -. t) -. (!a_exec +. !a_env -. sub0);

@@ -220,20 +220,31 @@ end
    total. *)
 type entry = { outcome : outcome; params : string; prov : string; e_ts : float; e_seq : int }
 
-type t = {
-  store_path : string;
-  clock : unit -> float;
+(* One journal file and its in-memory index, under its own mutex.  A
+   store is one journal (a file path) or N of them (a directory). *)
+type journal = {
+  path : string;
   mutex : Mutex.t;
   table : (string, entry) Hashtbl.t;
   mutable oc : out_channel option;
-  mutable hit_count : int;
-  mutable miss_count : int;
   mutable corrupt_count : int;  (** unparseable complete lines *)
   mutable torn_count : int;  (** unparseable, newline-less trailing line *)
   mutable loaded_bytes : int;  (** journal prefix already folded into [table] *)
   mutable next_seq : int;
   mutable header_seed : int option;
   mutable saw_header : bool;  (** a header line (even seedless) was loaded *)
+}
+
+type t = {
+  root : string;
+  is_dir : bool;
+  replica : bool;
+  clock : unit -> float;
+  journals : journal array;
+  flight : outcome Ifko_par.Flight.t;
+  hit_count : int Atomic.t;
+  miss_count : int Atomic.t;
+  join_count : int Atomic.t;  (** cached calls answered by joining a flight *)
 }
 
 let schema_version = 1
@@ -281,6 +292,19 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let file_bytes path =
+  if not (Sys.file_exists path) then 0
+  else begin
+    let ic = open_in_bin path in
+    let n = in_channel_length ic in
+    close_in_noerr ic;
+    n
+  end
+
+let locked j f =
+  Mutex.lock j.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock j.mutex) f
+
 (* Fold journal text from [from] into the table.  Complete lines that
    do not parse are counted corrupt.  The trailing newline-less
    fragment — what a crash (or, under replicas, a concurrent writer)
@@ -288,28 +312,28 @@ let read_file path =
    torn and consumes it, [`Leave] leaves it unconsumed so a later
    {!refresh} can pick up the completed line.  Returns the number of
    bytes consumed. *)
-let fold_lines t ~torn s from =
+let fold_lines j ~torn s from =
   let n = String.length s in
   let pos = ref from in
   let consumed = ref from in
   let take line =
     if String.trim line <> "" then begin
       match Json.parse line with
-      | exception Json.Bad -> t.corrupt_count <- t.corrupt_count + 1
+      | exception Json.Bad -> j.corrupt_count <- j.corrupt_count + 1
       | fields ->
         (match List.assoc_opt "ifko_store" fields with
         | Some (Json.N _) ->
-          t.saw_header <- true;
+          j.saw_header <- true;
           (match List.assoc_opt "seed" fields with
-          | Some (Json.N s) when t.header_seed = None ->
-            t.header_seed <- Some (int_of_float s)
+          | Some (Json.N s) when j.header_seed = None ->
+            j.header_seed <- Some (int_of_float s)
           | _ -> ())
         | _ ->
-          let seq = t.next_seq in
-          t.next_seq <- t.next_seq + 1;
+          let seq = j.next_seq in
+          j.next_seq <- j.next_seq + 1;
           (match parse_entry ~seq fields with
-          | Some (key, e) -> Hashtbl.replace t.table key e
-          | None -> t.corrupt_count <- t.corrupt_count + 1))
+          | Some (key, e) -> Hashtbl.replace j.table key e
+          | None -> j.corrupt_count <- j.corrupt_count + 1))
     end
   in
   while !pos < n do
@@ -325,7 +349,7 @@ let fold_lines t ~torn s from =
       | `Count ->
         if String.trim tail <> "" then begin
           match Json.parse tail with
-          | exception Json.Bad -> t.torn_count <- t.torn_count + 1
+          | exception Json.Bad -> j.torn_count <- j.torn_count + 1
           | _ -> take tail (* complete record, the crash only ate the newline *)
         end;
         consumed := n
@@ -333,11 +357,6 @@ let fold_lines t ~torn s from =
       pos := n
   done;
   !consumed - from
-
-let load_journal t =
-  let s = read_file t.store_path in
-  let consumed = fold_lines t ~torn:`Count s 0 in
-  t.loaded_bytes <- consumed
 
 (* A crash mid-append can leave a torn line with no trailing newline;
    appending straight after it would glue the next record onto the torn
@@ -354,26 +373,32 @@ let ends_in_newline path =
   close_in_noerr ic;
   ok
 
-let append_channel t =
-  match t.oc with
+(* A journal that is empty (or absent) gets its header with the first
+   append, so opening an existing store never writes to it: read-only
+   commands leave its bytes alone. *)
+let append_channel j =
+  match j.oc with
   | Some oc -> oc
   | None ->
-    let needs_nl = Sys.file_exists t.store_path && not (ends_in_newline t.store_path) in
-    let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.store_path in
+    let size = file_bytes j.path in
+    let needs_nl = size > 0 && not (ends_in_newline j.path) in
+    let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 j.path in
     if needs_nl then output_char oc '\n';
-    t.oc <- Some oc;
+    if size = 0 then begin
+      output_string oc (header_line ~seed:j.header_seed ^ "\n");
+      j.saw_header <- true
+    end;
+    j.oc <- Some oc;
     oc
 
-let open_ ?seed ?(clock = fun () -> 0.0) path =
-  let t =
+(* [create]: the store is new, so its journal starts out with a header. *)
+let open_journal ?seed ~create path =
+  let j =
     {
-      store_path = path;
-      clock;
+      path;
       mutex = Mutex.create ();
       table = Hashtbl.create 256;
       oc = None;
-      hit_count = 0;
-      miss_count = 0;
       corrupt_count = 0;
       torn_count = 0;
       loaded_bytes = 0;
@@ -382,62 +407,175 @@ let open_ ?seed ?(clock = fun () -> 0.0) path =
       saw_header = false;
     }
   in
-  let existed = Sys.file_exists path in
-  if existed then load_journal t;
-  if (not existed) || (not t.saw_header && Hashtbl.length t.table = 0) then begin
-    let oc = append_channel t in
-    output_string oc (header_line ~seed ^ "\n");
-    flush oc;
-    t.header_seed <- seed;
-    t.saw_header <- true
-  end;
-  t
+  if Sys.file_exists path then
+    j.loaded_bytes <- fold_lines j ~torn:`Count (read_file path) 0;
+  if (not j.saw_header) && Hashtbl.length j.table = 0 then j.header_seed <- seed;
+  if create then flush (append_channel j);
+  j
 
-let close t =
-  Mutex.lock t.mutex;
-  (match t.oc with
-  | Some oc ->
-    flush oc;
-    close_out_noerr oc;
-    t.oc <- None
-  | None -> ());
-  Mutex.unlock t.mutex
+let close_journal j =
+  Option.iter
+    (fun oc ->
+      flush oc;
+      close_out_noerr oc)
+    j.oc;
+  j.oc <- None
 
-let path t = t.store_path
-let seed t = t.header_seed
+(* ---------------------------------------------------------------- *)
+(* Directories: N shard journals picked by key prefix.  Keys are hex
+   MD5 digests, so the first byte is uniform and `first byte mod N`
+   balances the shards.  store.meta fixes N at creation. *)
+
+let meta_file dir = Filename.concat dir "store.meta"
+let shard_file dir i = Filename.concat dir (Printf.sprintf "shard-%02d.jsonl" i)
+
+let read_meta dir =
+  let path = meta_file dir in
+  if not (Sys.file_exists path) then None
+  else begin
+    let ic = open_in_bin path in
+    let line = try input_line ic with End_of_file -> "" in
+    close_in_noerr ic;
+    match Json.parse line with
+    | exception Json.Bad -> None
+    | fields ->
+      (match (Json.num fields "ifko_shard_store", Json.num fields "shards") with
+      | Some _, Some n when n >= 1.0 -> Some (int_of_float n)
+      | _ -> None)
+  end
+
+let write_meta dir ~shards =
+  let oc = open_out_bin (meta_file dir) in
+  output_string oc
+    (Json.render
+       [ ("ifko_shard_store", Json.N 1.0); ("shards", Json.N (float_of_int shards)) ]
+    ^ "\n");
+  close_out oc
+
+let open_ ?seed ?(clock = fun () -> 0.0) ?shards ?(replica = false) path =
+  let exists = Sys.file_exists path in
+  let is_dir = if exists then Sys.is_directory path else shards <> None in
+  let journals =
+    if not is_dir then begin
+      if shards <> None then
+        invalid_arg (Printf.sprintf "Store.open_: %s exists and is not a directory" path);
+      [| open_journal ?seed ~create:(not exists) path |]
+    end
+    else begin
+      if not exists then Sys.mkdir path 0o755;
+      let n =
+        match (read_meta path, shards) with
+        | Some n, _ -> n (* the directory knows its own geometry *)
+        | None, Some n ->
+          let n = max 1 (min n 256) in
+          write_meta path ~shards:n;
+          n
+        | None, None ->
+          invalid_arg (Printf.sprintf "Store.open_: %s has no valid store.meta" path)
+      in
+      Array.init n (fun i -> open_journal ?seed ~create:(not exists) (shard_file path i))
+    end
+  in
+  {
+    root = path;
+    is_dir;
+    replica;
+    clock;
+    journals;
+    flight = Ifko_par.Flight.create ();
+    hit_count = Atomic.make 0;
+    miss_count = Atomic.make 0;
+    join_count = Atomic.make 0;
+  }
+
+let close t = Array.iter (fun j -> locked j (fun () -> close_journal j)) t.journals
+let path t = t.root
+let seed t = t.journals.(0).header_seed
+let shard_count t = Array.length t.journals
+
+(* Keys are hex MD5; fall back to a generic hash for foreign keys. *)
+let journal t key =
+  let n = Array.length t.journals in
+  if n = 1 then t.journals.(0)
+  else begin
+    let b =
+      match
+        if String.length key >= 2 then int_of_string_opt ("0x" ^ String.sub key 0 2)
+        else None
+      with
+      | Some b -> b
+      | None -> Hashtbl.hash key land 0xff
+    in
+    t.journals.(b mod n)
+  end
+
+(* Pick up records appended by other processes sharing the journal
+   (replica mode): parse any complete lines past the already-loaded
+   prefix.  A newline-less tail is left alone — it is another writer's
+   append in flight, not corruption — and re-examined next time.  A
+   file that shrank was compacted underneath us: reload it whole. *)
+let refresh_journal j =
+  locked j (fun () ->
+      if Sys.file_exists j.path then begin
+        let s = read_file j.path in
+        let len = String.length s in
+        if len < j.loaded_bytes then begin
+          Hashtbl.reset j.table;
+          j.loaded_bytes <- 0
+        end;
+        if len > j.loaded_bytes then
+          j.loaded_bytes <- j.loaded_bytes + fold_lines j ~torn:`Leave s j.loaded_bytes
+      end)
+
+let refresh t = Array.iter refresh_journal t.journals
+
+let find_in j key =
+  Mutex.lock j.mutex;
+  let r = Hashtbl.find_opt j.table key in
+  Mutex.unlock j.mutex;
+  r
+
+(* Replica mode: a miss may just mean another process journaled the
+   entry after we loaded — fold in the journal's new lines and retry
+   once before conceding the miss. *)
+let lookup t key =
+  let j = journal t key in
+  match find_in j key with
+  | None when t.replica ->
+    refresh_journal j;
+    find_in j key
+  | r -> r
 
 let find t ~key =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.find_opt t.table key in
-  (match r with
-  | Some _ -> t.hit_count <- t.hit_count + 1
-  | None -> t.miss_count <- t.miss_count + 1);
-  Mutex.unlock t.mutex;
-  Option.map (fun e -> e.outcome) r
+  match lookup t key with
+  | Some e ->
+    Atomic.incr t.hit_count;
+    Some e.outcome
+  | None ->
+    Atomic.incr t.miss_count;
+    None
 
-let find_entry t ~key =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.find_opt t.table key in
-  Mutex.unlock t.mutex;
-  Option.map (fun e -> (e.outcome, e.params, e.prov)) r
+let find_entry t ~key = Option.map (fun e -> (e.outcome, e.params, e.prov)) (lookup t key)
 
-(* Tune-level entries (whole-search results journaled by the driver and
-   the serve daemon) are distinguished from per-probe entries purely by
-   their provenance prefix — the journal format is unchanged. *)
+(* Tune-level entries (whole-search results journaled by the driver)
+   are distinguished from per-probe entries purely by their provenance
+   prefix — the journal format is unchanged. *)
 let is_tune_prov prov = String.length prov >= 5 && String.sub prov 0 5 = "tune "
 
-(* Snapshot under the mutex, fold outside it, so [f] is free to use the
-   store itself (journaling a derived entry, say) without deadlocking.
-   Sorted-key order makes the fold deterministic regardless of append
-   order — warm-start donor selection depends on that. *)
+(* Journals in shard order, each snapshotted under its mutex and folded
+   outside it, so [f] is free to use the store itself (journaling a
+   derived entry, say) without deadlocking.  Sorted-key order makes the
+   fold deterministic regardless of append order — warm-start donor
+   selection depends on that. *)
 let fold_entries t ~init ~f =
-  Mutex.lock t.mutex;
-  let snap = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.table [] in
-  Mutex.unlock t.mutex;
-  let snap = List.sort (fun (a, _) (b, _) -> compare a b) snap in
-  List.fold_left
-    (fun acc (key, e) -> f acc ~key ~params:e.params ~prov:e.prov e.outcome)
-    init snap
+  Array.fold_left
+    (fun acc j ->
+      let snap = locked j (fun () -> Hashtbl.fold (fun k e acc -> (k, e) :: acc) j.table []) in
+      List.fold_left
+        (fun acc (key, e) -> f acc ~key ~params:e.params ~prov:e.prov e.outcome)
+        acc
+        (List.sort (fun (a, _) (b, _) -> compare a b) snap))
+    init t.journals
 
 let iter_tunes t ~f =
   fold_entries t ~init:() ~f:(fun () ~key ~params ~prov outcome ->
@@ -447,98 +585,74 @@ let iter_tunes t ~f =
       | Timed _ | Test_failed | Illegal -> ())
 
 let add t ~key ~params ~prov outcome =
-  Mutex.lock t.mutex;
-  let e = { outcome; params; prov; e_ts = t.clock (); e_seq = t.next_seq } in
-  t.next_seq <- t.next_seq + 1;
-  Hashtbl.replace t.table key e;
-  let oc = append_channel t in
-  (* one write of one complete line: under O_APPEND this is what makes
-     several replica processes able to share a journal *)
-  output_string oc (entry_line key e ^ "\n");
-  flush oc;
-  Mutex.unlock t.mutex
+  let j = journal t key in
+  locked j (fun () ->
+      let e = { outcome; params; prov; e_ts = t.clock (); e_seq = j.next_seq } in
+      j.next_seq <- j.next_seq + 1;
+      Hashtbl.replace j.table key e;
+      let oc = append_channel j in
+      (* one write of one complete line: under O_APPEND this is what makes
+         several replica processes able to share a journal *)
+      output_string oc (entry_line key e ^ "\n");
+      flush oc)
 
+(* Single-flight memoization: the first misser of a key computes it,
+   concurrent missers of the same key wait for its outcome instead of
+   duplicating the (expensive) probe.  The leader re-checks the table
+   first, so a flight that landed after our lookup is not recomputed. *)
 let cached ?store ~key ~params ~prov f =
   match store with
   | None -> f ()
-  | Some t ->
-    (match find t ~key with
-    | Some o -> o
+  | Some t -> (
+    match lookup t key with
+    | Some e ->
+      Atomic.incr t.hit_count;
+      e.outcome
     | None ->
-      let o = f () in
-      add t ~key ~params ~prov o;
+      let o, joined =
+        Ifko_par.Flight.run t.flight ~key (fun () ->
+            match find_in (journal t key) key with
+            | Some e ->
+              Atomic.incr t.hit_count;
+              e.outcome
+            | None ->
+              Atomic.incr t.miss_count;
+              let o = f () in
+              add t ~key ~params ~prov o;
+              o)
+      in
+      if joined then begin
+        Atomic.incr t.hit_count;
+        Atomic.incr t.join_count
+      end;
       o)
 
-(* Pick up records appended by other processes sharing the journal
-   (replica mode): parse any complete lines past the already-loaded
-   prefix.  A newline-less tail is left alone — it is another writer's
-   append in flight, not corruption — and re-examined next time.  A
-   file that shrank was compacted underneath us: reload it whole. *)
-let refresh t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      if not (Sys.file_exists t.store_path) then ()
-      else begin
-        let s = read_file t.store_path in
-        let len = String.length s in
-        if len < t.loaded_bytes then begin
-          Hashtbl.reset t.table;
-          t.loaded_bytes <- 0
-        end;
-        if len > t.loaded_bytes then
-          t.loaded_bytes <-
-            t.loaded_bytes + fold_lines t ~torn:`Leave s t.loaded_bytes
-      end)
+let hits t = Atomic.get t.hit_count
+let misses t = Atomic.get t.miss_count
+let sum t f = Array.fold_left (fun acc j -> acc + f j) 0 t.journals
+let entries t = sum t (fun j -> Hashtbl.length j.table)
+let corrupt t = sum t (fun j -> j.corrupt_count + j.torn_count)
+let torn t = sum t (fun j -> j.torn_count)
+let bytes t = sum t (fun j -> file_bytes j.path)
 
-let hits t = t.hit_count
-let misses t = t.miss_count
-let entries t = Hashtbl.length t.table
-let corrupt t = t.corrupt_count + t.torn_count
-let torn t = t.torn_count
-
-let file_bytes path =
-  if not (Sys.file_exists path) then 0
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    close_in_noerr ic;
-    n
-  end
-
-let bytes t = file_bytes t.store_path
-
-let compact_locked t =
-  (match t.oc with
-  | Some oc ->
-    flush oc;
-    close_out_noerr oc;
-    t.oc <- None
-  | None -> ());
-  let tmp = t.store_path ^ ".compact.tmp" in
+let compact_locked j =
+  close_journal j;
+  let tmp = j.path ^ ".compact.tmp" in
   let oc = open_out_bin tmp in
-  output_string oc (header_line ~seed:t.header_seed ^ "\n");
-  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.table []) in
-  List.iter
-    (fun k -> output_string oc (entry_line k (Hashtbl.find t.table k) ^ "\n"))
-    keys;
+  output_string oc (header_line ~seed:j.header_seed ^ "\n");
+  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) j.table []) in
+  List.iter (fun k -> output_string oc (entry_line k (Hashtbl.find j.table k) ^ "\n")) keys;
   close_out oc;
-  Sys.rename tmp t.store_path;
-  t.loaded_bytes <- file_bytes t.store_path
+  Sys.rename tmp j.path;
+  j.loaded_bytes <- file_bytes j.path
 
-let compact t =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> compact_locked t)
+let compact t = Array.iter (fun j -> locked j (fun () -> compact_locked j)) t.journals
 
-let evict ?max_bytes ?max_age ~now t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+let evict_journal ?max_bytes ?max_age ~now j =
+  locked j (fun () ->
       let removed = ref 0 in
       let remove k =
-        Hashtbl.remove t.table k;
+        Hashtbl.remove j.table k;
         incr removed
       in
       (* Age bound: entries journaled without a timestamp (e_ts = 0,
@@ -550,7 +664,7 @@ let evict ?max_bytes ?max_age ~now t =
         let dead =
           Hashtbl.fold
             (fun k e acc -> if e.e_ts < now -. age then k :: acc else acc)
-            t.table []
+            j.table []
         in
         List.iter remove dead);
       (* Size bound on the *compacted* journal: oldest (ts, then load
@@ -558,7 +672,7 @@ let evict ?max_bytes ?max_age ~now t =
       (match max_bytes with
       | None -> ()
       | Some budget ->
-        let header = String.length (header_line ~seed:t.header_seed) + 1 in
+        let header = String.length (header_line ~seed:j.header_seed) + 1 in
         let live = ref header in
         let all =
           Hashtbl.fold
@@ -566,7 +680,7 @@ let evict ?max_bytes ?max_age ~now t =
               let len = String.length (entry_line k e) + 1 in
               live := !live + len;
               (e.e_ts, e.e_seq, k, len) :: acc)
-            t.table []
+            j.table []
         in
         if !live > budget then begin
           let oldest_first = List.sort compare all in
@@ -578,8 +692,16 @@ let evict ?max_bytes ?max_age ~now t =
               end)
             oldest_first
         end);
-      if !removed > 0 then compact_locked t;
+      if !removed > 0 then compact_locked j;
       !removed)
+
+(* The size budget splits evenly across shards — hex-digest keys spread
+   uniformly, so per-shard budgets approximate the global one without
+   any cross-shard coordination (each shard evicts under its own
+   mutex). *)
+let evict ?max_bytes ?max_age ~now t =
+  let max_bytes = Option.map (fun b -> max 1 (b / shard_count t)) max_bytes in
+  sum t (evict_journal ?max_bytes ?max_age ~now)
 
 (* ---------------------------------------------------------------- *)
 (* Keys: hex MD5 of length-prefixed fields (no boundary aliasing). *)
@@ -619,8 +741,11 @@ let tune_key ?strategy ~kernel ~machine ~context ~n ~seed ~check ~flops_per_n ()
 
 (* ---------------------------------------------------------------- *)
 
+type ckpt_stat = { ck_machine : string; ck_snapshots : int; ck_transients : int }
+
 type stat = {
   st_path : string;
+  st_dir : bool;
   st_entries : int;
   st_tunes : int;
   st_probes : int;
@@ -633,42 +758,96 @@ type stat = {
   st_seed : int option;
   st_hits : int;
   st_misses : int;
+  st_joins : int;
+  st_shards : stat list;
+  st_ckpts : ckpt_stat list;
 }
 
-let stat t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      let timed = ref 0 and failed = ref 0 and illegal = ref 0 in
-      let tunes = ref 0 in
-      Hashtbl.iter
-        (fun _ e ->
-          if is_tune_prov e.prov then incr tunes;
-          match e.outcome with
-          | Timed _ -> incr timed
-          | Test_failed -> incr failed
-          | Illegal -> incr illegal)
-        t.table;
-      {
-        st_path = t.store_path;
-        st_entries = Hashtbl.length t.table;
-        st_tunes = !tunes;
-        st_probes = Hashtbl.length t.table - !tunes;
-        st_timed = !timed;
-        st_failed = !failed;
-        st_illegal = !illegal;
-        st_corrupt = t.corrupt_count;
-        st_torn = t.torn_count;
-        st_bytes = file_bytes t.store_path;
-        st_seed = t.header_seed;
-        st_hits = t.hit_count;
-        st_misses = t.miss_count;
-      })
+(* The serve daemon persists warm-state checkpoints next to the shards
+   (one ckpt-<machine> directory each: <key>.ckpt blobs plus a
+   transients.jsonl of resume-transient scalars).  Counting them here
+   makes `ifko store stat` show how much warm-up/transient work a
+   daemon restart will be able to skip. *)
+let ckpt_stats_of_dir dir =
+  let ls d = try Sys.readdir d with Sys_error _ -> [||] in
+  Array.to_list (ls dir)
+  |> List.filter_map (fun name ->
+         let path = Filename.concat dir name in
+         if String.length name > 5 && String.sub name 0 5 = "ckpt-" && Sys.is_directory path
+         then begin
+           let snapshots =
+             Array.fold_left
+               (fun acc f -> if Filename.check_suffix f ".ckpt" then acc + 1 else acc)
+               0 (ls path)
+           in
+           let transients =
+             match read_file (Filename.concat path "transients.jsonl") with
+             | exception Sys_error _ -> 0
+             | s -> String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
+           in
+           Some
+             { ck_machine = String.sub name 5 (String.length name - 5);
+               ck_snapshots = snapshots; ck_transients = transients }
+         end
+         else None)
+  |> List.sort (fun a b -> compare a.ck_machine b.ck_machine)
 
-(* Follows the [Diag.to_json] conventions: one flat object, every field
+(* Counts over a set of journals; the service-level counters and the
+   per-shard breakdown are filled in by [stat]. *)
+let tally path js =
+  let entries = ref 0 and tunes = ref 0 and timed = ref 0 and failed = ref 0 in
+  let illegal = ref 0 and corrupt = ref 0 and torn = ref 0 and bytes = ref 0 in
+  List.iter
+    (fun j ->
+      locked j (fun () ->
+          Hashtbl.iter
+            (fun _ e ->
+              if is_tune_prov e.prov then incr tunes;
+              match e.outcome with
+              | Timed _ -> incr timed
+              | Test_failed -> incr failed
+              | Illegal -> incr illegal)
+            j.table;
+          entries := !entries + Hashtbl.length j.table;
+          corrupt := !corrupt + j.corrupt_count;
+          torn := !torn + j.torn_count);
+      bytes := !bytes + file_bytes j.path)
+    js;
+  {
+    st_path = path;
+    st_dir = false;
+    st_entries = !entries;
+    st_tunes = !tunes;
+    st_probes = !entries - !tunes;
+    st_timed = !timed;
+    st_failed = !failed;
+    st_illegal = !illegal;
+    st_corrupt = !corrupt;
+    st_torn = !torn;
+    st_bytes = !bytes;
+    st_seed = (match js with j :: _ -> j.header_seed | [] -> None);
+    st_hits = 0;
+    st_misses = 0;
+    st_joins = 0;
+    st_shards = [];
+    st_ckpts = [];
+  }
+
+let stat t =
+  let js = Array.to_list t.journals in
+  {
+    (tally t.root js) with
+    st_dir = t.is_dir;
+    st_hits = hits t;
+    st_misses = misses t;
+    st_joins = Atomic.get t.join_count;
+    st_shards = List.map (fun j -> tally j.path [ j ]) js;
+    st_ckpts = (if t.is_dir then ckpt_stats_of_dir t.root else []);
+  }
+
+(* Follows the [Diag.to_json] conventions: one object, every field
    always present, [null] for absent values. *)
-let stat_fields s =
+let journal_fields s =
   [ ("path", Json.S s.st_path);
     ("entries", Json.N (float_of_int s.st_entries));
     ("tune_entries", Json.N (float_of_int s.st_tunes));
@@ -684,9 +863,27 @@ let stat_fields s =
     ("misses", Json.N (float_of_int s.st_misses));
   ]
 
+let stat_fields s =
+  journal_fields s
+  @ [ ("dir", if s.st_dir then Json.S s.st_path else Json.Null);
+      ("shards", Json.N (float_of_int (List.length s.st_shards)));
+      ("inflight_joins", Json.N (float_of_int s.st_joins));
+      ("per_shard", Json.A (List.map (fun st -> Json.O (journal_fields st)) s.st_shards));
+      ( "ckpt_dirs",
+        Json.A
+          (List.map
+             (fun c ->
+               Json.O
+                 [ ("machine", Json.S c.ck_machine);
+                   ("snapshots", Json.N (float_of_int c.ck_snapshots));
+                   ("transients", Json.N (float_of_int c.ck_transients));
+                 ])
+             s.st_ckpts) );
+    ]
+
 let stat_json s = Json.render (stat_fields s)
 
-let stat_to_string s =
+let journal_line s =
   Printf.sprintf
     "%s: %d entries (%d probes + %d tunes; %d timed, %d test-failed, %d illegal), %d \
      corrupt + %d torn line%s skipped, %d bytes%s\n"
@@ -698,12 +895,19 @@ let stat_to_string s =
     | Some v -> Printf.sprintf ", seed %d" v
     | None -> "")
 
-let stat_string p =
-  if not (Sys.file_exists p) then Printf.sprintf "%s: no store\n" p
-  else begin
-    let t = open_ p in
-    close t;
-    stat_to_string (stat t)
-  end
+let stat_to_string s =
+  if not s.st_dir then journal_line s
+  else
+    String.concat ""
+      ((Printf.sprintf "%s: %d shards, %d entries, %d bytes%s%s\n" s.st_path
+          (List.length s.st_shards) s.st_entries s.st_bytes
+          (if s.st_corrupt > 0 then Printf.sprintf ", %d corrupt lines" s.st_corrupt else "")
+          (if s.st_torn > 0 then Printf.sprintf ", %d torn lines" s.st_torn else "")
+       :: List.map journal_line s.st_shards)
+      @ List.map
+          (fun c ->
+            Printf.sprintf "ckpt-%s: %d warm-state snapshots, %d transients\n" c.ck_machine
+              c.ck_snapshots c.ck_transients)
+          s.st_ckpts)
 
 let clear p = if Sys.file_exists p then Sys.remove p

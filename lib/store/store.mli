@@ -8,17 +8,25 @@
     size, the workload seed and the parameter point), the value is the
     probe outcome with provenance.
 
-    On disk the store is an append-only JSON-lines journal: one header
-    line recording the schema version and workload seed, then one
-    self-contained record per probed point.  Appends are a single
-    flushed write of one complete line under a mutex, so worker domains
-    can share one handle — and, because the file is opened with
-    [O_APPEND], several {e processes} can append to the same journal
-    (replica mode; see {!refresh}).  A crash mid-write leaves at most
-    one torn trailing line, which the loader tolerates (corrupt or
-    truncated lines are counted and skipped, never fatal).  [compact]
-    rewrites the journal with one record per key (last wins) via a temp
-    file + atomic rename. *)
+    On disk a store is one or more append-only JSON-lines journals: one
+    header line recording the schema version and workload seed, then
+    one self-contained record per probed point.  A journal file is the
+    one-shard store; a directory holds N shard journals
+    ([shard-NN.jsonl], picked by the key's first byte modulo N) under a
+    [store.meta] that fixes N at creation.  Both shapes behave the same
+    through this interface, so [ifko tune --store] and [ifko serve]
+    read each other's stores.
+
+    Appends are a single flushed write of one complete line under the
+    journal's mutex, so worker domains can share one handle — and,
+    because the file is opened with [O_APPEND], several {e processes}
+    can append to the same journals (replica mode; see {!refresh}).  A
+    crash mid-write leaves at most one torn trailing line, which the
+    loader tolerates (corrupt or truncated lines are counted and
+    skipped, never fatal).  [compact] rewrites each journal with one
+    record per key (last wins) via a temp file + atomic rename.
+    Opening an existing store never writes to it: an empty journal gets
+    its header with the first append. *)
 
 (** Minimal JSON used for the journal and the serve protocol: the
     writer emits flat objects of string/number/bool fields; the parser
@@ -61,23 +69,37 @@ type outcome =
   | Illegal  (** the pipeline rejected the parameter point *)
 
 type t
-(** An open store: the in-memory index plus the append channel. *)
+(** An open store: the in-memory index plus the append channels. *)
 
-val open_ : ?seed:int -> ?clock:(unit -> float) -> string -> t
-(** [open_ ?seed ?clock path] loads the journal at [path] (creating it,
-    with a header recording [seed], if absent).  Corrupt lines are
-    skipped and counted, so a journal truncated by a crash loads fine.
-    [clock] (e.g. [Unix.time]) timestamps every subsequent {!add} for
-    the age-based {!evict} policy; the default clock stamps 0 and emits
-    no timestamp field, keeping offline journals byte-deterministic. *)
+val open_ :
+  ?seed:int -> ?clock:(unit -> float) -> ?shards:int -> ?replica:bool -> string -> t
+(** [open_ path] loads the store at [path]: an existing directory is a
+    sharded store (its [store.meta] fixes the shard count), anything
+    else a single journal file, created with its header if absent.  Given
+    [shards] (clamped to 1..256), a missing [path] is created as a
+    directory of that many shards; an existing directory keeps its own
+    geometry.  Corrupt lines are skipped and counted, so a journal
+    truncated by a crash loads fine.  [seed] goes into the header of
+    journals this handle creates.  [clock] (e.g. [Unix.time])
+    timestamps every subsequent {!add} for the age-based {!evict}
+    policy; the default clock stamps 0 and emits no timestamp field,
+    keeping offline journals byte-deterministic.  In [replica] mode a
+    lookup miss re-reads the key's journal tail ({!refresh}) before it
+    is conceded.
+    @raise Invalid_argument if [shards] is given and [path] is a file,
+    or [path] is a directory without a valid [store.meta] and [shards]
+    is absent. *)
 
 val close : t -> unit
-(** Flush and close the append channel.  Further [add]s reopen it. *)
+(** Flush and close the append channels.  Further [add]s reopen them. *)
 
 val path : t -> string
 
 val seed : t -> int option
-(** The workload seed recorded in the journal header, if any. *)
+(** The workload seed recorded in the (first) journal header, if any. *)
+
+val shard_count : t -> int
+(** Journals in the store: 1 for a file. *)
 
 val find : t -> key:string -> outcome option
 (** Thread-safe lookup; maintains the {!hits}/{!misses} counters. *)
@@ -97,10 +119,10 @@ val fold_entries :
   init:'a ->
   f:('a -> key:string -> params:string -> prov:string -> outcome -> 'a) ->
   'a
-(** Read-only fold over every live entry in sorted-key order (a
-    deterministic scan regardless of journal append order).  The table
-    is snapshotted under the mutex and folded outside it, so [f] may
-    itself use the store. *)
+(** Read-only fold over every live entry: journals in shard order, each
+    in sorted-key order (a deterministic scan regardless of append
+    order).  Each journal is snapshotted under its mutex and folded
+    outside it, so [f] may itself use the store. *)
 
 val iter_tunes :
   t ->
@@ -117,20 +139,26 @@ val add : t -> key:string -> params:string -> prov:string -> outcome -> unit
 val cached : ?store:t -> key:string -> params:string -> prov:string ->
   (unit -> outcome) -> outcome
 (** [cached ?store ~key ... f] is [f ()] memoized through the store;
-    with [?store] absent it is just [f ()]. *)
+    with [?store] absent it is just [f ()].  Single-flight
+    ({!Ifko_par.Flight}): the first caller to miss runs [f] and
+    journals its outcome, concurrent callers of the same key wait and
+    share it.  If [f] raises, the exception reaches that caller alone
+    and one waiter takes over. *)
 
 val refresh : t -> unit
 (** Fold in any complete journal lines appended past the already-loaded
-    prefix — records written by {e other processes} sharing the file in
+    prefix — records written by {e other processes} sharing the files in
     replica mode.  A trailing line still missing its newline is another
     writer's append in flight and is left for the next refresh; a file
     that shrank (compacted by another replica) is reloaded whole. *)
 
 val hits : t -> int
-(** [find]s answered from the store since [open_]. *)
+(** [find]s and [cached] calls answered from the store (or by joining
+    another caller's flight) since [open_]. *)
 
 val misses : t -> int
-(** [find]s that missed since [open_]. *)
+(** [find]s that missed and [cached] calls that computed, since
+    [open_]. *)
 
 val entries : t -> int
 (** Distinct keys currently held. *)
@@ -144,10 +172,10 @@ val torn : t -> int
     the signature of a crash mid-append. *)
 
 val bytes : t -> int
-(** Current journal size in bytes (0 if the file is gone). *)
+(** Current journal sizes in bytes (0 for a file not yet written). *)
 
 val compact : t -> unit
-(** Rewrite the journal as header + one line per key, atomically
+(** Rewrite every journal as header + one line per key, atomically
     (temp file in the same directory, then rename).  Not safe while
     another replica process is appending — serialize compaction through
     one designated writer (the serve daemon does). *)
@@ -158,8 +186,9 @@ val evict : ?max_bytes:int -> ?max_age:float -> now:float -> t -> int
     evicted.  [max_age] drops entries stamped before [now - max_age]
     (entries journaled without a timestamp count as arbitrarily old);
     [max_bytes] then drops oldest-first — ordered by (timestamp, load
-    order) — until the compacted journal would fit.  Same replica
-    caveat as {!compact}. *)
+    order) — until the compacted journal would fit; in a directory the
+    budget splits evenly across the shards.  Same replica caveat as
+    {!compact}. *)
 
 (** {2 Keys}
 
@@ -224,8 +253,17 @@ val tune_key :
 
 (** {2 Statistics} *)
 
+type ckpt_stat = {
+  ck_machine : string;  (** from the [ckpt-<machine>] directory name *)
+  ck_snapshots : int;  (** persisted [<key>.ckpt] warm-state blobs *)
+  ck_transients : int;  (** lines in [transients.jsonl] *)
+}
+(** Persisted warm-state checkpoints the serve daemon keeps next to the
+    shards — the state a restart reloads instead of re-warming. *)
+
 type stat = {
   st_path : string;
+  st_dir : bool;  (** a shard directory rather than a journal file *)
   st_entries : int;
   st_tunes : int;  (** tune-level entries ({!is_tune_prov}) *)
   st_probes : int;  (** the rest: per-probe and raw-timing entries *)
@@ -238,26 +276,24 @@ type stat = {
   st_seed : int option;
   st_hits : int;
   st_misses : int;
+  st_joins : int;
+  st_shards : stat list;  (** one per journal, in shard order *)
+  st_ckpts : ckpt_stat list;  (** directories only; sorted by machine *)
 }
 
 val stat : t -> stat
 (** Snapshot of a live handle (thread-safe). *)
 
 val stat_fields : stat -> (string * Json.value) list
-(** The [stat] object's fields, for embedding into larger JSON
-    documents (the shard store aggregates these per shard). *)
+(** The [stat] object's fields — the journal counts, the service
+    counters, a ["per_shard"] array of per-journal objects and a
+    ["ckpt_dirs"] array — for embedding into larger JSON documents. *)
 
 val stat_json : stat -> string
-(** One flat JSON object, [Diag.to_json]-style: every field present,
-    [null] for an absent seed. *)
+(** One JSON object, [Diag.to_json]-style: every field present, [null]
+    for an absent seed (and for ["dir"] on a journal file). *)
 
 val stat_to_string : stat -> string
-
-(** {2 Maintenance (on a path, without a live handle)} *)
-
-val stat_string : string -> string
-(** Human-readable summary of the journal at a path: entry and outcome
-    counts, corrupt/torn lines, header seed, file size. *)
 
 val clear : string -> unit
 (** Delete the journal file if it exists. *)

@@ -1,9 +1,12 @@
 #!/bin/sh
 # Serve smoke: boot the tuning daemon on a Unix socket, run a cold
 # tune, assert the warm lookup is answered from the result cache, pull
-# the JSON stats, and shut down gracefully.  Every step is
-# timeout-bounded so a wedged daemon fails the gate instead of
-# hanging it.  Run from the repository root after `dune build`.
+# the JSON stats, and shut down gracefully.  Then treat the daemon's
+# store directory as the CLI's store: stat and compact it, and re-run
+# the same tune through `ifko tune --store`, which must compute no
+# probe.  Every step is timeout-bounded so a wedged daemon fails the
+# gate instead of hanging it.  Run from the repository root after
+# `dune build`.
 set -eu
 
 IFKO="${IFKO:-dune exec --no-build bin/ifko_cli.exe --}"
@@ -38,4 +41,12 @@ grep -q '"per_shard"' "$TMP/stat.out"
 
 timeout 60 $IFKO query shutdown --socket "$SOCK"
 wait $DAEMON_PID
+
+# One store format: the daemon's directory is an ordinary store.
+timeout 60 $IFKO store stat --json "$TMP/store" | tee "$TMP/store_stat.out"
+grep -q '"per_shard"' "$TMP/store_stat.out"
+timeout 60 $IFKO store compact "$TMP/store"
+# the daemon's default workload seed is 0
+timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 2000 --seed 0 | tee "$TMP/cli.out"
+grep -q ' 0 computed' "$TMP/cli.out"
 echo "serve_smoke: ok"

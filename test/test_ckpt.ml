@@ -113,9 +113,9 @@ let test_key_content_addressing () =
   Alcotest.(check bool) "n changes the key" false (k = other_n);
   (* a kernel edit therefore forces a fresh warm-up *)
   let ms = Memsys.create cfg in
-  let m1 = Ifko_sim.Ckpt.with_state c ~key:k ms ~warm:(warm_tagged 1.0) in
-  let m2 = Ifko_sim.Ckpt.with_state c ~key:edited ms ~warm:(warm_tagged 2.0) in
-  let m3 = Ifko_sim.Ckpt.with_state c ~key:k ms ~warm:(warm_tagged 3.0) in
+  let m1, _ = Ifko_sim.Ckpt.with_state c ~key:k ms ~warm:(warm_tagged 1.0) in
+  let m2, _ = Ifko_sim.Ckpt.with_state c ~key:edited ms ~warm:(warm_tagged 2.0) in
+  let m3, _ = Ifko_sim.Ckpt.with_state c ~key:k ms ~warm:(warm_tagged 3.0) in
   Alcotest.(check (float 0.0)) "first key warms fresh" 1.0 m1;
   Alcotest.(check (float 0.0)) "edited kernel warms fresh" 2.0 m2;
   Alcotest.(check (float 0.0)) "original key hits" 1.0 m3;
@@ -131,7 +131,7 @@ let test_disk_round_trip () =
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
       let ms = Memsys.create cfg in
       let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      let meta = Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 3.25) in
+      let meta, _ = Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 3.25) in
       Alcotest.(check (float 0.0)) "miss returns the warm metadata" 3.25 meta;
       let reference = continuation ~base:0.0 ms in
       (* a second cache over the same directory answers from disk, with
@@ -140,7 +140,7 @@ let test_disk_round_trip () =
       let ms2 = Memsys.create cfg in
       let key2 = Ifko_sim.Ckpt.key c2 ~kernel:"k" ~context:"in-L2" ~n:512 in
       Alcotest.(check string) "keys are stable across instances" key key2;
-      let meta2 = Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:(warm_tagged 9.9) in
+      let meta2, _ = Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:(warm_tagged 9.9) in
       Alcotest.(check (float 0.0)) "disk hit preserves the delta payload" 3.25 meta2;
       let s = Ifko_sim.Ckpt.stats c2 in
       Alcotest.(check int) "answered from disk" 1 s.Ifko_sim.Ckpt.disk_loads;
@@ -156,7 +156,7 @@ let test_geometry_change_invalidates () =
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
       let ms = Memsys.create cfg in
       let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 1.0) : float);
+      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 1.0) : float * bool);
       (* a different machine (cache geometry included) wipes the
          persisted snapshots and forces a fresh warm-up *)
       let c2 = Ifko_sim.Ckpt.create ~dir ~cfg:Config.opteron () in
@@ -166,7 +166,7 @@ let test_geometry_change_invalidates () =
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.invalidated;
       let ms2 = Memsys.create Config.opteron in
       let key2 = Ifko_sim.Ckpt.key c2 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      let meta = Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:(warm_tagged 7.0) in
+      let meta, _ = Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:(warm_tagged 7.0) in
       Alcotest.(check (float 0.0)) "fresh warm-up ran" 7.0 meta;
       Alcotest.(check int) "counted as a miss" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.misses)
@@ -179,7 +179,7 @@ let test_stale_meta_invalidates () =
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
       let ms = Memsys.create cfg in
       let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 1.0) : float);
+      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 1.0) : float * bool);
       (* hand-edit the meta: nothing vouches for the snapshots now *)
       Out_channel.with_open_text (Filename.concat dir "store.meta") (fun oc ->
           Out_channel.output_string oc "not json\n");
@@ -187,10 +187,38 @@ let test_stale_meta_invalidates () =
       Alcotest.(check int) "stale meta discards snapshots" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.invalidated;
       let ms2 = Memsys.create cfg in
-      let meta = Ifko_sim.Ckpt.with_state c2 ~key ms2 ~warm:(warm_tagged 4.5) in
+      let meta, _ = Ifko_sim.Ckpt.with_state c2 ~key ms2 ~warm:(warm_tagged 4.5) in
       Alcotest.(check (float 0.0)) "fresh warm-up ran" 4.5 meta;
       Alcotest.(check int) "counted as a miss" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.misses)
+
+(* Every call counts exactly one hit, disk load or miss, even when
+   domains race on the same keys, and reports a miss as its own
+   warm-up: nothing is lost between the counters and the flag. *)
+let test_concurrent_counters () =
+  let c = Ifko_sim.Ckpt.create ~cfg () in
+  let calls_per_domain = 50 in
+  let warmed =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let ms = Memsys.create cfg in
+            let own = ref 0 in
+            for i = 0 to calls_per_domain - 1 do
+              let key =
+                Ifko_sim.Ckpt.key c ~kernel:(string_of_int ((i + d) mod 3)) ~context:"in-L2"
+                  ~n:64
+              in
+              let _, w = Ifko_sim.Ckpt.with_state c ~key ms ~warm:(warm_tagged 0.0) in
+              if w then incr own
+            done;
+            !own))
+    |> List.map Domain.join
+  in
+  let s = Ifko_sim.Ckpt.stats c in
+  Alcotest.(check int) "hits + disk loads + misses = calls" (4 * calls_per_domain)
+    (s.Ifko_sim.Ckpt.hits + s.Ifko_sim.Ckpt.disk_loads + s.Ifko_sim.Ckpt.misses);
+  Alcotest.(check int) "each miss is its caller's own warm-up" s.Ifko_sim.Ckpt.misses
+    (List.fold_left ( + ) 0 warmed)
 
 let test_transients_disk_round_trip () =
   let dir = temp_dir () in
@@ -418,6 +446,7 @@ let suite =
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "geometry change invalidates" `Quick test_geometry_change_invalidates;
     Alcotest.test_case "stale meta invalidates" `Quick test_stale_meta_invalidates;
+    Alcotest.test_case "concurrent counters" `Quick test_concurrent_counters;
     Alcotest.test_case "transients disk round trip" `Quick test_transients_disk_round_trip;
     Alcotest.test_case "sampled accuracy" `Quick test_sampled_accuracy;
     Alcotest.test_case "sampled in-L2 accuracy" `Quick test_sampled_in_l2_accuracy;

@@ -1,13 +1,13 @@
 (* Serve-daemon tests: protocol round-trips and malformed-request
-   rejection, the sharded store (persistence, single-flight, eviction,
-   replica reload-on-miss), and an end-to-end daemon on a Unix socket
-   with concurrent clients whose replies must be bit-identical to a
-   sequential, storeless Driver.tune. *)
+   rejection, the store on both of its shapes (persistence,
+   single-flight, eviction, replica reload-on-miss), an end-to-end
+   daemon on a Unix socket with concurrent clients whose replies must be
+   bit-identical to a sequential, storeless Driver.tune, and the CLI's
+   Driver.tune reading the directory a daemon filled. *)
 
 module Store = Ifko_store.Store
 module Json = Store.Json
 module Proto = Ifko_serve.Proto
-module Shard_store = Ifko_serve.Shard_store
 module Server = Ifko_serve.Server
 module Client = Ifko_serve.Client
 
@@ -111,19 +111,30 @@ let test_proto_malformed () =
     Alcotest.(check bool) "defaults" true (a = Proto.default_args ~kernel:"K")
   | _ -> Alcotest.fail "minimal tune request rejected"
 
-(* ---------------- shard store ---------------- *)
+(* ---------------- one store, two shapes ---------------- *)
+
+(* The store tests run on both shapes of the one store: a journal file
+   (one shard) and a 4-shard directory. *)
+let shapes = [ ("file", None); ("4-shard dir", Some 4) ]
+
+let on_each_shape f =
+  List.iter
+    (fun (shape, shards) ->
+      let path = tmp_dir "ifko_store" in
+      Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f ~shape ?shards path))
+    shapes
 
 let test_shard_persistence () =
   let dir = tmp_dir "ifko_shards" in
-  let st = Shard_store.open_ ~shards:4 dir in
-  Alcotest.(check int) "geometry" 4 (Shard_store.shard_count st);
+  let st = Store.open_ ~shards:4 dir in
+  Alcotest.(check int) "geometry" 4 (Store.shard_count st);
   let keys = List.init 64 (fun i -> Store.digest [ "key"; string_of_int i ]) in
   List.iteri
     (fun i key ->
-      Shard_store.add st ~key ~params:"p" ~prov:"t"
+      Store.add st ~key ~params:"p" ~prov:"t"
         (Store.Timed { mflops = float_of_int i; cycles = 0.0 }))
     keys;
-  Shard_store.close st;
+  Store.close st;
   (* journals actually spread: with 64 MD5 keys over 4 shards, every
      shard must hold something *)
   let sizes =
@@ -135,115 +146,125 @@ let test_shard_persistence () =
   in
   List.iter (fun n -> Alcotest.(check bool) "shard non-trivial" true (n > 20)) sizes;
   (* reopen with a different ?shards: store.meta wins, keys still found *)
-  let st2 = Shard_store.open_ ~shards:13 dir in
-  Alcotest.(check int) "meta wins over argument" 4 (Shard_store.shard_count st2);
-  Alcotest.(check int) "entries" 64 (Shard_store.entries st2);
+  let st2 = Store.open_ ~shards:13 dir in
+  Alcotest.(check int) "meta wins over argument" 4 (Store.shard_count st2);
+  Alcotest.(check int) "entries" 64 (Store.entries st2);
   List.iteri
     (fun i key ->
-      match Shard_store.find st2 ~key with
+      match Store.find st2 ~key with
       | Some (Store.Timed { mflops; _ }) ->
         Alcotest.(check (float 0.0)) "value" (float_of_int i) mflops
       | _ -> Alcotest.fail "entry lost across reopen")
     keys;
-  Alcotest.(check int) "hits counted" 64 (Shard_store.hits st2);
-  Shard_store.close st2;
+  Alcotest.(check int) "hits counted" 64 (Store.hits st2);
+  Store.close st2;
+  (* a directory is only ever a store when it says so *)
+  let plain = tmp_dir "ifko_plain" in
+  Sys.mkdir plain 0o755;
+  Alcotest.check_raises "plain directory refused"
+    (Invalid_argument (Printf.sprintf "Store.open_: %s has no valid store.meta" plain))
+    (fun () -> ignore (Store.open_ plain));
+  Alcotest.(check bool) "and left alone" true (Sys.readdir plain = [||]);
+  rm_rf plain;
   rm_rf dir
 
 let test_shard_single_flight () =
-  let dir = tmp_dir "ifko_flight" in
-  let st = Shard_store.open_ ~shards:2 dir in
-  let key = Store.digest [ "shared" ] in
-  let computes = Atomic.make 0 in
-  let barrier = Atomic.make 0 in
-  let compute () =
-    Atomic.incr computes;
-    Thread.delay 0.05;
-    (* slow, so the other threads pile onto the flight *)
-    Store.Timed { mflops = 77.0; cycles = 0.0 }
-  in
-  let results = Array.make 8 None in
-  let threads =
-    Array.init 8 (fun i ->
-        Thread.create
-          (fun () ->
-            Atomic.incr barrier;
-            while Atomic.get barrier < 8 do
-              Thread.yield ()
-            done;
-            results.(i) <- Some (Shard_store.cached st ~key ~params:"" ~prov:"" compute))
-          ())
-  in
-  Array.iter Thread.join threads;
-  Alcotest.(check int) "computed exactly once" 1 (Atomic.get computes);
-  Array.iter
-    (fun r ->
-      Alcotest.(check bool) "every thread got the outcome" true
-        (r = Some (Store.Timed { mflops = 77.0; cycles = 0.0 })))
-    results;
-  Alcotest.(check int) "one journal entry" 1 (Shard_store.entries st);
-  Shard_store.close st;
-  rm_rf dir
+  on_each_shape (fun ~shape ?shards path ->
+      let st = Store.open_ ?shards path in
+      let key = Store.digest [ "shared" ] in
+      let computes = Atomic.make 0 in
+      let barrier = Atomic.make 0 in
+      let compute () =
+        Atomic.incr computes;
+        Thread.delay 0.05;
+        (* slow, so the other threads pile onto the flight *)
+        Store.Timed { mflops = 77.0; cycles = 0.0 }
+      in
+      let results = Array.make 8 None in
+      let threads =
+        Array.init 8 (fun i ->
+            Thread.create
+              (fun () ->
+                Atomic.incr barrier;
+                while Atomic.get barrier < 8 do
+                  Thread.yield ()
+                done;
+                results.(i) <-
+                  Some (Store.cached ~store:st ~key ~params:"" ~prov:"" compute))
+              ())
+      in
+      Array.iter Thread.join threads;
+      Alcotest.(check int) (shape ^ ": computed exactly once") 1 (Atomic.get computes);
+      Array.iter
+        (fun r ->
+          Alcotest.(check bool) (shape ^ ": every thread got the outcome") true
+            (r = Some (Store.Timed { mflops = 77.0; cycles = 0.0 })))
+        results;
+      Alcotest.(check int) (shape ^ ": one miss") 1 (Store.misses st);
+      Alcotest.(check int) (shape ^ ": the rest hit") 7 (Store.hits st);
+      Alcotest.(check int) (shape ^ ": one journal entry") 1 (Store.entries st);
+      Store.close st)
 
 let test_shard_eviction () =
-  let dir = tmp_dir "ifko_evict" in
-  let now = ref 1000.0 in
-  let st = Shard_store.open_ ~shards:2 ~clock:(fun () -> !now) dir in
-  let old_keys = List.init 10 (fun i -> Store.digest [ "old"; string_of_int i ]) in
-  let new_keys = List.init 10 (fun i -> Store.digest [ "new"; string_of_int i ]) in
-  List.iter
-    (fun key ->
-      Shard_store.add st ~key ~params:"" ~prov:"" (Store.Timed { mflops = 1.0; cycles = 0.0 }))
-    old_keys;
-  now := 2000.0;
-  List.iter
-    (fun key ->
-      Shard_store.add st ~key ~params:"" ~prov:"" (Store.Timed { mflops = 2.0; cycles = 0.0 }))
-    new_keys;
-  (* age bound: everything older than 500s at t=2100 goes *)
-  let dropped = Shard_store.evict ~max_age:500.0 ~now:2100.0 st in
-  Alcotest.(check int) "old generation evicted" 10 dropped;
-  List.iter
-    (fun key -> Alcotest.(check bool) "old gone" true (Shard_store.find st ~key = None))
-    old_keys;
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) "live entries preserved" true (Shard_store.find st ~key <> None))
-    new_keys;
-  (* the eviction compacted: reopening sees the same picture *)
-  Shard_store.close st;
-  let st2 = Shard_store.open_ ~clock:(fun () -> !now) dir in
-  Alcotest.(check int) "survivors persisted" 10 (Shard_store.entries st2);
-  (* size bound: squeeze to a handful of entries *)
-  let s = Shard_store.stat st2 in
-  let dropped2 = Shard_store.evict ~max_bytes:(s.Shard_store.sh_bytes / 2) ~now:2200.0 st2 in
-  Alcotest.(check bool) "size bound dropped something" true (dropped2 > 0);
-  Alcotest.(check bool) "but not everything" true (Shard_store.entries st2 > 0);
-  let s2 = Shard_store.stat st2 in
-  Alcotest.(check bool) "bytes under budget" true
-    (s2.Shard_store.sh_bytes <= s.Shard_store.sh_bytes / 2);
-  Shard_store.close st2;
-  rm_rf dir
+  on_each_shape (fun ~shape ?shards path ->
+      let now = ref 1000.0 in
+      let st = Store.open_ ?shards ~clock:(fun () -> !now) path in
+      let old_keys = List.init 10 (fun i -> Store.digest [ "old"; string_of_int i ]) in
+      let new_keys = List.init 10 (fun i -> Store.digest [ "new"; string_of_int i ]) in
+      List.iter
+        (fun key ->
+          Store.add st ~key ~params:"" ~prov:"" (Store.Timed { mflops = 1.0; cycles = 0.0 }))
+        old_keys;
+      now := 2000.0;
+      List.iter
+        (fun key ->
+          Store.add st ~key ~params:"" ~prov:"" (Store.Timed { mflops = 2.0; cycles = 0.0 }))
+        new_keys;
+      (* age bound: everything older than 500s at t=2100 goes *)
+      let dropped = Store.evict ~max_age:500.0 ~now:2100.0 st in
+      Alcotest.(check int) (shape ^ ": old generation evicted") 10 dropped;
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (shape ^ ": old gone") true (Store.find st ~key = None))
+        old_keys;
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (shape ^ ": live entries preserved") true
+            (Store.find st ~key <> None))
+        new_keys;
+      (* the eviction compacted: reopening sees the same picture *)
+      Store.close st;
+      let st2 = Store.open_ ~clock:(fun () -> !now) path in
+      Alcotest.(check int) (shape ^ ": survivors persisted") 10 (Store.entries st2);
+      (* size bound: squeeze to a handful of entries *)
+      let s = Store.stat st2 in
+      let dropped2 = Store.evict ~max_bytes:(s.Store.st_bytes / 2) ~now:2200.0 st2 in
+      Alcotest.(check bool) (shape ^ ": size bound dropped something") true (dropped2 > 0);
+      Alcotest.(check bool) (shape ^ ": but not everything") true (Store.entries st2 > 0);
+      let s2 = Store.stat st2 in
+      Alcotest.(check bool) (shape ^ ": bytes under budget") true
+        (s2.Store.st_bytes <= s.Store.st_bytes / 2);
+      Store.close st2)
 
 let test_shard_replica_reload () =
-  let dir = tmp_dir "ifko_replica" in
-  let a = Shard_store.open_ ~shards:4 ~replica:true dir in
-  let b = Shard_store.open_ ~replica:true dir in
-  (* b opened before a wrote anything; the miss triggers a reload *)
-  let key = Store.digest [ "cross-process" ] in
-  Alcotest.(check bool) "cold miss" true (Shard_store.find b ~key = None);
-  Shard_store.add a ~key ~params:"p" ~prov:"a" (Store.Timed { mflops = 5.5; cycles = 0.0 });
-  (match Shard_store.find b ~key with
-  | Some (Store.Timed { mflops; _ }) ->
-    Alcotest.(check (float 0.0)) "reload-on-miss sees a's write" 5.5 mflops
-  | _ -> Alcotest.fail "replica miss not reloaded");
-  (* and the other direction *)
-  let key2 = Store.digest [ "other-way" ] in
-  Shard_store.add b ~key:key2 ~params:"" ~prov:"b" Store.Illegal;
-  Alcotest.(check bool) "a sees b's write" true
-    (Shard_store.find a ~key:key2 = Some Store.Illegal);
-  Shard_store.close a;
-  Shard_store.close b;
-  rm_rf dir
+  on_each_shape (fun ~shape ?shards path ->
+      let a = Store.open_ ?shards ~replica:true path in
+      let b = Store.open_ ~replica:true path in
+      (* b opened before a wrote anything; the miss triggers a reload *)
+      let key = Store.digest [ "cross-process" ] in
+      Alcotest.(check bool) (shape ^ ": cold miss") true (Store.find b ~key = None);
+      Store.add a ~key ~params:"p" ~prov:"a" (Store.Timed { mflops = 5.5; cycles = 0.0 });
+      (match Store.find b ~key with
+      | Some (Store.Timed { mflops; _ }) ->
+        Alcotest.(check (float 0.0)) (shape ^ ": reload-on-miss sees a's write") 5.5 mflops
+      | _ -> Alcotest.failf "%s: replica miss not reloaded" shape);
+      (* and the other direction *)
+      let key2 = Store.digest [ "other-way" ] in
+      Store.add b ~key:key2 ~params:"" ~prov:"b" Store.Illegal;
+      Alcotest.(check bool) (shape ^ ": a sees b's write") true
+        (Store.find a ~key:key2 = Some Store.Illegal);
+      Store.close a;
+      Store.close b)
 
 let test_store_refresh_torn_tail () =
   (* refresh must not consume a torn (in-flight) tail: once the
@@ -272,41 +293,46 @@ let test_store_refresh_torn_tail () =
 
 (* ---------------- end-to-end daemon ---------------- *)
 
-let with_daemon ?(jobs = 2) ?shards f =
-  let dir = tmp_dir "ifko_served" in
-  let sock = tmp_dir "ifko_sock" ^ ".sock" in
-  let listen = `Unix sock in
-  let config =
-    { (Server.default_config ~store_dir:dir listen) with
-      Server.jobs;
-      shards = Option.value ~default:4 shards;
-    }
-  in
-  let ready = Mutex.create () in
-  let ready_cv = Condition.create () in
-  let is_ready = ref false in
-  let daemon =
+(* Run a daemon on a thread; returns once it listens.  The result
+   stops it gracefully and waits for it to exit. *)
+let start_daemon config =
+  let m = Mutex.create () and cv = Condition.create () and up = ref false in
+  let th =
     Thread.create
       (fun () ->
         Server.run
           ~ready:(fun () ->
-            Mutex.lock ready;
-            is_ready := true;
-            Condition.signal ready_cv;
-            Mutex.unlock ready)
+            Mutex.lock m;
+            up := true;
+            Condition.signal cv;
+            Mutex.unlock m)
           config)
       ()
   in
-  Mutex.lock ready;
-  while not !is_ready do
-    Condition.wait ready_cv ready
+  Mutex.lock m;
+  while not !up do
+    Condition.wait cv m
   done;
-  Mutex.unlock ready;
+  Mutex.unlock m;
+  fun () ->
+    (try Client.with_client config.Server.listen (fun c -> ignore (Client.shutdown c))
+     with _ -> ());
+    Thread.join th
+
+let with_daemon ?(jobs = 2) ?shards f =
+  let dir = tmp_dir "ifko_served" in
+  let listen = `Unix (tmp_dir "ifko_sock" ^ ".sock") in
+  let stop =
+    start_daemon
+      { (Server.default_config ~store_dir:dir listen) with
+        Server.jobs;
+        shards = Option.value ~default:4 shards;
+      }
+  in
   Fun.protect
     ~finally:(fun () ->
       (* make sure the daemon dies even when the test body failed *)
-      (try Client.with_client listen (fun c -> ignore (Client.shutdown c)) with _ -> ());
-      Thread.join daemon;
+      stop ();
       rm_rf dir)
     (fun () -> f listen)
 
@@ -496,38 +522,12 @@ let test_daemon_replica_pair () =
       jobs = 1;
     }
   in
-  let spawn config =
-    let m = Mutex.create () and cv = Condition.create () and up = ref false in
-    let th =
-      Thread.create
-        (fun () ->
-          Server.run
-            ~ready:(fun () ->
-              Mutex.lock m;
-              up := true;
-              Condition.signal cv;
-              Mutex.unlock m)
-            config)
-        ()
-    in
-    Mutex.lock m;
-    while not !up do
-      Condition.wait cv m
-    done;
-    Mutex.unlock m;
-    th
-  in
-  let ta = spawn (mk sock_a) in
-  let tb = spawn (mk sock_b) in
+  let stop_a = start_daemon (mk sock_a) in
+  let stop_b = start_daemon (mk sock_b) in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun sock ->
-          try Client.with_client (`Unix sock) (fun c -> ignore (Client.shutdown c))
-          with _ -> ())
-        [ sock_a; sock_b ];
-      Thread.join ta;
-      Thread.join tb;
+      stop_a ();
+      stop_b ();
       rm_rf dir)
     (fun () ->
       let n = 400 and seed = 1 in
@@ -620,6 +620,76 @@ let test_daemon_warm_start () =
             Alcotest.(check int) "warm evaluations bit-identical"
               warm_ref.Ifko_search.Driver.evaluations r.Proto.evaluations))
 
+(* One store format: the directory a daemon filled answers a CLI-style
+   [Driver.tune ~store:(Store.open_ dir)] of the same request without
+   computing a single probe, bit-identically, and a warm-started tune
+   over it finds the daemon's tune as a donor. *)
+let test_daemon_dir_serves_cli () =
+  let n = 600 and seed = 3 and flops_per_n = 2.0 in
+  let dir = tmp_dir "ifko_one_store" in
+  let listen = `Unix (tmp_dir "ifko_one_sock" ^ ".sock") in
+  let stop =
+    start_daemon
+      { (Server.default_config ~store_dir:dir listen) with Server.shards = 4; jobs = 1 }
+  in
+  let served =
+    Fun.protect ~finally:stop (fun () ->
+        Client.with_client listen (fun c ->
+            match
+              Client.tune c
+                { (Proto.default_args ~kernel:ddot_src) with
+                  Proto.n;
+                  seed;
+                  strategy = "surrogate";
+                }
+            with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "daemon tune failed: %s" e))
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let tune ?store ?donors ?(warm_start = false) src =
+        let compiled =
+          src |> Ifko_hil.Parser.parse_kernel |> Ifko_hil.Typecheck.check
+          |> Ifko_codegen.Lower.lower
+        in
+        let spec = Ifko_search.Generic.spec ~seed compiled in
+        Ifko_search.Driver.tune ~strategy:Ifko_search.Driver.Surrogate ~warm_start ?store
+          ?donors ~seed ~cfg:Ifko_machine.Config.p4e ~context:Ifko_sim.Timer.Out_of_cache
+          ~spec ~n ~flops_per_n
+          ~test:(Ifko_search.Generic.test compiled spec)
+          compiled
+      in
+      let st = Store.open_ ~seed dir in
+      let t = tune ~store:st ddot_src in
+      Alcotest.(check int) "zero computed probes" 0 (Store.misses st);
+      Alcotest.(check bool) "probes answered" true (Store.hits st > 0);
+      Alcotest.(check string) "best bit-identical" served.Proto.best
+        (Ifko_transform.Params.canonical t.Ifko_search.Driver.best_params);
+      Alcotest.(check bool) "mflops bit-identical" true
+        (Int64.bits_of_float served.Proto.mflops
+        = Int64.bits_of_float t.Ifko_search.Driver.ifko_mflops);
+      Alcotest.(check int) "evaluations" served.Proto.evaluations
+        t.Ifko_search.Driver.evaluations;
+      (* the daemon's tune is the directory's one donor *)
+      let donor =
+        match Ifko_search.Warmstart.donors_of_store st with
+        | [ d ] -> d
+        | ds -> Alcotest.failf "expected the daemon's one donor, found %d" (List.length ds)
+      in
+      Alcotest.(check string) "donor is the daemon's winner" served.Proto.best
+        (Ifko_transform.Params.canonical donor.Ifko_search.Warmstart.d_params);
+      let warm = tune ~store:st ~warm_start:true dasum_src in
+      Store.close st;
+      let warm_ref = tune ~warm_start:true ~donors:[ donor ] dasum_src in
+      Alcotest.(check bool) "warm start drew on the daemon's donor" true
+        (Ifko_transform.Params.canonical warm.Ifko_search.Driver.best_params
+         = Ifko_transform.Params.canonical warm_ref.Ifko_search.Driver.best_params
+        && warm.Ifko_search.Driver.evaluations = warm_ref.Ifko_search.Driver.evaluations
+        && Int64.bits_of_float warm.Ifko_search.Driver.ifko_mflops
+           = Int64.bits_of_float warm_ref.Ifko_search.Driver.ifko_mflops))
+
 let suite =
   [ Alcotest.test_case "proto: request round-trip" `Quick test_proto_request_roundtrip;
     Alcotest.test_case "proto: response round-trip" `Quick test_proto_response_roundtrip;
@@ -640,4 +710,6 @@ let suite =
       test_daemon_replica_pair;
     Alcotest.test_case "daemon: related kernels share warm starts" `Quick
       test_daemon_warm_start;
+    Alcotest.test_case "daemon: its directory serves CLI tunes" `Quick
+      test_daemon_dir_serves_cli;
   ]

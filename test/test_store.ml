@@ -312,6 +312,53 @@ let test_concurrent_writers () =
   Store.close st2;
   Store.clear path
 
+(* Opening a store for its statistics never writes: not a header into
+   an empty journal, not a missing shard file into a directory. *)
+let test_stat_never_writes () =
+  let rec snapshot path =
+    if Sys.is_directory path then
+      List.concat_map
+        (fun f -> snapshot (Filename.concat path f))
+        (List.sort compare (Array.to_list (Sys.readdir path)))
+    else [ (path, read_lines path) ]
+  in
+  let stat_of path =
+    let st = Store.open_ path in
+    ignore (Store.stat_json (Store.stat st));
+    Store.close st
+  in
+  let unchanged label path =
+    let before = snapshot path in
+    stat_of path;
+    Alcotest.(check (list (pair string (list string)))) label before (snapshot path)
+  in
+  let empty = tmp_store () in
+  close_out (open_out_bin empty);
+  unchanged "empty journal" empty;
+  Alcotest.(check int) "still zero bytes" 0 (Unix.stat empty).Unix.st_size;
+  Store.clear empty;
+  let file = tmp_store () in
+  let st = Store.open_ ~seed:4 file in
+  Store.add st ~key:"a" ~params:"" ~prov:"" Store.Illegal;
+  Store.close st;
+  unchanged "journal file" file;
+  Store.clear file;
+  let dir = tmp_store () in
+  let st = Store.open_ ~shards:4 dir in
+  Store.add st ~key:(Store.digest [ "one" ]) ~params:"" ~prov:"" Store.Illegal;
+  Store.close st;
+  (* shards that were never written to may be missing *)
+  Array.iter
+    (fun f ->
+      let f = Filename.concat dir f in
+      if Filename.check_suffix f ".jsonl" && List.length (read_lines f) = 1 then Sys.remove f)
+    (Sys.readdir dir);
+  unchanged "shard directory" dir;
+  Alcotest.(check int) "only store.meta and the written shard" 2
+    (Array.length (Sys.readdir dir));
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let suite =
   [ Alcotest.test_case "content-addressed keys" `Quick test_keys;
     Alcotest.test_case "journal round-trip" `Quick test_round_trip;
@@ -324,4 +371,5 @@ let suite =
     Alcotest.test_case "tune keys" `Quick test_tune_key;
     Alcotest.test_case "compaction" `Quick test_compact;
     Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
+    Alcotest.test_case "stat never writes" `Quick test_stat_never_writes;
   ]
