@@ -389,7 +389,6 @@ type fidelity_row = {
 
 let fidelity_rows : fidelity_row list ref = ref []
 let fidelity_n = 80000
-let error_budget_pct = 1.0
 
 let exp_simbench () =
   let cfg = Config.p4e in
@@ -578,7 +577,8 @@ let exp_simbench () =
               per_call
                 (attr.Ifko_sim.Timer.at_arena_s +. attr.Ifko_sim.Timer.at_env_s
                +. attr.Ifko_sim.Timer.at_restore_s);
-            fd_fallback = m_samp.Ifko_sim.Timer.m_fallback;
+            fd_fallback =
+              Option.map Ifko_sim.Timer.fallback_name m_samp.Ifko_sim.Timer.m_fallback;
           }
         in
         Printf.printf "  %-7s %14.0f %14.0f %7.3f%% %5.1fx %7.1fx %7.1f  %s\n" row.fd_kernel
@@ -602,7 +602,7 @@ let exp_simbench () =
     "  geomean: cycle error %.3f%% (budget %.1f%%), work ratio %.2fx, wall speedup %.2fx, \
      %.1f us/measure (floor %.1f us)\n"
     (fgeo (fun r -> r.fd_err_pct))
-    error_budget_pct
+    (100.0 *. Ifko_sim.Timer.error_budget)
     (fgeo (fun r -> r.fd_work_ratio))
     (fgeo (fun r -> r.fd_speedup))
     (fgeo (fun r -> r.fd_samp_us))
@@ -1101,7 +1101,7 @@ let write_results_json ~path ~total_seconds (stats : exp_stats list) =
       let fgeo f = Ifko_util.Stats.geomean (List.map f frows) in
       Printf.fprintf oc "    \"fidelity\": {\n";
       Printf.fprintf oc "      \"n\": %d,\n      \"error_budget_pct\": %.2f,\n" fidelity_n
-        error_budget_pct;
+        (100.0 *. Ifko_sim.Timer.error_budget);
       Printf.fprintf oc "      \"geomean_cycle_err_pct\": %.4f,\n"
         (fgeo (fun r -> r.fd_err_pct));
       Printf.fprintf oc "      \"geomean_work_ratio\": %.2f,\n"
@@ -1363,6 +1363,7 @@ let check_baseline () =
   | [] -> ()
   | frows ->
     let fgeo f = Ifko_util.Stats.geomean (List.map f frows) in
+    let error_budget_pct = 100.0 *. Ifko_sim.Timer.error_budget in
     let err = fgeo (fun r -> r.fd_err_pct) in
     let work = fgeo (fun r -> r.fd_work_ratio) in
     let speedup = fgeo (fun r -> r.fd_speedup) in

@@ -410,10 +410,11 @@ let fuzz_cmd =
              back to full fidelity (bit-identical cycles, reason reported)")
   in
   (* The escape-hatch contract, checked per reproducer: sampled timing
-     must either agree with full fidelity within [budget] or have
-     fallen back to it (in which case the cycles are bit-identical by
-     construction, which is re-asserted rather than assumed). *)
-  let fidelity_contract ~cfg ~budget path =
+     must either agree with full fidelity within the error budget or
+     have fallen back to it (in which case the cycles are bit-identical
+     by construction, which [Timer.calibrate] re-asserts rather than
+     assumes). *)
+  let fidelity_contract ~cfg path =
     match
       let case = Ifko.Fuzz.Corpus.read path in
       let compiled =
@@ -429,31 +430,21 @@ let fuzz_cmd =
       in
       let spec = generic_spec ~seed:0 compiled in
       let cf = Ifko_sim.Exec.compile func in
-      let context = Ifko_sim.Timer.Out_of_cache and n = 80000 in
-      let full = Ifko_sim.Timer.measure_ext ~cfg ~context ~spec ~n cf in
-      let s =
-        Ifko_sim.Timer.measure_ext ~fidelity:Ifko_sim.Timer.Sampled ~cfg ~context ~spec ~n
-          cf
-      in
-      (full, s)
+      (Ifko_sim.Timer.calibrate ~cfg ~context:Ifko_sim.Timer.Out_of_cache ~spec ~n:80000 cf)
+        .Ifko_sim.Timer.cal_verdict
     with
     | exception e -> Error (Printf.sprintf "could not time: %s" (Printexc.to_string e))
-    | full, s -> (
-      match s.Ifko_sim.Timer.m_fallback with
-      | Some reason ->
-        if s.Ifko_sim.Timer.m_cycles = full.Ifko_sim.Timer.m_cycles then
-          Ok (Printf.sprintf "fell back to full fidelity (%s)" reason)
-        else Error (Printf.sprintf "fallback (%s) is not bit-identical to full" reason)
-      | None ->
-        let err =
-          Float.abs (s.Ifko_sim.Timer.m_cycles -. full.Ifko_sim.Timer.m_cycles)
-          /. Float.max 1e-9 full.Ifko_sim.Timer.m_cycles
-        in
-        if err <= budget then Ok (Printf.sprintf "%.3f%% error" (err *. 100.0))
-        else
-          Error
-            (Printf.sprintf "sampled error %.3f%% exceeds the %.1f%% budget"
-               (err *. 100.0) (budget *. 100.0)))
+    | Ifko_sim.Timer.Fell_back r ->
+      Ok (Printf.sprintf "fell back to full fidelity (%s)" (Ifko_sim.Timer.fallback_name r))
+    | Ifko_sim.Timer.Broken_fallback r ->
+      Error
+        (Printf.sprintf "fallback (%s) is not bit-identical to full"
+           (Ifko_sim.Timer.fallback_name r))
+    | Ifko_sim.Timer.Within err -> Ok (Printf.sprintf "%.3f%% error" (err *. 100.0))
+    | Ifko_sim.Timer.Exceeds err ->
+      Error
+        (Printf.sprintf "sampled error %.3f%% exceeds the %.1f%% budget" (err *. 100.0)
+           (Ifko_sim.Timer.error_budget *. 100.0))
   in
   let run machine seed count max_size points_per_kernel corpus check_each_pass cross_check
       replay check_fidelity =
@@ -476,11 +467,10 @@ let fuzz_cmd =
         results;
       Printf.printf "replay: %d reproducers, %d failing\n" (List.length results) !failed;
       if check_fidelity then begin
-        let budget = 0.01 in
         let fidelity_failed = ref 0 in
         List.iter
           (fun (p, _) ->
-            match fidelity_contract ~cfg ~budget p with
+            match fidelity_contract ~cfg p with
             | Ok detail -> Printf.printf "fidelity ok   %s (%s)\n" p detail
             | Error e ->
               incr fidelity_failed;
@@ -550,14 +540,8 @@ let sim_cmd =
              relative error and the simulated-work ratio; exit 1 when the sampled \
              estimate neither meets the error budget nor falls back to full fidelity")
   in
-  let budget_arg =
-    Arg.(
-      value & opt float 0.01
-      & info [ "error-budget" ] ~docv:"FRAC"
-          ~doc:"relative cycle-error budget for --compare-fidelity (default 0.01)")
-  in
   let run file machine sv ur ae wnt pf_dist context n untimed engine profile seed
-      compare_fidelity budget =
+      compare_fidelity =
     let cfg = machine_of machine in
     let context = context_of context in
     let compiled = load file in
@@ -565,19 +549,15 @@ let sim_cmd =
     let func = Ifko.compile_point ~cfg compiled params in
     let cf = Ifko_sim.Exec.compile func in
     let spec = generic_spec ~seed compiled in
-    (* Mirrors Timer.run_once, but keeps the memory system around so the
-       profile counters can be reported afterwards. *)
+    (* Starts from the timer's own context setup, but keeps the memory
+       system around so the profile counters can be reported
+       afterwards. *)
     let run_engine exec_fn =
       let env = spec.Ifko_sim.Timer.make_env n in
       if untimed then (exec_fn ?timing:None env, None)
       else begin
         let ms = Ifko_machine.Memsys.create cfg in
-        (match context with
-        | Ifko_sim.Timer.Out_of_cache -> Ifko_machine.Memsys.reset ms ~flush:true
-        | Ifko_sim.Timer.In_l2 ->
-          Ifko_machine.Memsys.reset ms ~flush:true;
-          Ifko_sim.Env.iter_array_lines env ~line:cfg.Ifko.Config.l2.Ifko.Config.line
-            (fun addr -> Ifko_machine.Memsys.warm_l2 ms ~addr));
+        Ifko_sim.Timer.prepare ~cfg ~context ms env;
         (exec_fn ?timing:(Some (cfg, ms)) env, Some ms)
       end
     in
@@ -670,38 +650,34 @@ let sim_cmd =
     end;
     if compare_fidelity then begin
       if untimed then failwith "--compare-fidelity requires a timed run (drop --untimed)";
-      let full = Ifko_sim.Timer.measure_ext ~cfg ~context ~spec ~n cf in
-      let s =
-        Ifko_sim.Timer.measure_ext ~fidelity:Ifko_sim.Timer.Sampled ~cfg ~context ~spec ~n
-          cf
-      in
-      Printf.printf "  fidelity comparison (error budget %.2f%%):\n" (budget *. 100.0);
+      let cal = Ifko_sim.Timer.calibrate ~cfg ~context ~spec ~n cf in
+      let full = cal.Ifko_sim.Timer.cal_full and s = cal.Ifko_sim.Timer.cal_sampled in
+      let budget_pct = Ifko_sim.Timer.error_budget *. 100.0 in
+      Printf.printf "  fidelity comparison (error budget %.2f%%):\n" budget_pct;
       Printf.printf "    full     %14.1f cycles  (%d elements simulated)\n"
         full.Ifko_sim.Timer.m_cycles full.Ifko_sim.Timer.m_elems;
-      match s.Ifko_sim.Timer.m_fallback with
-      | Some reason ->
-        Printf.printf "    sampled  %14.1f cycles  (fell back to full fidelity: %s)\n"
-          s.Ifko_sim.Timer.m_cycles reason;
-        if s.Ifko_sim.Timer.m_cycles <> full.Ifko_sim.Timer.m_cycles then begin
-          prerr_endline "the fallback is not bit-identical to full fidelity";
-          Stdlib.exit 1
-        end
-      | None ->
-        let err =
-          Float.abs (s.Ifko_sim.Timer.m_cycles -. full.Ifko_sim.Timer.m_cycles)
-          /. Float.max 1e-9 full.Ifko_sim.Timer.m_cycles
-        in
-        Printf.printf
-          "    sampled  %14.1f cycles  (%d elements, %.3f%% error, %.1fx less simulated \
-           work)\n"
-          s.Ifko_sim.Timer.m_cycles s.Ifko_sim.Timer.m_elems (err *. 100.0)
+      let sampled detail =
+        Printf.printf "    sampled  %14.1f cycles  (%s)\n" s.Ifko_sim.Timer.m_cycles detail
+      in
+      let fell_back r = "fell back to full fidelity: " ^ Ifko_sim.Timer.fallback_name r in
+      let estimated err =
+        Printf.sprintf "%d elements, %.3f%% error, %.1fx less simulated work"
+          s.Ifko_sim.Timer.m_elems (err *. 100.0)
           (float_of_int full.Ifko_sim.Timer.m_elems
-          /. float_of_int (max 1 s.Ifko_sim.Timer.m_elems));
-        if err > budget then begin
-          Printf.eprintf "sampled error %.3f%% exceeds the %.2f%% budget\n" (err *. 100.0)
-            (budget *. 100.0);
-          Stdlib.exit 1
-        end
+          /. float_of_int (max 1 s.Ifko_sim.Timer.m_elems))
+      in
+      match cal.Ifko_sim.Timer.cal_verdict with
+      | Ifko_sim.Timer.Within err -> sampled (estimated err)
+      | Ifko_sim.Timer.Fell_back r -> sampled (fell_back r)
+      | Ifko_sim.Timer.Broken_fallback r ->
+        sampled (fell_back r);
+        prerr_endline "the fallback is not bit-identical to full fidelity";
+        Stdlib.exit 1
+      | Ifko_sim.Timer.Exceeds err ->
+        sampled (estimated err);
+        Printf.eprintf "sampled error %.3f%% exceeds the %.2f%% budget\n" (err *. 100.0)
+          budget_pct;
+        Stdlib.exit 1
     end
   in
   Cmd.v
@@ -712,8 +688,7 @@ let sim_cmd =
           reports fast-path coverage, superblock fusion and cycle attribution")
     Term.(
       const run $ file $ machine_arg $ sv_arg $ ur_arg $ ae_arg $ wnt_arg $ pf_arg
-      $ context $ n $ untimed $ engine $ profile $ seed_arg $ compare_fidelity
-      $ budget_arg)
+      $ context $ n $ untimed $ engine $ profile $ seed_arg $ compare_fidelity)
 
 (* ---- store ---- *)
 

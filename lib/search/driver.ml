@@ -58,10 +58,6 @@ let score = function
   | Ifko_store.Store.Timed { mflops; _ } -> mflops
   | Ifko_store.Store.Test_failed | Ifko_store.Store.Illegal -> neg_infinity
 
-(* The sampled-timing calibration's relative error budget: the "1%" the
-   CLI's --fidelity help promises. *)
-let error_budget = 0.01
-
 let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearch)
     ?(warm_start = false) ?donors ?store ?cache ?pool ?(jobs = 1) ?(seed = 0)
     ?(fidelity = Ifko_sim.Timer.Full) ?ckpt ?codecache ~cfg ~context ~spec ~n ~flops_per_n
@@ -117,8 +113,8 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
           else Codecache.Compiled (func, Ifko_sim.Exec.compile func))
   in
   (* Per-kernel error-budget calibration: before a sampled tune starts,
-     the default point is timed both ways.  If the sampled estimate
-     misses full fidelity by more than [error_budget] (relative), or
+     the default point is timed both ways ([Timer.calibrate]).  If the
+     sampled estimate misses full fidelity by more than the budget, or
      the sampled path already fell back on its own confidence checks,
      the whole tune runs at full fidelity — the tune-level half of the
      bit-identity escape hatch.  (Probes are ranked by these timings,
@@ -131,19 +127,14 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
       match candidate default_params with
       | Codecache.Illegal | Codecache.Test_failed -> (Ifko_sim.Timer.Full, None)
       | Codecache.Compiled (_, cf) -> (
-        let full = Ifko_sim.Timer.measure_compiled ~ckpt:tckpt ~cfg ~context ~spec ~n cf in
-        let s =
-          Ifko_sim.Timer.measure_ext ~fidelity:Ifko_sim.Timer.Sampled ~ckpt:tckpt ~cfg
-            ~context ~spec ~n cf
-        in
-        match s.Ifko_sim.Timer.m_fallback with
-        | Some _ -> (Ifko_sim.Timer.Full, None)
-        | None ->
-          let err =
-            Float.abs (s.Ifko_sim.Timer.m_cycles -. full) /. Float.max 1e-9 full
-          in
-          ((if err <= error_budget then Ifko_sim.Timer.Sampled else Ifko_sim.Timer.Full),
-           Some err)))
+        match
+          (Ifko_sim.Timer.calibrate ~ckpt:tckpt ~cfg ~context ~spec ~n cf)
+            .Ifko_sim.Timer.cal_verdict
+        with
+        | Ifko_sim.Timer.Within err -> (Ifko_sim.Timer.Sampled, Some err)
+        | Ifko_sim.Timer.Exceeds err -> (Ifko_sim.Timer.Full, Some err)
+        | Ifko_sim.Timer.Fell_back _ | Ifko_sim.Timer.Broken_fallback _ ->
+          (Ifko_sim.Timer.Full, None)))
   in
   let compute params =
     match candidate params with
@@ -152,10 +143,11 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
     | Codecache.Compiled (_, cf) ->
       (* decoded once per candidate (and shared through the codecache);
          the timer reuses the threaded code across extrapolation
-         samples and reps *)
+         samples *)
       let cycles =
-        Ifko_sim.Timer.measure_compiled ~fidelity:fidelity_used ~ckpt:tckpt ~cfg ~context
-          ~spec ~n cf
+        (Ifko_sim.Timer.measure_ext ~fidelity:fidelity_used ~ckpt:tckpt ~cfg ~context ~spec
+           ~n cf)
+          .Ifko_sim.Timer.m_cycles
       in
       Ifko_store.Store.Timed
         { cycles; mflops = Ifko_sim.Timer.mflops ~cfg ~flops_per_n ~n ~cycles }

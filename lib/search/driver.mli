@@ -131,9 +131,9 @@ val tune :
     [fidelity] selects the timing fidelity for every probe (default
     [Full], bit-identical to the historical behavior).  Requesting
     [Sampled] first calibrates: the default point is timed both ways,
-    and if the sampled estimate misses full fidelity by more than 1%
-    (relative) — or the sampled path's own confidence checks already
-    fell back — the whole tune runs at full fidelity.  [fidelity_used]/[calibration_error] report the outcome,
+    and unless {!Ifko_sim.Timer.calibrate} finds the sampled estimate
+    within {!Ifko_sim.Timer.error_budget} of full fidelity, the whole
+    tune runs at full fidelity.  [fidelity_used]/[calibration_error] report the outcome,
     and sampled probe outcomes are stored under fidelity-tagged keys so
     they never answer full-fidelity lookups.
 

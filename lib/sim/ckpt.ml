@@ -10,9 +10,7 @@
 
    Keys are digests like the probe store's: the kernel fingerprint (so
    a kernel edit changes the key), the machine name, the timing
-   context, and N.  Each entry carries the snapshot plus one float of
-   creator-measured metadata (today's warm loops all return 0; the
-   slot keeps room for warm-up-time measurements).  Anything that
+   context, and N.  An entry is the snapshot alone.  Anything that
    depends on the *code* being timed must never ride with an entry —
    one tune's probe points share a snapshot while running different
    code — so per-(state, candidate) scalars live in the separate
@@ -28,9 +26,9 @@ module Store = Ifko_store.Store
 module Config = Ifko_machine.Config
 module Memsys = Ifko_machine.Memsys
 
-(* schema 2: Cache snapshots gained the sparse representation, which
-   changes the Marshal layout of persisted .ckpt files *)
-let schema = 2
+(* schema 3: a persisted entry is the bare snapshot, which changes the
+   Marshal layout of .ckpt files *)
+let schema = 3
 let meta_file = "store.meta"
 let transient_file = "transients.jsonl"
 
@@ -38,15 +36,12 @@ type t = {
   dir : string option;
   machine : string;
   geometry : string;  (* digest of Config.geometry *)
-  tbl : (string, Memsys.snapshot * float) Hashtbl.t;
+  tbl : (string, Memsys.snapshot) Hashtbl.t;
   transients : (string, float) Hashtbl.t;
       (* per-(warm state, code) scalars — persisted as JSON lines next
          to the snapshots (%.17g round-trips every finite double), so a
          daemon restart does not repay every candidate's companion
          rate window; guarded by the same store.meta as the snapshots *)
-  int_memo : (string, int) Hashtbl.t;
-      (* session-only derived ints (the sampled timer's window-lo page
-         geometry), keyed by kernel fingerprint *)
   masters : (string, Env.master) Hashtbl.t;
       (* session-only pristine environment images, keyed by
          (kernel, element count) — see Env.capture *)
@@ -162,7 +157,6 @@ let create ?dir ~cfg () =
       geometry;
       tbl = Hashtbl.create 16;
       transients = Hashtbl.create 16;
-      int_memo = Hashtbl.create 8;
       masters = Hashtbl.create 8;
       mutex = Mutex.create ();
       n_hit = 0;
@@ -203,10 +197,10 @@ let file_of t key =
    The geometry digest is embedded per file as well as in store.meta so
    a file copied between stores of different machines is still
    rejected. *)
-let load_file t path : (Memsys.snapshot * float) option =
+let load_file t path : Memsys.snapshot option =
   match
     In_channel.with_open_bin path (fun ic ->
-        (Marshal.from_channel ic : int * string * (Memsys.snapshot * float)))
+        (Marshal.from_channel ic : int * string * Memsys.snapshot))
   with
   | v, g, entry when v = schema && g = t.geometry -> Some entry
   | _ -> None
@@ -222,9 +216,8 @@ let save_file t path entry =
 (* persistence is best-effort: a failed write only costs a future warm-up *)
 
 (* Bring [ms] to the warm state for [key]: restore a cached snapshot if
-   one exists, otherwise run [warm] (which must leave [ms] fully warmed
-   and returns the metadata float to store alongside) and capture it.
-   Returns the entry's metadata and whether this call ran [warm].
+   one exists, otherwise run [warm] (which must leave [ms] fully warmed)
+   and capture it.  Returns whether this call ran [warm].
    Thread-safe: probe pools share one Ckpt across domains, and every
    call counts exactly one hit, disk load or miss under the mutex.
    Concurrent misses on the same key may both run [warm] — warm-up is
@@ -257,16 +250,16 @@ let with_state t ~key ms ~warm =
               | None -> None))
   in
   match cached with
-  | Some (snap, meta) ->
+  | Some snap ->
       Memsys.restore ms snap;
-      (meta, false)
+      false
   | None ->
       locked (fun () -> t.n_miss <- t.n_miss + 1);
-      let meta = warm ms in
-      let entry = (Memsys.snapshot ms, meta) in
-      locked (fun () -> Hashtbl.replace t.tbl key entry);
-      (match file_of t key with None -> () | Some path -> save_file t path entry);
-      (meta, true)
+      warm ms;
+      let snap = Memsys.snapshot ms in
+      locked (fun () -> Hashtbl.replace t.tbl key snap);
+      (match file_of t key with None -> () | Some path -> save_file t path snap);
+      true
 
 let find_transient t ~key =
   Mutex.lock t.mutex;
@@ -285,23 +278,9 @@ let set_transient t ~key v =
 (* concurrent misses on one key both compute the same deterministic
    value, so last-write-wins is benign — same argument as with_state *)
 
-(* The two session-only memos below share the deterministic-value
-   argument: [f] is a pure function of the key, so racing computations
-   agree and last-write-wins loses nothing.  [f] runs outside the lock
-   (it builds environments). *)
-let int_memo t ~key f =
-  Mutex.lock t.mutex;
-  let v = Hashtbl.find_opt t.int_memo key in
-  Mutex.unlock t.mutex;
-  match v with
-  | Some v -> v
-  | None ->
-      let v = f () in
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.int_memo key v;
-      Mutex.unlock t.mutex;
-      v
-
+(* Session-only: [f] is a pure function of the key, so racing
+   computations agree and last-write-wins loses nothing.  [f] runs
+   outside the lock (it builds environments). *)
 let master_memo t ~key f =
   Mutex.lock t.mutex;
   let v = Hashtbl.find_opt t.masters key in

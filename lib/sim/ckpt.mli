@@ -44,15 +44,12 @@ val with_state :
   t ->
   key:string ->
   Ifko_machine.Memsys.t ->
-  warm:(Ifko_machine.Memsys.t -> float) ->
-  float * bool
+  warm:(Ifko_machine.Memsys.t -> unit) ->
+  bool
 (** Bring the memory system to the warm state for [key]: restore the
     cached snapshot when one exists, otherwise run [warm] (which must
-    leave the system fully warmed) and capture the result.  Returns the
-    entry's metadata float — [warm]'s return value, stored alongside
-    the snapshot at creation (today's warm loops all return 0; the slot
-    keeps room for warm-up-time measurements) — and whether this call
-    ran [warm].  Per-candidate scalars belong in
+    leave the system fully warmed) and capture the result.  Returns
+    whether this call ran [warm].  Per-candidate scalars belong in
     {!find_transient}/{!set_transient}, never here: one tune's probe
     points share a snapshot while running different code.  Safe to
     share across domains; every call counts exactly one of {!stats}'
@@ -73,17 +70,12 @@ val set_transient : t -> key:string -> float -> unit
     persistent).  Values are deterministic functions of their key, so
     concurrent writers racing on one key are benign. *)
 
-val int_memo : t -> key:string -> (unit -> int) -> int
-(** Session-only memo for derived integers (the sampled timer's
-    per-kernel window page geometry, which otherwise costs an
-    environment build per measurement).  [f] must be a pure function
-    of [key]; it runs outside the lock, and racing computations are
-    benign. *)
-
 val master_memo : t -> key:string -> (unit -> Env.master) -> Env.master
 (** Session-only memo for pristine environment images (see
-    {!Env.capture}), keyed by (kernel fingerprint, element count).
-    Same purity contract as {!int_memo}. *)
+    {!Env.capture}), keyed by (kernel fingerprint, element count); the
+    sampled timer also reads each kernel's page geometry off a tiny
+    one.  [f] must be a pure function of [key]; it runs outside the
+    lock, and racing computations are benign. *)
 
 val stats : t -> stats
 val geometry_digest : t -> string

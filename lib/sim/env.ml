@@ -177,6 +177,8 @@ let capture t =
     m_mem_bytes = Bytes.length t.memory;
   }
 
+let master_bindings m = m.m_bindings
+
 let materialize m =
   let t = create ~mem_bytes:m.m_mem_bytes () in
   Bytes.blit m.m_image 0 t.memory 0 (Bytes.length m.m_image);

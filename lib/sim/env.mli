@@ -40,6 +40,10 @@ val capture : t -> master
     run in it yet), so that every written byte lies below the
     allocation cursor. *)
 
+val master_bindings : master -> (string * binding) list
+(** The captured environment's bindings, read without materializing
+    it. *)
+
 val materialize : master -> t
 (** A new environment observably identical to the one [capture] saw:
     pooled zeroed buffer of the same size, image blitted back,

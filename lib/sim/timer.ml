@@ -15,12 +15,26 @@ let fidelity_of_string = function
   | "sampled" -> Some Sampled
   | _ -> None
 
+type fallback =
+  | No_array_arguments
+  | Tiny_n
+  | In_l2_context
+  | Non_increasing_cycles
+  | No_steady_state
+
+let fallback_name = function
+  | No_array_arguments -> "no-array-arguments"
+  | Tiny_n -> "tiny-n"
+  | In_l2_context -> "in-l2-context"
+  | Non_increasing_cycles -> "non-increasing-cycles"
+  | No_steady_state -> "no-steady-state"
+
 type measurement = {
   m_cycles : float;
   m_fidelity : fidelity;  (** the fidelity that actually produced the cycles *)
-  m_fallback : string option;
+  m_fallback : fallback option;
       (** why a [Sampled] request fell back to full fidelity, if it did *)
-  m_elems : int;  (** elements simulated per repetition (the work proxy) *)
+  m_elems : int;  (** elements simulated (the work proxy) *)
 }
 
 (* Setup-vs-simulate wall-time attribution.  The sampled fidelity's
@@ -59,81 +73,100 @@ let profile () =
   Mutex.unlock prof_mutex;
   v
 
-let[@inline] clk () = if !prof_on then Unix.gettimeofday () else 0.0
+(* One measurement's wall time, per bucket.  [timed] charges [f]'s self
+   time — its elapsed time minus whatever nested [timed] calls charged
+   meanwhile — so the sampled warm-up's exec inside the warm-state
+   restore is counted once. *)
+let b_arena = 0
+let b_env = 1
+let b_restore = 2
+let b_exec = 3
 
-let prof_add ~arena ~env ~restore ~exec =
+let timed tally bucket f =
+  if not !prof_on then f ()
+  else begin
+    let inner () = Array.fold_left ( +. ) 0.0 tally in
+    let t0 = Unix.gettimeofday () and inner0 = inner () in
+    let v = f () in
+    tally.(bucket) <- tally.(bucket) +. (Unix.gettimeofday () -. t0 -. (inner () -. inner0));
+    v
+  end
+
+(* Run [f] on a fresh tally and fold it into the accumulator as exactly
+   one measurement, however many simulations [f] ran. *)
+let profiled f =
+  let tally = Array.make 4 0.0 in
+  let v = f tally in
   if !prof_on then begin
     Mutex.lock prof_mutex;
     let a = !prof_acc in
     prof_acc :=
       {
-        at_arena_s = a.at_arena_s +. arena;
-        at_env_s = a.at_env_s +. env;
-        at_restore_s = a.at_restore_s +. restore;
-        at_exec_s = a.at_exec_s +. exec;
+        at_arena_s = a.at_arena_s +. tally.(b_arena);
+        at_env_s = a.at_env_s +. tally.(b_env);
+        at_restore_s = a.at_restore_s +. tally.(b_restore);
+        at_exec_s = a.at_exec_s +. tally.(b_exec);
         at_measures = a.at_measures + 1;
       };
     Mutex.unlock prof_mutex
-  end
+  end;
+  v
 
-(* One simulation of pre-decoded code: the kernel is compiled once per
-   candidate (by [measure]/[exact]) and reused across contexts, sample
-   sizes and reps.  The machine is borrowed from the geometry-keyed
-   arena pool (and put into a known state by the reset/restore below —
-   the pool's contract) and the environment's backing buffer comes
-   from the zeroed-buffer pool; both are bit-identical to fresh
-   construction.  With [ckpt], the in-L2 warm-up state is restored
-   from (or captured into) the checkpoint cache instead of re-running
-   the warm loop — observably identical either way. *)
-let run_once ?ckpt ~cfg ~context ~spec ~n cf =
-  let t0 = clk () in
-  let env = spec.make_env n in
-  let t1 = clk () in
-  let ms = Arena.acquire cfg in
-  let t2 = clk () in
-  let cleanup () =
-    Arena.release ms;
-    Env.release env
-  in
-  match
-    (match context with
-    | Out_of_cache ->
-      (* The flushed-cache state IS the out-of-cache checkpoint: there
-         is nothing cheaper to restore, so [ckpt] is not consulted. *)
-      Memsys.reset ms ~flush:true
-    | In_l2 ->
-      let warm ms =
-        Memsys.reset ms ~flush:true;
-        Env.iter_array_lines env ~line:cfg.Config.l2.Config.line (fun addr ->
-            Memsys.warm_l2 ms ~addr);
-        0.0
-      in
-      (match ckpt with
-      | None -> ignore (warm ms)
-      | Some (c, kernel) ->
-        let key = Ckpt.key c ~kernel ~context:(context_name In_l2) ~n in
-        ignore (Ckpt.with_state c ~key ms ~warm : float * bool)));
-    let t3 = clk () in
-    let result = Exec.exec ~timing:(cfg, ms) ~ret_fsize:spec.ret_fsize cf env in
-    let t4 = clk () in
-    let cycles =
-      match context with
-      | Out_of_cache -> result.Exec.cycles +. Memsys.pending_writeback_cost ms
-      | In_l2 -> result.Exec.cycles
-    in
-    (t3, t4, cycles)
-  with
-  | exception e ->
-    cleanup ();
-    raise e
-  | t3, t4, cycles ->
-    cleanup ();
-    let t5 = clk () in
-    prof_add ~arena:(t2 -. t1) ~env:(t1 -. t0 +. (t5 -. t4)) ~restore:(t3 -. t2)
-      ~exec:(t4 -. t3);
-    cycles
+(* The one definition of a timing context's starting state: caches
+   flushed and, in L2, every line of [env]'s arrays installed in L2. *)
+let prepare ~cfg ~context ms env =
+  Memsys.reset ms ~flush:true;
+  match context with
+  | Out_of_cache -> ()
+  | In_l2 ->
+    Env.iter_array_lines env ~line:cfg.Config.l2.Config.line (fun addr ->
+        Memsys.warm_l2 ms ~addr)
 
-let exact ~cfg ~context ~spec ~n func = run_once ~cfg ~context ~spec ~n (Exec.compile func)
+(* One charged window: a timed run of [cf] over [env].  Out of cache it
+   is charged the writeback debt it created — the debt after the run
+   minus the debt before it, which is 0.0 on a freshly prepared
+   (flushed) machine and the warm-up's leftover on a resumed window; for
+   working sets beyond L2 those writebacks happen inside the timed
+   window anyway, and charging them uniformly gives the steady-state
+   slope.  In L2 the working set stays resident: raw cycles. *)
+let charged ~cfg ~context ~spec ms cf env =
+  match context with
+  | In_l2 -> (Exec.exec ~timing:(cfg, ms) ~ret_fsize:spec.ret_fsize cf env).Exec.cycles
+  | Out_of_cache ->
+    let debt () = Memsys.pending_writeback_cost ms in
+    let before = debt () in
+    let r = Exec.exec ~timing:(cfg, ms) ~ret_fsize:spec.ret_fsize cf env in
+    r.Exec.cycles +. debt () -. before
+
+(* One simulation of the whole problem at [n].  The machine is borrowed
+   from the geometry-keyed arena pool and the environment's buffer from
+   the zeroed-buffer pool; [prepare] puts them into a known state, so
+   both are bit-identical to fresh construction.  With [ckpt], the in-L2
+   context is restored from (or captured into) the checkpoint cache
+   instead of re-installed — observably identical either way.  Out of
+   cache the flushed state IS the checkpoint: there is nothing cheaper
+   to restore, so [ckpt] is not consulted. *)
+let run_once tally ?ckpt ~cfg ~context ~spec ~n cf =
+  let env = timed tally b_env (fun () -> spec.make_env n) in
+  let ms = timed tally b_arena (fun () -> Arena.acquire cfg) in
+  Fun.protect
+    ~finally:(fun () ->
+      timed tally b_env (fun () ->
+          Arena.release ms;
+          Env.release env))
+    (fun () ->
+      timed tally b_restore (fun () ->
+          match (context, ckpt) with
+          | In_l2, Some (c, kernel) ->
+            let key = Ckpt.key c ~kernel ~context:(context_name In_l2) ~n in
+            ignore
+              (Ckpt.with_state c ~key ms ~warm:(fun ms -> prepare ~cfg ~context ms env)
+                : bool)
+          | Out_of_cache, _ | In_l2, None -> prepare ~cfg ~context ms env);
+      timed tally b_exec (fun () -> charged ~cfg ~context ~spec ms cf env))
+
+let exact ~cfg ~context ~spec ~n func =
+  profiled (fun tally -> run_once tally ~cfg ~context ~spec ~n (Exec.compile func))
 
 (* Problem sizes for the steady-state extrapolation: multiples of the
    number of elements in a 4 KiB page for either precision, so page
@@ -142,11 +175,24 @@ let exact ~cfg ~context ~spec ~n func = run_once ~cfg ~context ~spec ~n (Exec.co
 let sample_lo = 4096
 let sample_hi = 8192
 
+(* Full fidelity: one run of the whole problem in L2 or when it is
+   small; out of cache beyond [sample_hi], two runs and a linear
+   extrapolation from their steady-state slope.  Returns the cycles and
+   the elements simulated. *)
+let full tally ?ckpt ~cfg ~context ~spec ~n cf =
+  let once n = run_once tally ?ckpt ~cfg ~context ~spec ~n cf in
+  if context = In_l2 || n <= sample_hi then (once n, n)
+  else begin
+    let c_lo = once sample_lo and c_hi = once sample_hi in
+    let rate = (c_hi -. c_lo) /. float_of_int (sample_hi - sample_lo) in
+    (c_hi +. (rate *. float_of_int (n - sample_hi)), sample_lo + sample_hi)
+  end
+
 (* Sampled fidelity simulates short windows instead of the full
    extrapolation pair:
 
-     - a {e warm-up} window of [sampled_warm_pages] pages, which drives
-       the memory system to steady state (trained prefetch streams,
+     - a {e warm-up} window of [warm_pages] pages, which drives the
+       memory system to steady state (trained prefetch streams,
        saturated bus backlog, populated MSHRs) — run once per (kernel,
        machine, context) and shared across every probe point and every
        problem size through the [Ckpt] cache;
@@ -162,18 +208,18 @@ let sample_hi = 8192
    prefetch streams in flight — so its raw cycles overshoot the steady
    rate by a code-dependent resume transient.  The transient is
    cancelled exactly the way the full path cancels cold-start cost:
-   two resumed windows of [sampled_win_pages] and [sampled_rate_pages]
-   pages restart from the *same* restored state running the *same*
-   code, so their prefixes are cycle-identical (the simulator is
-   deterministic) and the difference [c2 - c1] prices exactly the
-   trailing [sampled_rate_pages - sampled_win_pages] pages at the
-   candidate's own steady rate — whatever state it resumed from and
-   whoever created that state.  The short window's excess over that
-   rate, [tr = c1 - rate * n_win], is the transient; it is memoized
-   per (warm state, code digest) in the [Ckpt], so later measurements
-   of the same candidate (reps, other problem sizes) need only the
-   short window: [c_win = c1' - tr].  At the memoized values this
-   equals the miss path's [c1 - tr] bit-for-bit.
+   two resumed windows of [win_pages] and [rate_pages] pages restart
+   from the *same* restored state running the *same* code, so their
+   prefixes are cycle-identical (the simulator is deterministic) and
+   the difference [c2 - c1] prices exactly the trailing
+   [rate_pages - win_pages] pages at the candidate's own steady rate —
+   whatever state it resumed from and whoever created that state.  The
+   short window's excess over that rate, [tr = c1 - rate * n_win], is
+   the transient; it is memoized per (warm state, code digest) in the
+   [Ckpt], so later measurements of the same candidate (other problem
+   sizes, later probes) need only the short window: [c_win = c1' - tr].
+   At the memoized values this equals the miss path's [c1 - tr]
+   bit-for-bit.
 
    All windows are measured in pages of the kernel's widest array
    element, so every window is a whole-page multiple for every array
@@ -189,44 +235,40 @@ let sample_hi = 8192
    warm-up when the snapshot itself is fresh — [m_elems] reports what
    each call actually ran. *)
 let page_bytes = 4096
-let sampled_warm_pages = 5
-let sampled_win_pages = 2
-let sampled_rate_pages = 10
+let warm_pages = 5
+let win_pages = 2
+let rate_pages = 10
+
+(* A pristine image of the spec's environment at [m_n] elements, shared
+   through the checkpoint cache per (kernel, size) when one is
+   available.  Every window environment is materialized from a master,
+   so per-copy binding-table iteration order is identical in all of
+   them — the in-L2 install order depends on it. *)
+let master ?ckpt spec m_n =
+  let build () =
+    let e = spec.make_env m_n in
+    let m = Env.capture e in
+    Env.release e;
+    m
+  in
+  match ckpt with
+  | Some (c, kernel) -> Ckpt.master_memo c ~key:(Printf.sprintf "master:%s:%d" kernel m_n) build
+  | None -> build ()
 
 (* (elements per page of the widest array element, bytes of array data
    per element) — the sampled path's whole dependence on the kernel's
-   operand shapes, derivable from any tiny environment.  Costs an env
-   build, so the per-kernel result is memoized in the checkpoint cache
-   when one is available. *)
-let sampled_geometry_raw spec =
-  let env = spec.make_env 8 in
-  let g =
-    List.fold_left
-      (fun (pe, bpe) (_, b) ->
-        match b with
-        | Env.Array_arg { fsize; _ } ->
-          (max pe (page_bytes / Instr.fsize_bytes fsize), bpe + Instr.fsize_bytes fsize)
-        | _ -> (pe, bpe))
-      (0, 0) (Env.bindings env)
-  in
-  Env.release env;
-  g
-
-let sampled_geometry ?ckpt spec =
-  match ckpt with
-  | Some (c, kernel) ->
-    let packed =
-      Ckpt.int_memo c
-        ~key:("sampled-geometry:" ^ kernel)
-        (fun () ->
-          let pe, bpe = sampled_geometry_raw spec in
-          (* pe <= page_bytes, bpe a few dozen bytes: both fit a pack *)
-          (pe lsl 20) lor bpe)
-    in
-    (packed lsr 20, packed land ((1 lsl 20) - 1))
-  | None -> sampled_geometry_raw spec
-
-let sampled_window_lo spec = fst (sampled_geometry_raw spec)
+   operand shapes, read off the bindings of a tiny master (memoized per
+   kernel when a checkpoint cache is available). *)
+let geometry ?ckpt spec =
+  List.fold_left
+    (fun (pe, bpe) (_, b) ->
+      match b with
+      | Env.Array_arg { fsize; _ } ->
+        let bytes = Instr.fsize_bytes fsize in
+        (max pe (page_bytes / bytes), bpe + bytes)
+      | Env.Int_arg _ | Env.Fp_arg _ -> (pe, bpe))
+    (0, 0)
+    (Env.master_bindings (master ?ckpt spec 8))
 
 (* The warm-state key is independent of the target [n]: the window
    layout depends only on the kernel's page geometry, so one warm-up
@@ -239,286 +281,153 @@ let sampled_ckpt_context ~context ~n_warm ~n_rate =
   | Out_of_cache -> Printf.sprintf "out-of-cache-sampled:warm=%d:rate=%d" n_warm n_rate
   | In_l2 -> Printf.sprintf "in-l2-sampled:warm=%d:rate=%d" n_warm n_rate
 
-let measure_ext ?(reps = 1) ?(fidelity = Full) ?ckpt ~cfg ~context ~spec ~n cf =
-  let once n = run_once ?ckpt ~cfg ~context ~spec ~n cf in
-  let full_rep () =
-    match context with
-    | In_l2 -> (once n, n)
-    | Out_of_cache ->
-      if n <= sample_hi then (once n, n)
-      else begin
-        let c_lo = once sample_lo and c_hi = once sample_hi in
-        let rate = (c_hi -. c_lo) /. float_of_int (sample_hi - sample_lo) in
-        (c_hi +. (rate *. float_of_int (n - sample_hi)), sample_lo + sample_hi)
-      end
+(* The sampled windows on one borrowed machine, [pe] elements to the
+   page.  Returns the cold window's cycles, the transient-corrected
+   short window's cycles and the elements simulated.  Every window
+   environment spans warm-up + the longest window, so the arrays sit at
+   identical addresses in all of them — the warm state's tags line up
+   with the windows, and the two resumed windows share a cycle-identical
+   prefix. *)
+let windows tally ?ckpt ~cfg ~context ~spec ~pe cf =
+  let n_warm = warm_pages * pe and n_win = win_pages * pe and n_rate = rate_pages * pe in
+  let span = n_warm + n_rate in
+  let master_lo = master ?ckpt spec pe and master_span = master ?ckpt spec span in
+  (* keyed by the warm state and the candidate's code — NOT by n *)
+  let snap_key c kernel =
+    Ckpt.key c ~kernel ~context:(sampled_ckpt_context ~context ~n_warm ~n_rate) ~n:span
   in
-  let full ?fallback () =
-    let c0, elems = full_rep () in
-    let rec repeat best k =
-      if k = 0 then best else repeat (Float.min best (fst (full_rep ()))) (k - 1)
+  let transient_key c kernel = snap_key c kernel ^ ":" ^ Exec.digest cf in
+  let materialize m = timed tally b_env (fun () -> Env.materialize m) in
+  let release e = timed tally b_env (fun () -> Env.release e) in
+  let ms = timed tally b_arena (fun () -> Arena.acquire cfg) in
+  let run env = timed tally b_exec (fun () -> charged ~cfg ~context ~spec ms cf env) in
+  (* a resumed window continues the warm state, charged only for the
+     writeback debt it adds on top of the warm-up's *)
+  let window ~elems =
+    let env = materialize master_span in
+    Env.advance env ~elems:n_warm;
+    Env.set_counts env elems;
+    let c = run env in
+    release env;
+    c
+  in
+  (* the scheme's steady state: the context's own starting state
+     (flushed, or the span's lines resident in L2), then [n_warm]
+     elements on top for pipeline/stream steady state *)
+  let warm ms =
+    let env = materialize master_span in
+    Env.set_counts env n_warm;
+    prepare ~cfg ~context ms env;
+    timed tally b_exec (fun () ->
+        ignore (Exec.exec ~timing:(cfg, ms) ~ret_fsize:spec.ret_fsize cf env : Exec.result));
+    Memsys.rebase ms;
+    release env
+  in
+  let body () =
+    (* the candidate's own first page under the context's cold state *)
+    let c_cold =
+      let env = materialize master_lo in
+      prepare ~cfg ~context ms env;
+      let c = run env in
+      release env;
+      c
     in
-    {
-      m_cycles = repeat c0 (max 0 (reps - 1));
-      m_fidelity = Full;
-      m_fallback = fallback;
-      m_elems = elems;
-    }
-  in
-  match fidelity with
-  | Full -> full ()
-  | Sampled -> (
-    let pe, bytes_per_elem = sampled_geometry ?ckpt spec in
-    let lo = pe in
-    let n_warm = sampled_warm_pages * pe in
-    let n_win = sampled_win_pages * pe in
-    let n_rate = sampled_rate_pages * pe in
-    (* Confidence checks — the bit-identity escape hatch.  Any failure
-       means the steady-state model is not trustworthy for this
-       measurement, and it silently reverts to full fidelity with the
-       reason recorded.  The in-L2 context is served by the
-       cache-resident window scheme below as long as the full working
-       set actually fits in L2 — beyond that the "in-L2" full
-       measurement is itself a capacity-thrashing run that the
-       steady-hit window cannot represent, so it falls back. *)
-    let span = n_warm + n_rate in
-    if pe <= 0 then full ~fallback:"no-array-arguments" ()
-    else if n < 2 * span then full ~fallback:"tiny-n" ()
-    else if context = In_l2 && n * bytes_per_elem > cfg.Config.l2.Config.size then
-      full ~fallback:"in-l2-context" ()
-    else begin
-      let l2_line = cfg.Config.l2.Config.line in
-      (* Every environment spans warm-up + the longest window so the
-         arrays sit at identical addresses in all of them — the warm
-         state's tags line up with the windows, and the two windows
-         share a cycle-identical prefix.  The spec's env is built once
-         and captured as a pristine master (per (kernel, size), shared
-         through the checkpoint cache when one is available); each use
-         below materializes a copy into a pooled zeroed buffer, which
-         is byte-identical to rebuilding — [Env.advance] consumes a
-         copy, and the warm-up mutates its own copy's output arrays.
-         Everything (including the no-ckpt path) goes through masters
-         so per-copy binding-table iteration order is identical in all
-         of them — the in-L2 warm loop's install order depends on
-         it. *)
-      let build_master m_n () =
-        let e = spec.make_env m_n in
-        let m = Env.capture e in
-        Env.release e;
-        m
-      in
-      let masters =
-        lazy
-          (match ckpt with
-          | Some (c, kernel) ->
-            ( Ckpt.master_memo c
-                ~key:(Printf.sprintf "master:%s:%d" kernel lo)
-                (build_master lo),
-              Ckpt.master_memo c
-                ~key:(Printf.sprintf "master:%s:%d" kernel span)
-                (build_master span) )
-          | None -> (build_master lo (), build_master span ()))
-      in
-      (* The transient memo is keyed by the warm state and the
-         candidate's compiled code — NOT by n, so it serves every
-         problem size of a tune, like the snapshot itself. *)
-      let snap_key c kernel =
-        Ckpt.key c ~kernel ~context:(sampled_ckpt_context ~context ~n_warm ~n_rate) ~n:span
-      in
-      let code_digest = Exec.digest cf in
-      let sampled_rep () =
-        let master_lo, master_span = Lazy.force masters in
-        (* per-rep wall-time attribution, folded into the global
-           accumulator once at the end *)
-        let a_arena = ref 0.0
-        and a_env = ref 0.0
-        and a_restore = ref 0.0
-        and a_exec = ref 0.0 in
-        let t0 = clk () in
-        (* one borrowed memory system serves every window: the cold
-           window runs on the flushed state (exactly [run_once]'s
-           setup), then the warm state is restored over it *)
-        let ms = Arena.acquire cfg in
-        a_arena := clk () -. t0;
-        let materialize m =
-          let t = clk () in
-          let e = Env.materialize m in
-          a_env := !a_env +. (clk () -. t);
-          e
-        in
-        let release e =
-          let t = clk () in
-          Env.release e;
-          a_env := !a_env +. (clk () -. t)
-        in
-        let exec_in env =
-          let t = clk () in
-          let r = Exec.exec ~timing:(cfg, ms) ~ret_fsize:spec.ret_fsize cf env in
-          a_exec := !a_exec +. (clk () -. t);
-          r
-        in
-        (* A resumed window continues the warm state; the restored
-           state carries the warm-up's dirty lines, so the out-of-cache
-           scheme charges the window only for the writeback debt it
-           adds.  The in-L2 scheme uses raw cycles like the in-L2 full
-           path (which never charges writebacks: the working set stays
-           resident). *)
-        let window ms ~elems =
-          let env = materialize master_span in
-          Env.advance env ~elems:n_warm;
-          Env.set_counts env elems;
-          let c =
-            match context with
-            | Out_of_cache ->
-              let wb0 = Memsys.pending_writeback_cost ms in
-              let r = exec_in env in
-              r.Exec.cycles +. Memsys.pending_writeback_cost ms -. wb0
-            | In_l2 ->
-              let r = exec_in env in
-              r.Exec.cycles
-          in
-          release env;
-          c
-        in
-        (* Warm-up: drive the memory system to the scheme's steady
-           state.  Out-of-cache: run [n_warm] elements from a flushed
-           state (trained prefetch streams, saturated bus).  In-L2:
-           install the span environment's lines first — the window's
-           working set is then resident, exactly as the full in-L2
-           path's whole working set is — and run [n_warm] elements on
-           top for pipeline/stream steady state. *)
-        let warm ms =
-          let wenv = materialize master_span in
-          Env.set_counts wenv n_warm;
-          Memsys.reset ms ~flush:true;
-          (match context with
-          | Out_of_cache -> ()
-          | In_l2 ->
-            Env.iter_array_lines wenv ~line:l2_line (fun addr -> Memsys.warm_l2 ms ~addr));
-          ignore (exec_in wenv);
-          Memsys.rebase ms;
-          release wenv;
-          0.0
-        in
-        let body () =
-          let elems = ref lo in
-          (* Cold intercept window: the candidate's own first page,
-             under the scheme's own cold state (flushed caches
-             out-of-cache; resident lines but cold pipeline in-L2). *)
-          let c_cold =
-            let env = materialize master_lo in
-            Memsys.reset ms ~flush:true;
-            (match context with
-            | Out_of_cache -> ()
-            | In_l2 ->
-              Env.iter_array_lines env ~line:l2_line (fun addr -> Memsys.warm_l2 ms ~addr));
-            let c =
-              match context with
-              | Out_of_cache ->
-                let r = exec_in env in
-                r.Exec.cycles +. Memsys.pending_writeback_cost ms
-              | In_l2 -> (exec_in env).Exec.cycles
-            in
-            release env;
-            c
-          in
-          let t = clk () in
-          let sub0 = !a_exec +. !a_env in
-          (match ckpt with
+    let warmed =
+      timed tally b_restore (fun () ->
+          match ckpt with
           | None ->
-            ignore (warm ms : float);
-            elems := !elems + n_warm
-          | Some (c, kernel) ->
-            let _, warmed = Ckpt.with_state c ~key:(snap_key c kernel) ms ~warm in
-            if warmed then elems := !elems + n_warm);
-          (* the warm closure's own exec/env time is already counted in
-             those buckets; keep only the remainder as restore time *)
-          a_restore := !a_restore +. (clk () -. t) -. (!a_exec +. !a_env -. sub0);
-          let transient =
-            match ckpt with
-            | Some (c, kernel) ->
-              Ckpt.find_transient c ~key:(snap_key c kernel ^ ":" ^ code_digest)
-            | None -> None
-          in
-          let c_win =
-            match transient with
-            | Some tr ->
-              elems := !elems + n_win;
-              window ms ~elems:n_win -. tr
-            | None ->
-              (* First sight of this candidate over this warm state:
-                 run the short window and the longer rate window from
-                 private copies of it.  Their shared prefix cancels in
-                 [c2 - c1], leaving the steady rate over
-                 [n_rate - n_win] elements; the transient is whatever
-                 the short window cost beyond that rate. *)
-              let ts = clk () in
-              let s = Memsys.snapshot ms in
-              a_restore := !a_restore +. (clk () -. ts);
-              let c1 = window ms ~elems:n_win in
-              let ts = clk () in
-              Memsys.restore ms s;
-              a_restore := !a_restore +. (clk () -. ts);
-              let c2 = window ms ~elems:n_rate in
-              elems := !elems + n_win + n_rate;
-              let rate = (c2 -. c1) /. float_of_int (n_rate - n_win) in
-              let tr = c1 -. (rate *. float_of_int n_win) in
-              (match ckpt with
-              | Some (c, kernel) ->
-                Ckpt.set_transient c
-                  ~key:(snap_key c kernel ^ ":" ^ code_digest)
-                  tr
-              | None -> ());
-              (* computed as [c1 - tr] — not [rate * n_win] — so the
-                 hit path's float arithmetic reproduces it
-                 bit-for-bit *)
-              c1 -. tr
-          in
-          if not (c_cold > 0.0 && c_win > 0.0) then Error "non-increasing-cycles"
-          else begin
-            let rate = c_win /. float_of_int n_win in
-            (* The steady rate and the cold first page agree within a
-               small factor for anything the linear model can
-               represent: the cold page adds start-up cost, while a
-               saturated steady state can out-cost an idle-bus cold
-               page by a bounded margin.  Outside that band the window
-               did not measure the regime the kernel actually runs
-               in. *)
-            let q = rate *. float_of_int lo /. c_cold in
-            if q < 0.3 || q > 2.5 then Error "no-steady-state"
-            else Ok (c_cold +. (rate *. float_of_int (n - lo)), !elems)
-          end
-        in
-        match body () with
-        | exception e ->
-          Arena.release ms;
-          raise e
-        | v ->
-          let t = clk () in
-          Arena.release ms;
-          a_arena := !a_arena +. (clk () -. t);
-          prof_add ~arena:!a_arena ~env:!a_env ~restore:!a_restore ~exec:!a_exec;
-          v
+            warm ms;
+            true
+          | Some (c, kernel) -> Ckpt.with_state c ~key:(snap_key c kernel) ms ~warm)
+    in
+    let elems = pe + if warmed then n_warm else 0 in
+    match
+      Option.bind ckpt (fun (c, kernel) ->
+          Ckpt.find_transient c ~key:(transient_key c kernel))
+    with
+    | Some tr -> (c_cold, window ~elems:n_win -. tr, elems + n_win)
+    | None ->
+      (* First sight of this candidate over this warm state: the short
+         and the rate window from private copies of it.  Their shared
+         prefix cancels in [c2 - c1]; the transient is whatever the
+         short window cost beyond that rate.  [c1 - tr] — not
+         [rate * n_win] — so the hit path reproduces it bit-for-bit. *)
+      let s = timed tally b_restore (fun () -> Memsys.snapshot ms) in
+      let c1 = window ~elems:n_win in
+      timed tally b_restore (fun () -> Memsys.restore ms s);
+      let c2 = window ~elems:n_rate in
+      let rate = (c2 -. c1) /. float_of_int (n_rate - n_win) in
+      let tr = c1 -. (rate *. float_of_int n_win) in
+      Option.iter (fun (c, kernel) -> Ckpt.set_transient c ~key:(transient_key c kernel) tr) ckpt;
+      (c_cold, c1 -. tr, elems + n_win + n_rate)
+  in
+  Fun.protect ~finally:(fun () -> timed tally b_arena (fun () -> Arena.release ms)) body
+
+(* Sampled fidelity, or the escape hatch that refuses it.  The in-L2
+   context is served by the cache-resident window scheme as long as the
+   full working set fits in L2 — beyond that the full in-L2 measurement
+   is itself a capacity-thrashing run the steady-hit window cannot
+   represent.  The steady rate and the cold first page agree within a
+   small factor for anything the linear model can represent: the cold
+   page adds start-up cost, while a saturated steady state can out-cost
+   an idle-bus cold page by a bounded margin; outside that band the
+   windows did not measure the regime the kernel actually runs in. *)
+let sampled tally ?ckpt ~cfg ~context ~spec ~n cf =
+  let pe, bytes_per_elem = geometry ?ckpt spec in
+  if pe <= 0 then Error No_array_arguments
+  else if n < 2 * (warm_pages + rate_pages) * pe then Error Tiny_n
+  else if context = In_l2 && n * bytes_per_elem > cfg.Config.l2.Config.size then
+    Error In_l2_context
+  else begin
+    let c_cold, c_win, elems = windows tally ?ckpt ~cfg ~context ~spec ~pe cf in
+    if not (c_cold > 0.0 && c_win > 0.0) then Error Non_increasing_cycles
+    else begin
+      let rate = c_win /. float_of_int (win_pages * pe) in
+      let q = rate *. float_of_int pe /. c_cold in
+      if q < 0.3 || q > 2.5 then Error No_steady_state
+      else Ok (c_cold +. (rate *. float_of_int (n - pe)), elems)
+    end
+  end
+
+let measure_ext ?(fidelity = Full) ?ckpt ~cfg ~context ~spec ~n cf =
+  profiled (fun tally ->
+      let of_full fallback =
+        let m_cycles, m_elems = full tally ?ckpt ~cfg ~context ~spec ~n cf in
+        { m_cycles; m_fidelity = Full; m_fallback = fallback; m_elems }
       in
-      match sampled_rep () with
-      | Error reason -> full ~fallback:reason ()
-      | Ok (c0, e0) -> (
-        let rec repeat best k =
-          if k = 0 then Ok best
-          else
-            match sampled_rep () with
-            | Error _ as e -> e
-            | Ok (c, _) -> repeat (Float.min best c) (k - 1)
-        in
-        match repeat c0 (max 0 (reps - 1)) with
-        | Error reason -> full ~fallback:reason ()
-        | Ok c -> { m_cycles = c; m_fidelity = Sampled; m_fallback = None; m_elems = e0 })
-    end)
+      match fidelity with
+      | Full -> of_full None
+      | Sampled -> (
+        match sampled tally ?ckpt ~cfg ~context ~spec ~n cf with
+        | Ok (m_cycles, m_elems) -> { m_cycles; m_fidelity = Sampled; m_fallback = None; m_elems }
+        | Error reason -> of_full (Some reason)))
 
-let measure_compiled ?reps ?fidelity ?ckpt ~cfg ~context ~spec ~n cf =
-  (measure_ext ?reps ?fidelity ?ckpt ~cfg ~context ~spec ~n cf).m_cycles
+let measure ?fidelity ?ckpt ~cfg ~context ~spec ~n func =
+  (measure_ext ?fidelity ?ckpt ~cfg ~context ~spec ~n (Exec.compile func)).m_cycles
 
-let measure ?reps ?fidelity ?ckpt ~cfg ~context ~spec ~n func =
-  measure_compiled ?reps ?fidelity ?ckpt ~cfg ~context ~spec ~n (Exec.compile func)
+let error_budget = 0.01
+
+type verdict =
+  | Within of float
+  | Exceeds of float
+  | Fell_back of fallback
+  | Broken_fallback of fallback
+
+type calibration = { cal_full : measurement; cal_sampled : measurement; cal_verdict : verdict }
+
+let calibrate ?ckpt ~cfg ~context ~spec ~n cf =
+  let cal_full = measure_ext ?ckpt ~cfg ~context ~spec ~n cf in
+  let cal_sampled = measure_ext ~fidelity:Sampled ?ckpt ~cfg ~context ~spec ~n cf in
+  let cal_verdict =
+    match cal_sampled.m_fallback with
+    | Some r -> if cal_sampled.m_cycles = cal_full.m_cycles then Fell_back r else Broken_fallback r
+    | None ->
+      let err =
+        Float.abs (cal_sampled.m_cycles -. cal_full.m_cycles) /. Float.max 1e-9 cal_full.m_cycles
+      in
+      if err <= error_budget then Within err else Exceeds err
+  in
+  { cal_full; cal_sampled; cal_verdict }
 
 let mflops ~cfg ~flops_per_n ~n ~cycles =
   Ifko_util.Stats.mflops

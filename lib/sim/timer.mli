@@ -1,51 +1,34 @@
 (** Kernel timers.
 
-    Mirrors the paper's methodology on top of the simulator: each
-    timing is repeated and the minimum taken (the simulator is
-    deterministic, so this guards the harness rather than noise), and
-    two usage contexts are supported — operands out of cache (caches
-    flushed before each trial) and operands preloaded into L2.
+    Two usage contexts, as in the paper: operands out of cache (caches
+    flushed before the run) and operands preloaded into L2; {!prepare}
+    is the one definition of a context's starting state.  The simulator
+    is deterministic, so a measurement is one run per simulated size.
 
-    Large out-of-cache problems are measured by simulating two smaller,
-    page-aligned problem sizes in steady state and extrapolating the
-    cycle count linearly; {!val-exact} and the extrapolated path agree
-    to well under a percent on streaming kernels (checked in the test
-    suite and by the ablation bench).
+    {2 Two paths}
 
-    {2 Fidelity}
+    [Full] (the default, bit-identical to every earlier version)
+    simulates the whole problem in L2 and for small out-of-cache
+    problems; larger out-of-cache problems are simulated at two
+    page-aligned sizes in steady state and extrapolated linearly
+    ({!val-exact} and the extrapolation agree to well under a percent
+    on streaming kernels).
 
-    [Full] fidelity is the default and is bit-identical to what every
-    earlier version computed.  [Sampled] fidelity replaces the
-    extrapolation pair with three short windows: a warm-up window
-    ({!sampled_warm_pages} pages) that drives the memory system to
-    steady state and is checkpointed once per kernel and shared across
-    every probe point and problem size, a detailed window
-    ({!sampled_win_pages} pages) that continues the warm-up as one long
-    run, and a one-page cold window anchoring the candidate's start-up
-    intercept.  The first time a candidate meets a warm state, a longer
-    companion window ({!sampled_rate_pages} pages) resumes from the
-    same state; the pair's difference yields the candidate's steady
-    per-element rate with the code-dependent resume transient cancelled
-    exactly, and the transient is memoized so every later measurement
-    needs only the short window.  Per-probe simulated work drops from
-    [sample_lo + sample_hi] elements to three pages in the steady
-    state.
+    [Sampled] derives the same linear model from short windows counted
+    in 4 KiB pages of the kernel's widest array element: a checkpointed
+    5-page warm-up shared by every probe point and problem size, a
+    2-page detailed window continuing it, and a one-page cold window
+    for the intercept; a 10-page companion window, run once per
+    (warm state, candidate), cancels the resume transient exactly.  In
+    L2 the windows run cache-resident while the working set fits L2.
+    When a confidence check fails the sampled path returns a
+    {!fallback} and the measurement reverts to the bit-exact full path
+    with the reason in [m_fallback].
 
-    The in-L2 context is served by a cache-resident variant of the
-    same scheme: the warm-up installs the window environment's lines
-    in L2 first (exactly as the full in-L2 path installs the whole
-    working set) and windows use raw cycles with no writeback charges,
-    matching the full path's conventions.  It applies only while the
-    full working set fits in L2 — beyond capacity the measurement
-    falls back with reason ["in-l2-context"].
+    {2 The error budget}
 
-    A bit-identity escape hatch reverts to full fidelity and records
-    the reason whenever a confidence check fails: no array operands,
-    an over-capacity in-L2 working set, tiny N, non-positive window
-    cycles, or a steady rate inconsistent with the cold window
-    (["no-steady-state"]).  Callers that need the error budget enforced
-    per kernel calibrate one point both ways first — see
-    [Driver.tune]. *)
+    {!error_budget} is the one definition of "within budget" and
+    {!calibrate} the one judge of a sampled estimate. *)
 
 type context = Out_of_cache | In_l2
 
@@ -61,20 +44,37 @@ type fidelity = Full | Sampled
 val fidelity_name : fidelity -> string
 val fidelity_of_string : string -> fidelity option
 
+(** Why a [Sampled] request fell back to full fidelity. *)
+type fallback =
+  | No_array_arguments  (** the kernel binds no arrays: no page geometry *)
+  | Tiny_n  (** the windows would cover most of the problem *)
+  | In_l2_context  (** the in-L2 working set exceeds L2 capacity *)
+  | Non_increasing_cycles  (** a window measured non-positive cycles *)
+  | No_steady_state  (** the steady rate contradicts the cold window *)
+
+val fallback_name : fallback -> string
+(** The reason's stable name (["tiny-n"], ...), as printed. *)
+
 type measurement = {
   m_cycles : float;
   m_fidelity : fidelity;  (** the fidelity that actually produced the cycles *)
-  m_fallback : string option;
+  m_fallback : fallback option;
       (** why a [Sampled] request fell back to full fidelity, if it did *)
-  m_elems : int;  (** elements simulated per repetition (the work proxy) *)
+  m_elems : int;  (** elements simulated (the work proxy) *)
 }
 
 val exact :
   cfg:Ifko_machine.Config.t -> context:context -> spec:spec -> n:int -> Cfg.func -> float
 (** Simulate the full problem of size [n]; returns cycles. *)
 
+val prepare :
+  cfg:Ifko_machine.Config.t -> context:context -> Ifko_machine.Memsys.t -> Env.t -> unit
+(** Put a memory system into [context]'s starting state for a run over
+    [env]: caches flushed and, in L2, every line of [env]'s arrays
+    installed in L2.  Every timer path starts from it; callers that
+    drive {!Exec} directly use it to start where the timer does. *)
+
 val measure :
-  ?reps:int ->
   ?fidelity:fidelity ->
   ?ckpt:Ckpt.t * string ->
   cfg:Ifko_machine.Config.t ->
@@ -83,31 +83,12 @@ val measure :
   n:int ->
   Cfg.func ->
   float
-(** Cycle count for problem size [n] under [context], using
-    steady-state extrapolation for large out-of-cache problems.
-    [reps] repeats each timing and keeps the minimum (default 1 — the
-    simulator is deterministic).  [fidelity] defaults to [Full], which
-    is bit-identical to the historical behavior.  [ckpt] is the
-    warm-state checkpoint cache paired with the kernel fingerprint the
-    snapshots are keyed by; it accelerates the in-L2 warm-up and never
-    changes any result.  Compiles the function once and reuses the
-    decoded form across samples and reps. *)
-
-val measure_compiled :
-  ?reps:int ->
-  ?fidelity:fidelity ->
-  ?ckpt:Ckpt.t * string ->
-  cfg:Ifko_machine.Config.t ->
-  context:context ->
-  spec:spec ->
-  n:int ->
-  Exec.compiled ->
-  float
-(** {!measure} for already-compiled code — for callers that time the
-    same candidate in several contexts or at several sizes. *)
+(** Cycle count for problem size [n] under [context].  [fidelity]
+    defaults to [Full].  [ckpt] is the warm-state checkpoint cache
+    paired with the kernel fingerprint the snapshots are keyed by; it
+    accelerates warm-ups and never changes any result. *)
 
 val measure_ext :
-  ?reps:int ->
   ?fidelity:fidelity ->
   ?ckpt:Ckpt.t * string ->
   cfg:Ifko_machine.Config.t ->
@@ -116,28 +97,34 @@ val measure_ext :
   n:int ->
   Exec.compiled ->
   measurement
-(** {!measure_compiled} returning the full measurement record: the
-    fidelity that actually ran, the fallback reason when the sampled
-    escape hatch fired, and the simulated-element count the cycles
-    were derived from. *)
+(** {!measure} for already-compiled code, returning the full record:
+    the fidelity that actually ran, the fallback reason when the
+    sampled escape hatch fired, and the elements simulated. *)
 
-val sampled_window_lo : spec -> int
-(** Elements in one 4 KiB page of the kernel's widest array element —
-    the sampled-fidelity window unit (0 when the kernel binds no
-    arrays, which forces the full-fidelity fallback). *)
+val error_budget : float
+(** The one definition of "within budget": the sampled path's relative
+    cycle error against full fidelity may not exceed 0.01. *)
 
-val sampled_warm_pages : int
-(** Warm-up window length, in {!sampled_window_lo} units. *)
+type verdict =
+  | Within of float  (** sampled; relative error within {!error_budget} *)
+  | Exceeds of float  (** sampled; relative error over the budget *)
+  | Fell_back of fallback  (** fell back; cycles bit-identical to full *)
+  | Broken_fallback of fallback  (** fell back, but the cycles differ from full *)
 
-val sampled_win_pages : int
-(** Detailed window length, in {!sampled_window_lo} units (even, so
-    period-two page alternation averages out). *)
+type calibration = { cal_full : measurement; cal_sampled : measurement; cal_verdict : verdict }
 
-val sampled_rate_pages : int
-(** Length of the longer companion window run once per (warm state,
-    candidate) to separate the steady rate from the resume transient;
-    the rate span [sampled_rate_pages - sampled_win_pages] is an even
-    page count for the same alternation-cancelling reason. *)
+val calibrate :
+  ?ckpt:Ckpt.t * string ->
+  cfg:Ifko_machine.Config.t ->
+  context:context ->
+  spec:spec ->
+  n:int ->
+  Exec.compiled ->
+  calibration
+(** Time one point at full fidelity, then sampled, and judge the
+    sampled estimate — the one verdict [Driver.tune],
+    [ifko sim --compare-fidelity] and [ifko fuzz --check-fidelity]
+    act on. *)
 
 val mflops :
   cfg:Ifko_machine.Config.t -> flops_per_n:float -> n:int -> cycles:float -> float

@@ -30,6 +30,7 @@ let compiled_default id =
   (compiled, Ifko_sim.Exec.compile func)
 
 let ddot = { Ifko_blas.Defs.routine = Ifko_blas.Defs.Dot; prec = Instr.D }
+let isamax = { Ifko_blas.Defs.routine = Ifko_blas.Defs.Iamax; prec = Instr.S }
 
 (* ---------- Memsys snapshot / restore / rebase ---------- *)
 
@@ -95,12 +96,11 @@ let test_rebase_translates () =
 
 (* ---------- Ckpt invalidation ---------- *)
 
-let warm_tagged tag ms =
+let warm_lines ms =
   Memsys.reset ms ~flush:true;
   for i = 0 to 63 do
     Memsys.warm_l2 ms ~addr:(i * 64)
-  done;
-  tag
+  done
 
 let test_key_content_addressing () =
   let c = Ifko_sim.Ckpt.create ~cfg () in
@@ -113,12 +113,10 @@ let test_key_content_addressing () =
   Alcotest.(check bool) "n changes the key" false (k = other_n);
   (* a kernel edit therefore forces a fresh warm-up *)
   let ms = Memsys.create cfg in
-  let m1, _ = Ifko_sim.Ckpt.with_state c ~key:k ms ~warm:(warm_tagged 1.0) in
-  let m2, _ = Ifko_sim.Ckpt.with_state c ~key:edited ms ~warm:(warm_tagged 2.0) in
-  let m3, _ = Ifko_sim.Ckpt.with_state c ~key:k ms ~warm:(warm_tagged 3.0) in
-  Alcotest.(check (float 0.0)) "first key warms fresh" 1.0 m1;
-  Alcotest.(check (float 0.0)) "edited kernel warms fresh" 2.0 m2;
-  Alcotest.(check (float 0.0)) "original key hits" 1.0 m3;
+  let warmed key = Ifko_sim.Ckpt.with_state c ~key ms ~warm:warm_lines in
+  Alcotest.(check bool) "first key warms fresh" true (warmed k);
+  Alcotest.(check bool) "edited kernel warms fresh" true (warmed edited);
+  Alcotest.(check bool) "original key hits" false (warmed k);
   let s = Ifko_sim.Ckpt.stats c in
   Alcotest.(check int) "two fresh warm-ups" 2 s.Ifko_sim.Ckpt.misses;
   Alcotest.(check int) "one memory hit" 1 s.Ifko_sim.Ckpt.hits
@@ -131,17 +129,17 @@ let test_disk_round_trip () =
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
       let ms = Memsys.create cfg in
       let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      let meta, _ = Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 3.25) in
-      Alcotest.(check (float 0.0)) "miss returns the warm metadata" 3.25 meta;
+      Alcotest.(check bool) "miss runs the warm-up" true
+        (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:warm_lines);
       let reference = continuation ~base:0.0 ms in
       (* a second cache over the same directory answers from disk, with
-         the same metadata and observably the same machine state *)
+         observably the same machine state *)
       let c2 = Ifko_sim.Ckpt.create ~dir ~cfg () in
       let ms2 = Memsys.create cfg in
       let key2 = Ifko_sim.Ckpt.key c2 ~kernel:"k" ~context:"in-L2" ~n:512 in
       Alcotest.(check string) "keys are stable across instances" key key2;
-      let meta2, _ = Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:(warm_tagged 9.9) in
-      Alcotest.(check (float 0.0)) "disk hit preserves the delta payload" 3.25 meta2;
+      Alcotest.(check bool) "disk hit skips the warm-up" false
+        (Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:warm_lines);
       let s = Ifko_sim.Ckpt.stats c2 in
       Alcotest.(check int) "answered from disk" 1 s.Ifko_sim.Ckpt.disk_loads;
       Alcotest.(check int) "no fresh warm-up" 0 s.Ifko_sim.Ckpt.misses;
@@ -156,7 +154,7 @@ let test_geometry_change_invalidates () =
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
       let ms = Memsys.create cfg in
       let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 1.0) : float * bool);
+      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:warm_lines : bool);
       (* a different machine (cache geometry included) wipes the
          persisted snapshots and forces a fresh warm-up *)
       let c2 = Ifko_sim.Ckpt.create ~dir ~cfg:Config.opteron () in
@@ -166,8 +164,8 @@ let test_geometry_change_invalidates () =
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.invalidated;
       let ms2 = Memsys.create Config.opteron in
       let key2 = Ifko_sim.Ckpt.key c2 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      let meta, _ = Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:(warm_tagged 7.0) in
-      Alcotest.(check (float 0.0)) "fresh warm-up ran" 7.0 meta;
+      Alcotest.(check bool) "fresh warm-up ran" true
+        (Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:warm_lines);
       Alcotest.(check int) "counted as a miss" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.misses)
 
@@ -179,7 +177,7 @@ let test_stale_meta_invalidates () =
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
       let ms = Memsys.create cfg in
       let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:(warm_tagged 1.0) : float * bool);
+      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:warm_lines : bool);
       (* hand-edit the meta: nothing vouches for the snapshots now *)
       Out_channel.with_open_text (Filename.concat dir "store.meta") (fun oc ->
           Out_channel.output_string oc "not json\n");
@@ -187,8 +185,8 @@ let test_stale_meta_invalidates () =
       Alcotest.(check int) "stale meta discards snapshots" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.invalidated;
       let ms2 = Memsys.create cfg in
-      let meta, _ = Ifko_sim.Ckpt.with_state c2 ~key ms2 ~warm:(warm_tagged 4.5) in
-      Alcotest.(check (float 0.0)) "fresh warm-up ran" 4.5 meta;
+      Alcotest.(check bool) "fresh warm-up ran" true
+        (Ifko_sim.Ckpt.with_state c2 ~key ms2 ~warm:warm_lines);
       Alcotest.(check int) "counted as a miss" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.misses)
 
@@ -208,8 +206,7 @@ let test_concurrent_counters () =
                 Ifko_sim.Ckpt.key c ~kernel:(string_of_int ((i + d) mod 3)) ~context:"in-L2"
                   ~n:64
               in
-              let _, w = Ifko_sim.Ckpt.with_state c ~key ms ~warm:(warm_tagged 0.0) in
-              if w then incr own
+              if Ifko_sim.Ckpt.with_state c ~key ms ~warm:warm_lines then incr own
             done;
             !own))
     |> List.map Domain.join
@@ -259,6 +256,8 @@ let test_transients_disk_round_trip () =
 let measure_ext ?fidelity ?ckpt ~context ~n cf =
   let spec = Ifko_blas.Workload.timer_spec ddot ~seed in
   Ifko_sim.Timer.measure_ext ?fidelity ?ckpt ~cfg ~context ~spec ~n cf
+
+let reason m = Option.map Ifko_sim.Timer.fallback_name m.Ifko_sim.Timer.m_fallback
 
 let test_sampled_accuracy () =
   let _, cf = compiled_default ddot in
@@ -332,8 +331,7 @@ let test_sampled_fallbacks () =
     measure_ext ~fidelity:Ifko_sim.Timer.Sampled ~context:Ifko_sim.Timer.Out_of_cache
       ~n:1024 cf
   in
-  Alcotest.(check (option string)) "tiny-n reason" (Some "tiny-n")
-    tiny.Ifko_sim.Timer.m_fallback;
+  Alcotest.(check (option string)) "tiny-n reason" (Some "tiny-n") (reason tiny);
   Alcotest.(check bool) "fell back to full" true
     (tiny.Ifko_sim.Timer.m_fidelity = Ifko_sim.Timer.Full);
   let full = measure_ext ~context:Ifko_sim.Timer.Out_of_cache ~n:1024 cf in
@@ -341,8 +339,7 @@ let test_sampled_fallbacks () =
     full.Ifko_sim.Timer.m_cycles tiny.Ifko_sim.Timer.m_cycles;
   (* small in-L2 problems hit the tiny-n hatch like out-of-cache ones *)
   let l2 = measure_ext ~fidelity:Ifko_sim.Timer.Sampled ~context:Ifko_sim.Timer.In_l2 ~n:1024 cf in
-  Alcotest.(check (option string)) "in-L2 tiny reason" (Some "tiny-n")
-    l2.Ifko_sim.Timer.m_fallback;
+  Alcotest.(check (option string)) "in-L2 tiny reason" (Some "tiny-n") (reason l2);
   let l2_full = measure_ext ~context:Ifko_sim.Timer.In_l2 ~n:1024 cf in
   Alcotest.(check (float 0.0)) "in-L2 fallback is bit-identical"
     l2_full.Ifko_sim.Timer.m_cycles l2.Ifko_sim.Timer.m_cycles;
@@ -353,7 +350,7 @@ let test_sampled_fallbacks () =
     measure_ext ~fidelity:Ifko_sim.Timer.Sampled ~context:Ifko_sim.Timer.In_l2 ~n:80000 cf
   in
   Alcotest.(check (option string)) "in-L2 capacity reason" (Some "in-l2-context")
-    l2_big.Ifko_sim.Timer.m_fallback;
+    (reason l2_big);
   let l2_big_full = measure_ext ~context:Ifko_sim.Timer.In_l2 ~n:80000 cf in
   Alcotest.(check (float 0.0)) "in-L2 capacity fallback is bit-identical"
     l2_big_full.Ifko_sim.Timer.m_cycles l2_big.Ifko_sim.Timer.m_cycles
@@ -366,8 +363,7 @@ let test_sampled_in_l2_accuracy () =
   let _, cf = compiled_default ddot in
   let full = measure_ext ~context:Ifko_sim.Timer.In_l2 ~n:40000 cf in
   let s = measure_ext ~fidelity:Ifko_sim.Timer.Sampled ~context:Ifko_sim.Timer.In_l2 ~n:40000 cf in
-  Alcotest.(check (option string)) "no fallback when the set fits L2" None
-    s.Ifko_sim.Timer.m_fallback;
+  Alcotest.(check (option string)) "no fallback when the set fits L2" None (reason s);
   Alcotest.(check bool) "measured at sampled fidelity" true
     (s.Ifko_sim.Timer.m_fidelity = Ifko_sim.Timer.Sampled);
   let err =
@@ -390,6 +386,57 @@ let test_l2_ckpt_bit_identity () =
   Alcotest.(check (float 0.0)) "in-L2 ckpt hit is bit-identical"
     plain.Ifko_sim.Timer.m_cycles m2.Ifko_sim.Timer.m_cycles;
   Alcotest.(check int) "one warm-up, one hit" 1 (Ifko_sim.Ckpt.stats ckpt).Ifko_sim.Ckpt.hits
+
+(* the reason strings are what the CLI and the bench JSON print *)
+let test_fallback_names () =
+  List.iter
+    (fun (f, name) -> Alcotest.(check string) name name (Ifko_sim.Timer.fallback_name f))
+    Ifko_sim.Timer.
+      [ (No_array_arguments, "no-array-arguments");
+        (Tiny_n, "tiny-n");
+        (In_l2_context, "in-l2-context");
+        (Non_increasing_cycles, "non-increasing-cycles");
+        (No_steady_state, "no-steady-state");
+      ]
+
+(* one verdict for every caller: a streaming kernel is within budget, a
+   tiny problem falls back bit-identically, and iamax's non-stationary
+   rate exceeds the budget (the case the driver demotes) *)
+let test_calibrate_verdicts () =
+  let verdict id ~n =
+    let _, cf = compiled_default id in
+    let spec = Ifko_blas.Workload.timer_spec id ~seed in
+    match
+      (Ifko_sim.Timer.calibrate ~cfg ~context:Ifko_sim.Timer.Out_of_cache ~spec ~n cf)
+        .Ifko_sim.Timer.cal_verdict
+    with
+    | Ifko_sim.Timer.Within _ -> "within"
+    | Ifko_sim.Timer.Exceeds _ -> "exceeds"
+    | Ifko_sim.Timer.Fell_back r -> "fell back: " ^ Ifko_sim.Timer.fallback_name r
+    | Ifko_sim.Timer.Broken_fallback r -> "broken fallback: " ^ Ifko_sim.Timer.fallback_name r
+  in
+  Alcotest.(check string) "ddot at N=80000" "within" (verdict ddot ~n:80000);
+  Alcotest.(check string) "ddot at n=1024" "fell back: tiny-n" (verdict ddot ~n:1024);
+  Alcotest.(check string) "isamax at N=80000" "exceeds" (verdict isamax ~n:80000)
+
+(* one measure_ext call is one attributed measurement, however many
+   simulations it runs: full fidelity out of cache at n=80000 runs the
+   two extrapolation sizes *)
+let test_profile_counts_once () =
+  let _, cf = compiled_default ddot in
+  let measures fidelity =
+    Ifko_sim.Timer.profile_reset ();
+    Ifko_sim.Timer.profile_enable true;
+    Fun.protect
+      ~finally:(fun () -> Ifko_sim.Timer.profile_enable false)
+      (fun () ->
+        ignore
+          (measure_ext ~fidelity ~context:Ifko_sim.Timer.Out_of_cache ~n:80000 cf
+            : Ifko_sim.Timer.measurement));
+    (Ifko_sim.Timer.profile ()).Ifko_sim.Timer.at_measures
+  in
+  Alcotest.(check int) "one full measurement" 1 (measures Ifko_sim.Timer.Full);
+  Alcotest.(check int) "one sampled measurement" 1 (measures Ifko_sim.Timer.Sampled)
 
 let test_driver_sampled_tune () =
   let compiled = Ifko_blas.Hil_sources.compile ddot in
@@ -421,7 +468,6 @@ let test_driver_sampled_tune () =
    whole tune to full fidelity, keeping the measured error on
    record. *)
 let test_driver_demotes_irregular () =
-  let isamax = { Ifko_blas.Defs.routine = Ifko_blas.Defs.Iamax; prec = Instr.S } in
   let compiled = Ifko_blas.Hil_sources.compile isamax in
   let spec = Ifko_blas.Workload.timer_spec isamax ~seed in
   let s =
@@ -453,6 +499,9 @@ let suite =
     Alcotest.test_case "sampled ckpt bit-identity" `Quick test_sampled_ckpt_bit_identity;
     Alcotest.test_case "sampled fallbacks" `Quick test_sampled_fallbacks;
     Alcotest.test_case "in-L2 ckpt bit-identity" `Quick test_l2_ckpt_bit_identity;
+    Alcotest.test_case "fallback names" `Quick test_fallback_names;
+    Alcotest.test_case "calibrate verdicts" `Quick test_calibrate_verdicts;
+    Alcotest.test_case "profile counts one measurement" `Quick test_profile_counts_once;
     Alcotest.test_case "driver sampled tune" `Quick test_driver_sampled_tune;
     Alcotest.test_case "driver demotes irregular kernel" `Quick test_driver_demotes_irregular;
   ]

@@ -85,17 +85,12 @@ let run_both ?max_instrs ?(cfg = cfg) ~timed ~ret_fsize what func mkenv =
 (* ---------- BLAS suite: kernels x contexts x timed/untimed ---------- *)
 
 let timed_context ?(cfg = cfg) context func spec n what =
-  (* Mirror Timer.run_once exactly for each engine, with its own
-     memory system. *)
+  (* Each engine on its own memory system, in the timer's own context
+     setup. *)
   let run exec_one =
     let env = spec.Ifko_sim.Timer.make_env n in
     let ms = Memsys.create cfg in
-    (match context with
-    | Ifko_sim.Timer.Out_of_cache -> Memsys.reset ms ~flush:true
-    | Ifko_sim.Timer.In_l2 ->
-      Memsys.reset ms ~flush:true;
-      Env.iter_array_lines env ~line:cfg.Config.l2.Config.line (fun addr ->
-          Memsys.warm_l2 ms ~addr));
+    Ifko_sim.Timer.prepare ~cfg ~context ms env;
     (exec_one ms env, env)
   in
   let r_ref, env_ref =
