@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test fmt check bench simbench servebench searchbench servesmoke fuzz lint-examples
+.PHONY: all build test fmt check bench simbench searchbench servesmoke fuzz lint-examples
 
 all: build
 
@@ -36,14 +36,6 @@ bench:
 simbench:
 	dune exec bench/main.exe -- --exp simbench --no-store --profile \
 		--baseline BENCH_results.json
-
-# Load generator against an in-process tuning daemon: zipf-skewed
-# tune/lookup mix from concurrent clients; reports throughput, tail
-# latency and warm hit rate, and fails unless the daemon's replies are
-# bit-identical to a sequential Driver.tune and the warm hit rate
-# clears 90%.
-servebench:
-	dune exec bench/main.exe -- --exp servebench --no-store
 
 # Search-strategy race: probes-to-best and best MFLOPS of the line
 # search, the cold surrogate, and the store-warmed surrogate on every

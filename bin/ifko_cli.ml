@@ -37,15 +37,7 @@ let load path =
     |> Ifko.Hil.Typecheck.check |> Ifko.Lower.lower
   else Ifko.compile_source (read_file path)
 
-let machine_of = function
-  | "p4e" -> Ifko_machine.Config.p4e
-  | "opteron" -> Ifko_machine.Config.opteron
-  | other -> failwith (Printf.sprintf "unknown machine %S (p4e|opteron)" other)
-
-let context_of = function
-  | "oc" -> Ifko_sim.Timer.Out_of_cache
-  | "l2" -> Ifko_sim.Timer.In_l2
-  | other -> failwith (Printf.sprintf "unknown context %S (oc|l2)" other)
+let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
 
 (* Workloads and testers for arbitrary user kernels live in
    {!Ifko.Generic}, shared with the serve daemon — both must build the
@@ -104,7 +96,7 @@ let point_of_flags ~cfg compiled sv ur ae wnt pf_dist =
 let compile_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file machine sv ur ae wnt pf_dist =
-    let cfg = machine_of machine in
+    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
     let compiled = load file in
     let params = point_of_flags ~cfg compiled sv ur ae wnt pf_dist in
     let func = Ifko.compile_point ~cfg compiled params in
@@ -145,7 +137,7 @@ let lint_cmd =
       exit 2
     in
     match
-      let cfg = machine_of machine in
+      let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
       let compiled = load file in
       (cfg, compiled)
     with
@@ -292,8 +284,8 @@ let tune_cmd =
   in
   let run file machine context n flops_per_n asm check_each_pass store_path jobs seed
       fidelity strategy warm_start =
-    let cfg = machine_of machine in
-    let context = context_of context in
+    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
+    let context = ok_or_fail (Ifko_sim.Timer.context_of_name context) in
     let fidelity = fidelity_of fidelity in
     let strategy =
       match Ifko.Driver.strategy_of_string strategy with
@@ -448,7 +440,7 @@ let fuzz_cmd =
   in
   let run machine seed count max_size points_per_kernel corpus check_each_pass cross_check
       replay check_fidelity =
-    let cfg = machine_of machine in
+    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
     match replay with
     | Some path ->
       let results =
@@ -542,8 +534,8 @@ let sim_cmd =
   in
   let run file machine sv ur ae wnt pf_dist context n untimed engine profile seed
       compare_fidelity =
-    let cfg = machine_of machine in
-    let context = context_of context in
+    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
+    let context = ok_or_fail (Ifko_sim.Timer.context_of_name context) in
     let compiled = load file in
     let params = point_of_flags ~cfg compiled sv ur ae wnt pf_dist in
     let func = Ifko.compile_point ~cfg compiled params in

@@ -82,35 +82,21 @@ let list_to_string diags =
 
 (* ---------- machine-readable output ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** One flat JSON object per diagnostic: [severity], [code], [pass],
     [block], [instr] (null when absent) and [message] — the contract of
     [ifko lint --json]. *)
-let to_json d =
-  let str_or_null = function
-    | Some s -> Printf.sprintf "\"%s\"" (json_escape s)
-    | None -> "null"
-  in
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"code\":\"%s\",\"pass\":%s,\"block\":%s,\"instr\":%s,\"message\":\"%s\"}"
-    (severity_name d.severity) (json_escape d.code) (str_or_null d.pass)
-    (str_or_null d.block)
-    (match d.instr with Some i -> string_of_int i | None -> "null")
-    (json_escape d.message)
+let to_json_value d =
+  let str_or_null = function Some s -> Ifko_util.Json.S s | None -> Ifko_util.Json.Null in
+  Ifko_util.Json.O
+    [ ("severity", S (severity_name d.severity));
+      ("code", S d.code);
+      ("pass", str_or_null d.pass);
+      ("block", str_or_null d.block);
+      ("instr", match d.instr with Some i -> N (float_of_int i) | None -> Null);
+      ("message", S d.message);
+    ]
+
+let to_json d = Ifko_util.Json.render_value (to_json_value d)
 
 let list_to_json diags =
-  Printf.sprintf "[%s]" (String.concat "," (List.map to_json (sort diags)))
+  Ifko_util.Json.render_value (A (List.map to_json_value (sort diags)))

@@ -29,6 +29,12 @@ type study = {
   results : kernel_result list;
 }
 
+val make_test : Ifko_blas.Defs.kernel_id -> seed:int -> Cfg.func -> bool
+(** The tester every method's kernel must pass: agreement with the
+    reference implementation (within the kernel's tolerance) on sizes
+    0, 1, 5, 63, 64 and 257, which exercise the remainder loops, on
+    data drawn from [seed + 1]. *)
+
 val run_study :
   ?kernels:Ifko_blas.Defs.kernel_id list ->
   ?progress:(string -> unit) ->

@@ -135,6 +135,12 @@ let opteron =
 
 let all = [ p4e; opteron ]
 
+(** The names the CLI and the daemon accept: ["p4e" | "opteron"]. *)
+let of_name = function
+  | "p4e" -> Ok p4e
+  | "opteron" -> Ok opteron
+  | other -> Error (Printf.sprintf "unknown machine %S (p4e|opteron)" other)
+
 (** Canonical rendering of every parameter that can influence the
     memory system's state or timing.  Warm-state checkpoints (Ckpt in
     lib/sim) embed this in their on-disk metadata: change any cache

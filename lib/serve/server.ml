@@ -49,16 +49,6 @@ let default_config ~store_dir listen =
     log = ignore;
   }
 
-let machine_of = function
-  | "p4e" -> Ok Config.p4e
-  | "opteron" -> Ok Config.opteron
-  | other -> Error (Printf.sprintf "unknown machine %S (p4e|opteron)" other)
-
-let context_of = function
-  | "oc" -> Ok Timer.Out_of_cache
-  | "l2" -> Ok Timer.In_l2
-  | other -> Error (Printf.sprintf "unknown context %S (oc|l2)" other)
-
 (* ---------------- server state ---------------- *)
 
 type t = {
@@ -128,8 +118,8 @@ let decode_result (outcome, params, _prov) =
 (* Resolve a request's kernel text down to the result-cache key.  Any
    source edit changes the lowered fingerprint, hence the key. *)
 let resolve (a : Proto.tune_args) =
-  let* cfgm = machine_of a.machine in
-  let* context = context_of a.context in
+  let* cfgm = Config.of_name a.machine in
+  let* context = Timer.context_of_name a.context in
   let* compiled = compile_kernel a.kernel in
   let key =
     Store.tune_key

@@ -30,12 +30,6 @@ type config = {
 val default_config : store_dir:string -> listen -> config
 (** 8 shards, jobs 1, no replica, no bounds, silent. *)
 
-val machine_of : string -> (Ifko_machine.Config.t, string) result
-(** ["p4e" | "opteron"]. *)
-
-val context_of : string -> (Ifko_sim.Timer.context, string) result
-(** ["oc" | "l2"]. *)
-
 val run : ?clock:(unit -> float) -> ?ready:(unit -> unit) -> config -> unit
 (** Bind, listen, and serve until a [shutdown] request (or a fatal
     accept error).  Blocks the calling thread; spawn it in a

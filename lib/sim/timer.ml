@@ -4,6 +4,11 @@ type context = Out_of_cache | In_l2
 
 let context_name = function Out_of_cache -> "out-of-cache" | In_l2 -> "in-L2"
 
+let context_of_name = function
+  | "oc" -> Ok Out_of_cache
+  | "l2" -> Ok In_l2
+  | other -> Error (Printf.sprintf "unknown context %S (oc|l2)" other)
+
 type spec = { make_env : int -> Env.t; ret_fsize : Instr.fsize }
 
 type fidelity = Full | Sampled

@@ -34,6 +34,9 @@ type context = Out_of_cache | In_l2
 
 val context_name : context -> string
 
+val context_of_name : string -> (context, string) result
+(** The names the CLI and the daemon accept: ["oc" | "l2"]. *)
+
 type spec = {
   make_env : int -> Env.t;  (** environment builder for a problem size *)
   ret_fsize : Instr.fsize;

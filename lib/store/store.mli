@@ -28,37 +28,8 @@
     Opening an existing store never writes to it: an empty journal gets
     its header with the first append. *)
 
-(** Minimal JSON used for the journal and the serve protocol: the
-    writer emits flat objects of string/number/bool fields; the parser
-    accepts nested objects and arrays too. *)
-module Json : sig
-  type value =
-    | S of string
-    | N of float
-    | B of bool
-    | Null
-    | O of (string * value) list
-    | A of value list
-
-  val render : (string * value) list -> string
-  (** One-line rendering of an object (no trailing newline). *)
-
-  val render_value : value -> string
-
-  val number : float -> string
-  (** The number format [render] uses: integral floats print as
-      integers, everything else as [%.17g] (bit-exact round-trip). *)
-
-  exception Bad
-
-  val parse : string -> (string * value) list
-  (** Parse one line holding exactly one object.
-      @raise Bad on anything else. *)
-
-  val str : (string * value) list -> string -> string option
-  val num : (string * value) list -> string -> float option
-  val bool : (string * value) list -> string -> bool option
-end
+(** The JSON codec of the journal (shared with the serve protocol). *)
+module Json = Ifko_util.Json
 
 (** Outcome of one probe, as journaled. *)
 type outcome =

@@ -69,7 +69,13 @@ let test_proto_response_roundtrip () =
       Proto.Stats [ ("entries", Json.N 3.0); ("nested", Json.O [ ("a", Json.A [ Json.N 1.0; Json.Null ]) ]) ];
       Proto.Done "compact";
       Proto.Failed "no such machine";
-    ]
+    ];
+  (* RFC 8259 whitespace: a pretty-printed file, CRLF included, parses *)
+  Alcotest.(check bool) "multi-line object parses" true
+    (Json.parse "{\n  \"a\": [1,\r\n    [2, {\"b\": null}]],\n  \"c\": \"d\"\n}\n"
+    = [ ("a", Json.A [ Json.N 1.0; Json.A [ Json.N 2.0; Json.O [ ("b", Json.Null) ] ] ]);
+        ("c", Json.S "d");
+      ])
 
 (* Floats cross the wire at %.17g: the reply a client decodes must be
    the exact bits the daemon computed. *)
