@@ -247,8 +247,9 @@ let tune_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "evaluate probe batches on $(docv) worker domains; results are \
-             bit-identical to --jobs 1")
+            "evaluate probe batches on $(docv) domains, the calling one included \
+             ($(docv) - 1 workers are spawned); results are bit-identical to \
+             --jobs 1")
   in
   let seed_arg =
     Arg.(
@@ -786,8 +787,9 @@ let serve_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "shared worker-domain pool: every in-flight tune's probe batches run on \
-             these $(docv) domains; replies stay bit-identical to --jobs 1")
+            "shared domain pool: every in-flight tune's probe batches run on \
+             $(docv) domains, the daemon's own one included ($(docv) - 1 workers \
+             are spawned); replies stay bit-identical to --jobs 1")
   in
   let replica =
     Arg.(

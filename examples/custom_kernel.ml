@@ -64,27 +64,34 @@ let spec_for (compiled : Ifko.Lower.compiled) ~prec =
   in
   { Ifko.Timer.make_env; ret_fsize = prec }
 
-(* Differential tester: optimized code vs. the naive lowering. *)
+(* Differential tester: optimized code vs. the naive lowering.  Both
+   environments are spent once compared and go back to the buffer pool,
+   so a tune does not allocate fresh ones per probe. *)
 let differential_test (compiled : Ifko.Lower.compiled) spec func =
   List.for_all
     (fun n ->
       let e1 = spec.Ifko.Timer.make_env n and e2 = spec.Ifko.Timer.make_env n in
-      match
-        ( Ifko.Exec.run ~ret_fsize:spec.Ifko.Timer.ret_fsize compiled.Ifko.Lower.func e1,
-          Ifko.Exec.run ~ret_fsize:spec.Ifko.Timer.ret_fsize func e2 )
-      with
-      | exception Ifko.Exec.Trap _ -> false
-      | r1, r2 ->
-        (match (r1.Ifko.Exec.ret, r2.Ifko.Exec.ret) with
-        | Some (Ifko.Exec.Rfp a), Some (Ifko.Exec.Rfp b) -> Ifko.Verify.close ~tol:1e-3 a b
-        | None, None -> true
-        | _ -> false)
-        && List.for_all
-             (fun (a : Ifko.Lower.array_param) ->
-               let xa = Ifko.Env.to_array e1 a.Ifko.Lower.a_name in
-               let xb = Ifko.Env.to_array e2 a.Ifko.Lower.a_name in
-               Array.for_all2 (fun u v -> Ifko.Verify.close ~tol:1e-3 u v) xa xb)
-             compiled.Ifko.Lower.arrays)
+      Fun.protect
+        ~finally:(fun () ->
+          Ifko.Env.release e1;
+          Ifko.Env.release e2)
+        (fun () ->
+          match
+            ( Ifko.Exec.run ~ret_fsize:spec.Ifko.Timer.ret_fsize compiled.Ifko.Lower.func e1,
+              Ifko.Exec.run ~ret_fsize:spec.Ifko.Timer.ret_fsize func e2 )
+          with
+          | exception Ifko.Exec.Trap _ -> false
+          | r1, r2 ->
+            (match (r1.Ifko.Exec.ret, r2.Ifko.Exec.ret) with
+            | Some (Ifko.Exec.Rfp a), Some (Ifko.Exec.Rfp b) -> Ifko.Verify.close ~tol:1e-3 a b
+            | None, None -> true
+            | _ -> false)
+            && List.for_all
+                 (fun (a : Ifko.Lower.array_param) ->
+                   let xa = Ifko.Env.to_array e1 a.Ifko.Lower.a_name in
+                   let xb = Ifko.Env.to_array e2 a.Ifko.Lower.a_name in
+                   Array.for_all2 (fun u v -> Ifko.Verify.close ~tol:1e-3 u v) xa xb)
+                 compiled.Ifko.Lower.arrays))
     [ 0; 1; 9; 250 ]
 
 let tune_and_report name source prec flops_per_n =

@@ -120,19 +120,26 @@ let check ?(check_each_pass = false) ?(strict_arrays = false) ?inject
       | n :: rest -> (
         let env_ref = make_env ~seed compiled n in
         let env_opt = make_env ~seed compiled n in
-        match Ifko_sim.Exec.exec ~ret_fsize:rfs cf_ref env_ref with
-        | exception Ifko_sim.Exec.Trap m ->
-          Rejected (Printf.sprintf "reference trap at n=%d: %s" n m)
-        | r_ref -> (
-          match Ifko_sim.Exec.exec ~ret_fsize:rfs cf_opt env_opt with
-          | exception Ifko_sim.Exec.Trap m ->
-            Mismatch { size = n; detail = Printf.sprintf "trap: %s" m }
-          | r_opt -> (
-            match
-              compare_point ~tolerant ~strict_arrays ~rfs compiled env_ref env_opt r_ref
-                r_opt
-            with
-            | Some detail -> Mismatch { size = n; detail }
-            | None -> go rest)))
+        (* both environments are spent once compared, on a trap too *)
+        let point =
+          Fun.protect
+            ~finally:(fun () ->
+              Ifko_sim.Env.release env_ref;
+              Ifko_sim.Env.release env_opt)
+            (fun () ->
+              match Ifko_sim.Exec.exec ~ret_fsize:rfs cf_ref env_ref with
+              | exception Ifko_sim.Exec.Trap m ->
+                Some (Rejected (Printf.sprintf "reference trap at n=%d: %s" n m))
+              | r_ref -> (
+                match Ifko_sim.Exec.exec ~ret_fsize:rfs cf_opt env_opt with
+                | exception Ifko_sim.Exec.Trap m ->
+                  Some (Mismatch { size = n; detail = Printf.sprintf "trap: %s" m })
+                | r_opt ->
+                  Option.map
+                    (fun detail -> Mismatch { size = n; detail })
+                    (compare_point ~tolerant ~strict_arrays ~rfs compiled env_ref env_opt
+                       r_ref r_opt)))
+        in
+        match point with Some verdict -> verdict | None -> go rest)
     in
     go sizes

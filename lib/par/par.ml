@@ -39,8 +39,12 @@ module Pool = struct
         workers = [||];
       }
     in
+    (* [jobs] lanes in all: the submitting domain is the last one.  A
+       worker for every lane would run one domain more than asked for,
+       and with [jobs] sized to the cores every stop-the-world minor
+       collection then waits for whichever domain the OS descheduled. *)
     if jobs > 1 then
-      pool.workers <- Array.init jobs (fun _ -> Domain.spawn (fun () -> worker pool));
+      pool.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
     pool
 
   let jobs t = t.jobs
@@ -80,12 +84,11 @@ module Pool = struct
       Condition.broadcast t.work;
       (* The submitter helps while its batch is outstanding, instead of
          parking: it pops and runs queued tasks — its own or another
-         submitter's — and only waits when the queue is drained.  This
-         adds the submitting thread to the worker set (one more lane
-         for everyone's compilations) and lets concurrent tunes' probe
-         batches merge into one shared work stream.  Results are
-         written to input-indexed slots, so helping never affects
-         outputs. *)
+         submitter's — and only waits when the queue is drained.  The
+         submitting domain is the pool's last lane, and concurrent
+         tunes' probe batches merge into one shared work stream.
+         Results are written to input-indexed slots, so helping never
+         affects outputs. *)
       while !remaining > 0 do
         if not (Queue.is_empty t.queue) then begin
           let task = Queue.pop t.queue in

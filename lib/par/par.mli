@@ -19,23 +19,28 @@ val available_jobs : unit -> int
 
 module Pool : sig
   type t
-  (** A pool of worker domains.  With [jobs <= 1] no domains are
-      spawned and every batch runs inline in the submitting domain —
-      the two paths are observationally identical for pure tasks.
+  (** A pool of [jobs] lanes: [jobs - 1] worker domains plus the
+      submitting domain.  With [jobs <= 1] no domains are spawned and
+      every batch runs inline in the submitting domain — the two paths
+      are observationally identical for pure tasks.
 
       Batches may be submitted concurrently from several domains or
       threads (the serve daemon multiplexes every in-flight tune's
       probe batches onto one pool): each batch completes independently,
       and its submitter wakes as soon as its own tasks are done.
       While a batch is outstanding its submitter {e helps}, executing
-      queued tasks (its own or other submitters') instead of parking —
-      concurrent tunes' probe batches merge into one shared work
-      stream with one extra lane.  Helping never affects outputs:
-      results are written to input-indexed slots. *)
+      queued tasks (its own or other submitters') instead of parking:
+      the submitting domain is the pool's last lane, and concurrent
+      tunes' probe batches merge into one shared work stream.  Helping
+      never affects outputs: results are written to input-indexed
+      slots.  With one submitting domain, at most [jobs] tasks run at
+      once. *)
 
   val create : jobs:int -> t
   (** [create ~jobs] clamps [jobs] to [\[1, 64\]] and, when [jobs > 1],
-      spawns [jobs] worker domains that sleep until work arrives. *)
+      spawns [jobs - 1] worker domains that sleep until work arrives;
+      the caller of {!run} is the [jobs]-th lane, so the pool never
+      runs more domains than asked for. *)
 
   val jobs : t -> int
   (** The (clamped) parallelism degree. *)

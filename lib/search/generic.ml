@@ -44,7 +44,9 @@ let spec ?(seed = 0) (compiled : Ifko_codegen.Lower.compiled) =
 
 (* The untransformed lowering is the semantic reference for arbitrary
    user kernels.  The reference side is decoded once per tune, each
-   candidate once per test — not once per test size. *)
+   candidate once per test — not once per test size.  Both environments
+   of a size are spent once their outputs are read, so they go back to
+   the buffer pool on every path. *)
 let test (compiled : Ifko_codegen.Lower.compiled) spec =
   let cf_ref = Ifko_sim.Exec.compile compiled.Ifko_codegen.Lower.func in
   fun func ->
@@ -53,25 +55,30 @@ let test (compiled : Ifko_codegen.Lower.compiled) spec =
       (fun n ->
         let env_ref = spec.Ifko_sim.Timer.make_env n in
         let env_opt = spec.Ifko_sim.Timer.make_env n in
-        match
-          ( Ifko_sim.Exec.exec ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize cf_ref env_ref,
-            Ifko_sim.Exec.exec ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize cf_opt env_opt )
-        with
-        | exception Ifko_sim.Exec.Trap _ -> false
-        | r_ref, r_opt ->
-          let rets_ok =
-            match (r_ref.Ifko_sim.Exec.ret, r_opt.Ifko_sim.Exec.ret) with
-            | None, None -> true
-            | Some (Ifko_sim.Exec.Rint a), Some (Ifko_sim.Exec.Rint b) -> a = b
-            | Some (Ifko_sim.Exec.Rfp a), Some (Ifko_sim.Exec.Rfp b) ->
-              Ifko_sim.Verify.close ~tol:1e-4 a b
-            | _ -> false
-          in
-          rets_ok
-          && List.for_all
-               (fun (a : Ifko_codegen.Lower.array_param) ->
-                 let xa = Ifko_sim.Env.to_array env_ref a.Ifko_codegen.Lower.a_name in
-                 let xb = Ifko_sim.Env.to_array env_opt a.Ifko_codegen.Lower.a_name in
-                 Array.for_all2 (fun u v -> Ifko_sim.Verify.close ~tol:1e-4 u v) xa xb)
-               compiled.Ifko_codegen.Lower.arrays)
+        Fun.protect
+          ~finally:(fun () ->
+            Ifko_sim.Env.release env_ref;
+            Ifko_sim.Env.release env_opt)
+          (fun () ->
+            match
+              ( Ifko_sim.Exec.exec ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize cf_ref env_ref,
+                Ifko_sim.Exec.exec ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize cf_opt env_opt )
+            with
+            | exception Ifko_sim.Exec.Trap _ -> false
+            | r_ref, r_opt ->
+              let rets_ok =
+                match (r_ref.Ifko_sim.Exec.ret, r_opt.Ifko_sim.Exec.ret) with
+                | None, None -> true
+                | Some (Ifko_sim.Exec.Rint a), Some (Ifko_sim.Exec.Rint b) -> a = b
+                | Some (Ifko_sim.Exec.Rfp a), Some (Ifko_sim.Exec.Rfp b) ->
+                  Ifko_sim.Verify.close ~tol:1e-4 a b
+                | _ -> false
+              in
+              rets_ok
+              && List.for_all
+                   (fun (a : Ifko_codegen.Lower.array_param) ->
+                     let xa = Ifko_sim.Env.to_array env_ref a.Ifko_codegen.Lower.a_name in
+                     let xb = Ifko_sim.Env.to_array env_opt a.Ifko_codegen.Lower.a_name in
+                     Array.for_all2 (fun u v -> Ifko_sim.Verify.close ~tol:1e-4 u v) xa xb)
+                   compiled.Ifko_codegen.Lower.arrays))
       [ 0; 1; 7; 130 ]

@@ -17,4 +17,6 @@ val test :
 (** Differential tester against the untransformed lowering at sizes
     {0, 1, 7, 130}: returns and all array outputs must agree to 1e-4
     relative tolerance; a trap fails the candidate.  Partial
-    application compiles the reference side once per kernel. *)
+    application compiles the reference side once per kernel.  Both of
+    a size's environments are released to {!Ifko_sim.Env}'s buffer
+    pool once compared. *)

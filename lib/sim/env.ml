@@ -11,6 +11,7 @@ type t = {
   mutable cursor : int;
   mutable array_count : int;
   table : (string, binding) Hashtbl.t;
+  mutable released : bool;
 }
 
 let stack_bytes = 4096
@@ -47,9 +48,14 @@ let create ?(mem_bytes = 4 * 1024 * 1024) () =
     cursor = 64 + stack_bytes;
     array_count = 0;
     table = Hashtbl.create 8;
+    released = false;
   }
 
+(* Releasing twice would put one buffer in the pool twice, and two live
+   environments would then share memory: fail closed instead. *)
 let release t =
+  if t.released then invalid_arg "Env.release: environment already released";
+  t.released <- true;
   let len = Bytes.length t.memory in
   Bytes.fill t.memory 0 len '\000';
   Hashtbl.reset t.table;
@@ -81,6 +87,7 @@ let binding t name = Hashtbl.find t.table name
 let bindings t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table []
 
 let array_exn t name =
+  if t.released then invalid_arg "Env: environment already released";
   match Hashtbl.find_opt t.table name with
   | Some (Array_arg a) -> a
   | _ -> invalid_arg (Printf.sprintf "Env: %S is not a bound array" name)

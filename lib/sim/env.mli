@@ -27,7 +27,12 @@ val release : t -> unit
     [mem_bytes].  The environment must not be used afterwards.  The
     whole buffer is scrubbed — not just the allocated prefix — so a
     recycled buffer is byte-identical to a fresh one even past the
-    allocation cursor. *)
+    allocation cursor.
+
+    Whoever consumes an environment's outputs releases it: the timers,
+    {!Verify.check} and the testers built on it.
+    @raise Invalid_argument when [t] was already released — one buffer
+    in the pool twice would let two live environments share memory. *)
 
 type master
 (** An immutable pristine image of an environment: its written prefix,
@@ -70,13 +75,15 @@ val set_elem : t -> string -> int -> float -> unit
     for single-precision arrays). *)
 
 val get_elem : t -> string -> int -> float
-(** Read element [i] of a bound array. *)
+(** Read element [i] of a bound array.
+    @raise Invalid_argument when [t] has been released. *)
 
 val fill : t -> string -> (int -> float) -> unit
 (** Initialize a whole array from an index function. *)
 
 val to_array : t -> string -> float array
-(** Snapshot a bound array's current contents. *)
+(** Snapshot a bound array's current contents.
+    @raise Invalid_argument when [t] has been released. *)
 
 val iter_array_lines : t -> line:int -> (int -> unit) -> unit
 (** Apply a function to the base address of every [line]-byte line of

@@ -33,7 +33,7 @@ let exact_fp a b = Float.equal a b || (Float.is_nan a && Float.is_nan b)
 let close_reduction ?fsize ?(ulps = 4096L) ?(abs_floor = 1e-6) a b =
   exact_fp a b || close_ulp ?fsize ~ulps a b || Float.abs (a -. b) <= abs_floor
 
-let check_compiled ?(tol = 1e-5) ~ret_fsize cf env expectation =
+let run_and_compare ~tol ~ret_fsize cf env expectation =
   match Exec.exec ~ret_fsize cf env with
   | exception Exec.Trap msg -> Error (Printf.sprintf "trap: %s" msg)
   | result -> (
@@ -62,5 +62,14 @@ let check_compiled ?(tol = 1e-5) ~ret_fsize cf env expectation =
     | Some _, None -> note "return: kernel returned nothing");
     match !mismatch with None -> Ok () | Some msg -> Error msg)
 
-let check ?tol ~ret_fsize func env expectation =
-  check_compiled ?tol ~ret_fsize (Exec.compile func) env expectation
+(* The environment is spent once its outputs are read, so it goes back
+   to the buffer pool on every path, traps and mismatches included. *)
+let check_compiled ?(tol = 1e-5) ~ret_fsize cf env expectation =
+  Fun.protect
+    ~finally:(fun () -> Env.release env)
+    (fun () -> run_and_compare ~tol ~ret_fsize cf env expectation)
+
+let check ?(tol = 1e-5) ~ret_fsize func env expectation =
+  Fun.protect
+    ~finally:(fun () -> Env.release env)
+    (fun () -> run_and_compare ~tol ~ret_fsize (Exec.compile func) env expectation)

@@ -49,7 +49,9 @@ val check :
   expectation ->
   (unit, string) Stdlib.result
 (** Run the kernel on [env] and compare against [expectation]; the
-    error string pinpoints the first mismatch. *)
+    error string pinpoints the first mismatch.  [env] is spent after
+    the call: it is released to {!Env}'s buffer pool on every path,
+    traps and mismatches included, and must not be used again. *)
 
 val check_compiled :
   ?tol:float ->
@@ -59,4 +61,5 @@ val check_compiled :
   expectation ->
   (unit, string) Stdlib.result
 (** {!check} for already-compiled code — testers that probe one
-    candidate at several sizes compile once and call this. *)
+    candidate at several sizes compile once and call this.  Like
+    {!check}, it releases [env]. *)

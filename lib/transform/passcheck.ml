@@ -28,7 +28,8 @@ type outputs = {
 type t = {
   envs : (unit -> Ifko_sim.Env.t) list;
       (** deterministic workload builders: calling one twice must
-          produce identical initial environments *)
+          produce identical initial environments, each a fresh one
+          that {!capture} releases once read *)
   ret_fsize : Instr.fsize;
   tol : float;  (** relative tolerance for FP output comparison *)
   line_bytes : int;  (** prefetchable-cache line size, for IFK007 *)
@@ -87,24 +88,30 @@ let generic ?(sizes = [ 5; 34 ]) ?tol ~line_bytes (compiled : Lower.compiled) =
   of_envs ?tol ~line_bytes ~ret_fsize (List.map make sizes)
 
 (** [capture t ~pass compiled] runs the kernel on every workload and
-    records its observable outputs.  A trap is attributed to [pass]. *)
+    records its observable outputs.  A trap is attributed to [pass].
+    Each workload's environment goes back to the buffer pool once its
+    outputs are read, on a trap too. *)
 let capture t ~pass (compiled : Lower.compiled) =
   let cf = Ifko_sim.Exec.compile compiled.Lower.func in
   List.map
     (fun make ->
       let env = make () in
-      match Ifko_sim.Exec.exec ~ret_fsize:t.ret_fsize cf env with
-      | exception Ifko_sim.Exec.Trap msg ->
-        raise (Pass_failed { pass; failure = Semantics (Printf.sprintf "trap: %s" msg) })
-      | r ->
-        {
-          ret = r.Ifko_sim.Exec.ret;
-          arrays =
-            List.map
-              (fun (a : Lower.array_param) ->
-                (a.Lower.a_name, Ifko_sim.Env.to_array env a.Lower.a_name))
-              compiled.Lower.arrays;
-        })
+      Fun.protect
+        ~finally:(fun () -> Ifko_sim.Env.release env)
+        (fun () ->
+          match Ifko_sim.Exec.exec ~ret_fsize:t.ret_fsize cf env with
+          | exception Ifko_sim.Exec.Trap msg ->
+            raise
+              (Pass_failed { pass; failure = Semantics (Printf.sprintf "trap: %s" msg) })
+          | r ->
+            {
+              ret = r.Ifko_sim.Exec.ret;
+              arrays =
+                List.map
+                  (fun (a : Lower.array_param) ->
+                    (a.Lower.a_name, Ifko_sim.Env.to_array env a.Lower.a_name))
+                  compiled.Lower.arrays;
+            }))
     t.envs
 
 let diff_outputs t ~workload (reference : outputs) (got : outputs) =

@@ -88,6 +88,55 @@ let test_hil_sources_compile () =
         (c.Ifko_codegen.Lower.loopnest <> None))
     Defs.all
 
+(* Verify spends the environment it checks: its buffer goes back to the
+   pool on a pass and on a mismatch, comes back scrubbed for the next
+   same-size workload, and a spent environment fails closed. *)
+let test_verify_releases_env () =
+  let id = { Defs.routine = Defs.Axpy; prec = Instr.D } and seed = 5 and n = 257 in
+  let cf = Ifko_sim.Exec.compile (Hil_sources.compile id).Ifko_codegen.Lower.func in
+  let expect = Workload.expectation id ~seed n in
+  let wrong =
+    { expect with
+      Ifko_sim.Verify.arrays =
+        List.map (fun (k, a) -> (k, Array.map (fun v -> v +. 1.0) a)) expect.Ifko_sim.Verify.arrays
+    }
+  in
+  let recycled what expectation ok =
+    let env = Workload.make_env id ~seed n in
+    let buf = Ifko_sim.Env.mem env in
+    Alcotest.(check bool) (what ^ ": verdict") ok
+      (Ifko_sim.Verify.check_compiled ~tol:(Workload.tolerance id ~n) ~ret_fsize:id.Defs.prec
+         cf env expectation
+      = Ok ());
+    Alcotest.check_raises (what ^ ": spent env") (Invalid_argument "Env.release: environment already released")
+      (fun () -> Ifko_sim.Env.release env);
+    let next = Workload.make_env id ~seed n in
+    Alcotest.(check bool) (what ^ ": same buffer back") true (Ifko_sim.Env.mem next == buf);
+    next
+  in
+  Ifko_sim.Env.release (recycled "mismatch" wrong false);
+  let env = recycled "pass" expect true in
+  (* everything the kernel wrote outside the bound arrays was scrubbed *)
+  let mem = Ifko_sim.Env.mem env in
+  let inside = Array.make (Bytes.length mem) false in
+  List.iter
+    (fun (_, b) ->
+      match b with
+      | Ifko_sim.Env.Array_arg { addr; len; fsize } ->
+        Array.fill inside addr (len * Instr.fsize_bytes fsize) true
+      | Ifko_sim.Env.Int_arg _ | Ifko_sim.Env.Fp_arg _ -> ())
+    (Ifko_sim.Env.bindings env);
+  let stray = ref 0 in
+  Bytes.iteri (fun i c -> if (not inside.(i)) && c <> '\000' then incr stray) mem;
+  Alcotest.(check int) "zero outside the bound arrays" 0 !stray;
+  Ifko_sim.Env.release env;
+  Alcotest.check_raises "double release" (Invalid_argument "Env.release: environment already released")
+    (fun () -> Ifko_sim.Env.release env);
+  Alcotest.check_raises "to_array after release" (Invalid_argument "Env: environment already released")
+    (fun () -> ignore (Ifko_sim.Env.to_array env "Y" : float array));
+  Alcotest.check_raises "get_elem after release" (Invalid_argument "Env: environment already released")
+    (fun () -> ignore (Ifko_sim.Env.get_elem env "Y" 0 : float))
+
 let suite =
   [ Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "ref dot" `Quick test_ref_dot;
@@ -100,4 +149,5 @@ let suite =
     Alcotest.test_case "workload bindings" `Quick test_workload_bindings;
     QCheck_alcotest.to_alcotest prop_expectation_matches_ref;
     Alcotest.test_case "HIL sources compile" `Quick test_hil_sources_compile;
+    Alcotest.test_case "verify releases its env" `Quick test_verify_releases_env;
   ]

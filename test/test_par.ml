@@ -52,6 +52,30 @@ let test_pool_survives_failed_batch () =
       Alcotest.(check (list int)) "pool still works" [ 10; 20 ]
         (Ifko_par.Par.Pool.map pool (fun x -> 10 * x) [ 1; 2 ]))
 
+(* [jobs] lanes in all, the submitter included: with one submitter no
+   more than [jobs] tasks are ever running at once. *)
+let test_lanes_bounded_by_jobs () =
+  List.iter
+    (fun jobs ->
+      let running = Atomic.make 0 and peak = Atomic.make 0 in
+      let rec raise_peak v =
+        let p = Atomic.get peak in
+        if v > p && not (Atomic.compare_and_set peak p v) then raise_peak v
+      in
+      Ifko_par.Par.Pool.with_pool ~jobs (fun pool ->
+          ignore
+            (Ifko_par.Par.Pool.run pool (4 * jobs) (fun _ ->
+                 raise_peak (Atomic.fetch_and_add running 1 + 1);
+                 Unix.sleepf 0.005;
+                 Atomic.decr running)
+              : unit array));
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: at most %d tasks in flight (saw %d)" jobs jobs
+           (Atomic.get peak))
+        true
+        (Atomic.get peak <= jobs))
+    [ 2; 3; 4 ]
+
 let test_available_jobs () =
   Alcotest.(check bool) "at least one domain" true (Ifko_par.Par.available_jobs () >= 1)
 
@@ -61,5 +85,6 @@ let suite =
     Alcotest.test_case "run is input-indexed" `Quick test_run_indexed;
     Alcotest.test_case "lowest-index exception" `Quick test_lowest_index_exception;
     Alcotest.test_case "pool survives failed batch" `Quick test_pool_survives_failed_batch;
+    Alcotest.test_case "lanes bounded by jobs" `Quick test_lanes_bounded_by_jobs;
     Alcotest.test_case "available jobs" `Quick test_available_jobs;
   ]
