@@ -164,16 +164,14 @@ let lint_cmd =
         if no_pipeline then Ok []
         else begin
           let params = point_of_flags ~cfg compiled sv ur ae wnt pf_dist in
-          let check = Ifko.Passcheck.generic ~line_bytes compiled in
+          let check = Ifko.Passcheck.of_spec ~line_bytes (Ifko.Generic.spec compiled) in
           let skips = ref [] in
           match
             Ifko.Pipeline.apply ~check ~on_skip:(fun d -> skips := d :: !skips)
               ~line_bytes compiled params
           with
           | exception Ifko.Passcheck.Pass_failed { pass; failure } ->
-            Error
-              (Printf.sprintf "pass %s broke the kernel: %s" pass
-                 (Ifko.Passcheck.failure_to_string failure))
+            Error (Ifko.Passcheck.describe ~pass failure)
           | c ->
             let final = Ifko.Lint.check ~pass:"pipeline" ~line_bytes c in
             print_diags (List.rev !skips @ final);

@@ -9,7 +9,8 @@
     element-wise maps, integer results), and ULP-tolerant with an
     absolute near-zero floor where vectorization or accumulator
     expansion may legitimately reassociate a reduction
-    ({!Gen.has_fp_reduction}, {!Ifko_sim.Verify.close_reduction}). *)
+    ({!Gen.has_fp_reduction}, {!Ifko_sim.Verify.close_reduction}),
+    through {!Ifko_sim.Verify.outputs} and {!Ifko_sim.Verify.mismatch}. *)
 
 type verdict =
   | Agree  (** every size matched *)
@@ -29,7 +30,10 @@ val make_env : seed:int -> Ifko_codegen.Lower.compiled -> int -> Ifko_sim.Env.t
 (** Deterministic workload from the kernel's own signature: int
     parameters bound to the problem size, fp scalars to a seeded random
     value, arrays to seeded random vectors over-allocated (2n + 32
-    elements) so strided kernels stay in bounds. *)
+    elements) so strided kernels stay in bounds.  It differs from
+    {!Ifko_search.Generic.spec} on purpose: the padding and the random
+    scalars stress more of each kernel than a tune's fixed 0.77 and
+    exact-length arrays do. *)
 
 val check :
   ?check_each_pass:bool ->
@@ -43,7 +47,8 @@ val check :
   verdict
 (** Run the differential check.  [check_each_pass] additionally runs
     the lint + translation-validation suite after every pipeline pass
-    ({!Ifko_transform.Passcheck.generic}); a [Pass_failed] surfaces as
+    ({!Ifko_transform.Passcheck.of_spec} over
+    {!Ifko_search.Generic.spec}); a [Pass_failed] surfaces as
     [Mismatch] naming the pass.  [strict_arrays] compares array
     contents bit-exactly even for reduction kernels — sound exactly
     when {!Ifko_analysis.Depend} proved every array reference

@@ -144,7 +144,7 @@ let of_name = function
 (** Canonical rendering of every parameter that can influence the
     memory system's state or timing.  Warm-state checkpoints (Ckpt in
     lib/sim) embed this in their on-disk metadata: change any cache
-    geometry or bus/latency parameter and persisted snapshots are
+    geometry or bus/latency parameter and persisted transients are
     invalidated rather than silently reused. *)
 let geometry t =
   let lvl l = Printf.sprintf "%d/%d/%d/%d" l.size l.line l.assoc l.latency in

@@ -30,10 +30,6 @@ let compile_point ?check ~cfg compiled params =
   in
   c.Ifko_codegen.Lower.func
 
-(* Small deterministic workloads for per-pass translation validation:
-   a remainder-heavy size and one spanning several unrolled bodies. *)
-let check_sizes = [ 5; 34 ]
-
 (* Everything a probe outcome depends on, rendered for content
    addressing: the untransformed lowered LIL plus the array metadata
    the transformations and the prefetch search consume.  Editing the
@@ -69,10 +65,7 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
   let check =
     if not check_each_pass then None
     else
-      Some
-        (Ifko_transform.Passcheck.of_envs ~line_bytes:cfg.Config.prefetchable_line
-           ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize
-           (List.map (fun n () -> spec.Ifko_sim.Timer.make_env n) check_sizes))
+      Some (Ifko_transform.Passcheck.of_spec ~line_bytes:cfg.Config.prefetchable_line spec)
   in
   let kernel = kernel_fingerprint compiled in
   let prov =

@@ -260,7 +260,6 @@ let stat_fields t =
   let sum f = float_of_int (List.fold_left (fun a st -> a + f st) 0 ckpt_stats) in
   let ckpt =
     [ ("hits", Json.N (sum (fun (st : Ckpt.stats) -> st.Ckpt.hits)));
-      ("disk_loads", Json.N (sum (fun st -> st.Ckpt.disk_loads)));
       ("misses", Json.N (sum (fun st -> st.Ckpt.misses)));
       ("invalidated", Json.N (sum (fun st -> st.Ckpt.invalidated)));
       ("transient_hits", Json.N (sum (fun st -> st.Ckpt.transient_hits)));
@@ -326,14 +325,61 @@ let handle t ~fd (req : Proto.req) : Proto.reply =
     initiate_shutdown t ~self:(Some fd);
     Proto.Done "shutdown"
 
+(* The longest request line the daemon reads, so that one client
+   cannot grow its memory without limit. *)
+let max_line = 1 lsl 20
+
+(* A connection's lines are read through [chunk], whose bytes
+   [pos..len) are read but not yet consumed: one channel lock per read,
+   where [input_char] would take one per byte. *)
+type reader = { ic : in_channel; chunk : Bytes.t; mutable pos : int; mutable len : int }
+
+(* [input_line] that never holds more than [max_line] bytes of one
+   line: [`Line], [`Eof] or [`Too_long].  A last line without its
+   newline still counts. *)
+let read_line r =
+  let line = Buffer.create 256 in
+  let rec go () =
+    if r.pos = r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then if Buffer.length line = 0 then `Eof else `Line (Buffer.contents line)
+    else
+      let stop =
+        match Bytes.index_from_opt r.chunk r.pos '\n' with Some i when i < r.len -> i | _ -> r.len
+      in
+      if Buffer.length line + stop - r.pos > max_line then `Too_long
+      else begin
+        Buffer.add_subbytes line r.chunk r.pos (stop - r.pos);
+        r.pos <- min (stop + 1) r.len;
+        if stop = r.len then go () else `Line (Buffer.contents line)
+      end
+  in
+  go ()
+
+let reply oc resp =
+  match output_string oc (Proto.render_response resp ^ "\n") with
+  | exception Sys_error _ -> ()
+  | () -> ( try flush oc with Sys_error _ -> ())
+
 let serve_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  let r = { ic; chunk = Bytes.create 4096; pos = 0; len = 0 } in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
+    match read_line r with
+    | exception Sys_error _ -> ()
+    | `Eof -> ()
+    | `Too_long ->
+      Mutex.lock t.mu;
+      t.n_errors <- t.n_errors + 1;
+      Mutex.unlock t.mu;
+      reply oc
+        { Proto.resp_id = "";
+          reply = Proto.Failed (Printf.sprintf "request line exceeds %d bytes" max_line) }
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line ->
       Mutex.lock t.mu;
       t.n_requests <- t.n_requests + 1;
       Mutex.unlock t.mu;
@@ -355,9 +401,7 @@ let serve_conn t fd =
           ( { Proto.resp_id = req.Proto.req_id; reply },
             req.Proto.request = Proto.Shutdown )
       in
-      (match output_string oc (Proto.render_response resp ^ "\n") with
-      | exception Sys_error _ -> ()
-      | () -> ( try flush oc with Sys_error _ -> ()));
+      reply oc resp;
       if not stop then loop ()
   in
   (try loop () with _ -> ());

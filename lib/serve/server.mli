@@ -8,6 +8,10 @@
     --store] runs it; the driver's tune-level entry under
     {!Ifko_store.Store.tune_key} answers repeat requests.
 
+    A request line may be at most 1 MiB.  A longer one gets a [Failed]
+    reply naming the limit, counts as one error in [stat], and closes
+    that connection; other connections are unaffected.
+
     Determinism contract: a [tune] reply is bit-identical to a local,
     sequential, storeless {!Ifko_search.Driver.tune} of the same
     request, whatever the daemon's [jobs]/[shards] settings, whichever

@@ -14,20 +14,21 @@
    depends on the *code* being timed must never ride with an entry —
    one tune's probe points share a snapshot while running different
    code — so per-(state, candidate) scalars live in the separate
-   session-only transient memo.  The machine's full parameter rendering
-   (Config.geometry) is kept separately as a directory-level guard:
-   snapshots can optionally persist under [dir], and a [store.meta]
-   file records the schema version plus the geometry digest.  On open,
-   any mismatch — version bump, cache-geometry change, or a stale or
-   hand-edited meta — wipes the persisted snapshots and forces fresh
-   warm-ups rather than ever reusing a wrong snapshot. *)
+   transient memo.  Snapshots live in memory only: a restart re-runs
+   one warm-up per state, which costs nothing measurable next to the
+   transients.  The transients can persist under [dir], guarded by a
+   [store.meta] file that records the schema version plus the digest
+   of the machine's full parameter rendering (Config.geometry).  On
+   open, any mismatch — version bump, cache-geometry change, or a
+   stale or hand-edited meta — wipes the persisted transients rather
+   than ever reusing a wrong one. *)
 
 module Store = Ifko_store.Store
 module Config = Ifko_machine.Config
 module Memsys = Ifko_machine.Memsys
 
-(* schema 3: a persisted entry is the bare snapshot, which changes the
-   Marshal layout of .ckpt files *)
+(* schema 3 dates from when snapshots persisted too; the transients'
+   format has not changed since, so the number stays *)
 let schema = 3
 let meta_file = "store.meta"
 let transient_file = "transients.jsonl"
@@ -38,18 +39,17 @@ type t = {
   geometry : string;  (* digest of Config.geometry *)
   tbl : (string, Memsys.snapshot) Hashtbl.t;
   transients : (string, float) Hashtbl.t;
-      (* per-(warm state, code) scalars — persisted as JSON lines next
-         to the snapshots (%.17g round-trips every finite double), so a
-         daemon restart does not repay every candidate's companion
-         rate window; guarded by the same store.meta as the snapshots *)
+      (* per-(warm state, code) scalars — persisted as JSON lines
+         (%.17g round-trips every finite double) under store.meta, so
+         a daemon restart does not repay every candidate's companion
+         rate window *)
   masters : (string, Env.master) Hashtbl.t;
       (* session-only pristine environment images, keyed by
          (kernel, element count) — see Env.capture *)
   mutex : Mutex.t;
   mutable n_hit : int;  (* answered from memory *)
-  mutable n_disk : int;  (* answered from a persisted snapshot *)
   mutable n_miss : int;  (* fresh warm-ups *)
-  mutable n_inval : int;  (* persisted snapshot sets discarded on open *)
+  mutable n_inval : int;  (* persisted transient sets discarded on open *)
   mutable n_thit : int;  (* transients answered from the memo *)
   mutable n_tmiss : int;  (* transients that had to be measured *)
   mutable n_tload : int;  (* transients preloaded from disk on open *)
@@ -89,21 +89,6 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
-
-let snapshot_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".ckpt")
-
-(* Wipe every persisted snapshot (and the transient memo derived from
-   them): the meta told us they were produced under a different schema
-   or machine geometry (or the meta itself is missing/corrupt, in
-   which case nothing vouches for them). *)
-let wipe t dir =
-  List.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (snapshot_files dir);
-  (try Sys.remove (Filename.concat dir transient_file) with Sys_error _ -> ());
-  t.n_inval <- t.n_inval + 1
 
 (* Transients persist as append-only JSON lines {"key":...,"v":...}.
    Duplicate keys are possible (concurrent writers race benignly on
@@ -145,8 +130,7 @@ let append_transient t ~key v =
               (Store.Json.render [ ("key", Store.Json.S key); ("v", Store.Json.N v) ]);
             Out_channel.output_char oc '\n')
       with Sys_error _ -> ())
-(* best-effort like the snapshots: a failed write costs one future
-   companion window *)
+(* best-effort: a failed write costs one future companion window *)
 
 let create ?dir ~cfg () =
   let geometry = Store.digest [ "ckpt-geometry"; Config.geometry cfg ] in
@@ -160,7 +144,6 @@ let create ?dir ~cfg () =
       masters = Hashtbl.create 8;
       mutex = Mutex.create ();
       n_hit = 0;
-      n_disk = 0;
       n_miss = 0;
       n_inval = 0;
       n_thit = 0;
@@ -178,10 +161,13 @@ let create ?dir ~cfg () =
         | Some _ | None | (exception Sys_error _) -> false
       in
       if not meta_ok then begin
-        if
-          snapshot_files dir <> []
-          || Sys.file_exists (Filename.concat dir transient_file)
-        then wipe t dir;
+        (* the transients were produced under a different schema or
+           machine geometry, or nothing vouches for them *)
+        let path = Filename.concat dir transient_file in
+        if Sys.file_exists path then begin
+          (try Sys.remove path with Sys_error _ -> ());
+          t.n_inval <- t.n_inval + 1
+        end;
         write_meta t dir
       end
       else load_transients t dir);
@@ -190,75 +176,33 @@ let create ?dir ~cfg () =
 let key t ~kernel ~context ~n =
   Store.digest [ "ckpt"; kernel; t.machine; context; string_of_int n ]
 
-let file_of t key =
-  match t.dir with None -> None | Some d -> Some (Filename.concat d (key ^ ".ckpt"))
-
-(* Persisted snapshot = Marshal of (schema, geometry digest, snapshot).
-   The geometry digest is embedded per file as well as in store.meta so
-   a file copied between stores of different machines is still
-   rejected. *)
-let load_file t path : Memsys.snapshot option =
-  match
-    In_channel.with_open_bin path (fun ic ->
-        (Marshal.from_channel ic : int * string * Memsys.snapshot))
-  with
-  | v, g, entry when v = schema && g = t.geometry -> Some entry
-  | _ -> None
-  | exception _ -> None
-
-let save_file t path entry =
-  try
-    let tmp = path ^ ".tmp" in
-    Out_channel.with_open_bin tmp (fun oc ->
-        Marshal.to_channel oc (schema, t.geometry, entry) []);
-    Sys.rename tmp path
-  with Sys_error _ -> ()
-(* persistence is best-effort: a failed write only costs a future warm-up *)
-
 (* Bring [ms] to the warm state for [key]: restore a cached snapshot if
    one exists, otherwise run [warm] (which must leave [ms] fully warmed)
    and capture it.  Returns whether this call ran [warm].
    Thread-safe: probe pools share one Ckpt across domains, and every
-   call counts exactly one hit, disk load or miss under the mutex.
+   call counts exactly one hit or miss under the mutex.
    Concurrent misses on the same key may both run [warm] — warm-up is
    deterministic, so last-write-wins is benign. *)
 let with_state t ~key ms ~warm =
-  let locked f =
-    Mutex.lock t.mutex;
-    f ();
-    Mutex.unlock t.mutex
-  in
   let cached =
     Mutex.lock t.mutex;
     let c = Hashtbl.find_opt t.tbl key in
-    if Option.is_some c then t.n_hit <- t.n_hit + 1;
+    (match c with
+    | Some _ -> t.n_hit <- t.n_hit + 1
+    | None -> t.n_miss <- t.n_miss + 1);
     Mutex.unlock t.mutex;
-    match c with
-    | Some _ -> c
-    | None -> (
-        match file_of t key with
-        | None -> None
-        | Some path -> (
-            if not (Sys.file_exists path) then None
-            else
-              match load_file t path with
-              | Some entry ->
-                  locked (fun () ->
-                      t.n_disk <- t.n_disk + 1;
-                      Hashtbl.replace t.tbl key entry);
-                  Some entry
-              | None -> None))
+    c
   in
   match cached with
   | Some snap ->
       Memsys.restore ms snap;
       false
   | None ->
-      locked (fun () -> t.n_miss <- t.n_miss + 1);
       warm ms;
       let snap = Memsys.snapshot ms in
-      locked (fun () -> Hashtbl.replace t.tbl key snap);
-      (match file_of t key with None -> () | Some path -> save_file t path snap);
+      Mutex.lock t.mutex;
+      Hashtbl.replace t.tbl key snap;
+      Mutex.unlock t.mutex;
       true
 
 let find_transient t ~key =
@@ -299,7 +243,7 @@ let stats t =
   let s =
     {
       hits = t.n_hit;
-      disk_loads = t.n_disk;
+      disk_loads = 0;
       misses = t.n_miss;
       invalidated = t.n_inval;
       transient_hits = t.n_thit;

@@ -8,34 +8,42 @@
     probe of the same tune, which is observably identical to re-running
     the warm-up (verified by the bit-identity tests).
 
+    Snapshots live in memory only.  What persists, with a [dir], is
+    the per-candidate transient memo ({!find_transient}): it carries
+    all of a restart's measurable gain, while re-running one warm-up
+    per state costs nothing measurable.
+
     Invalidation mirrors the probe store's content addressing:
     - a {e kernel edit} changes the fingerprint, hence the key;
     - a {e cache-geometry (or any machine-parameter) change} changes
       the geometry digest recorded in the persistence directory's
-      [store.meta], which wipes all persisted snapshots on open;
+      [store.meta], which wipes the persisted transients on open;
     - a {e stale or hand-edited store.meta} (wrong schema, unparsable,
-      missing) likewise discards everything rather than trusting it.
+      missing) likewise discards them rather than trusting them.
 
-    All three therefore force a fresh warm-up, never a wrong reuse. *)
+    None of them can therefore reuse a wrong value. *)
 
 type t
 
 type stats = {
   hits : int;  (** warm states answered from memory *)
-  disk_loads : int;  (** warm states answered from a persisted snapshot *)
+  disk_loads : int;
+      (** always 0: snapshots no longer persist; the field stays for
+          callers that still sum it *)
   misses : int;  (** fresh warm-ups run (then captured) *)
-  invalidated : int;  (** persisted snapshot sets discarded on open *)
+  invalidated : int;  (** persisted transient sets discarded on open *)
   transient_hits : int;  (** resume-transients answered from the memo *)
   transient_misses : int;  (** resume-transients that had to be measured *)
   transients_loaded : int;  (** transients preloaded from disk on open *)
 }
 
 val create : ?dir:string -> cfg:Ifko_machine.Config.t -> unit -> t
-(** In-memory checkpoint cache for machine [cfg]; with [dir], snapshots
-    also persist there (one [<key>.ckpt] Marshal blob per key plus a
+(** In-memory checkpoint cache for machine [cfg]; with [dir], the
+    transients also persist there ([transients.jsonl] plus a
     [store.meta] recording the schema version and geometry digest).
     Persistence is best-effort: I/O failures only cost future
-    warm-ups. *)
+    companion windows.  [.ckpt] snapshot files that older builds left
+    in [dir] are never opened. *)
 
 val key : t -> kernel:string -> context:string -> n:int -> string
 (** Digest of (kernel fingerprint, machine name, context, N). *)
@@ -53,7 +61,7 @@ val with_state :
     {!find_transient}/{!set_transient}, never here: one tune's probe
     points share a snapshot while running different code.  Safe to
     share across domains; every call counts exactly one of {!stats}'
-    [hits], [disk_loads] or [misses]. *)
+    [hits] or [misses]. *)
 
 val find_transient : t -> key:string -> float option
 (** Look up a per-(warm state, compiled code) scalar — the sampled
@@ -62,8 +70,8 @@ val find_transient : t -> key:string -> float option
     cost is priced exactly once.  With a persistence [dir], transients
     reload on open (from [transients.jsonl], %.17g round-trip exact),
     so a daemon restart does not repay every companion rate window;
-    the file lives under the same [store.meta] guard as the snapshots
-    and is wiped with them. *)
+    the file lives under the [store.meta] guard and is wiped when the
+    guard fails. *)
 
 val set_transient : t -> key:string -> float -> unit
 (** Record a transient (appending to [transients.jsonl] when

@@ -33,43 +33,54 @@ let exact_fp a b = Float.equal a b || (Float.is_nan a && Float.is_nan b)
 let close_reduction ?fsize ?(ulps = 4096L) ?(abs_floor = 1e-6) a b =
   exact_fp a b || close_ulp ?fsize ~ulps a b || Float.abs (a -. b) <= abs_floor
 
-let run_and_compare ~tol ~ret_fsize cf env expectation =
-  match Exec.exec ~ret_fsize cf env with
-  | exception Exec.Trap msg -> Error (Printf.sprintf "trap: %s" msg)
-  | result -> (
-    let mismatch = ref None in
-    let note msg = if !mismatch = None then mismatch := Some msg in
-    List.iter
-      (fun (name, expected) ->
-        let got = Env.to_array env name in
-        if Array.length got <> Array.length expected then
-          note (Printf.sprintf "array %s: length %d, expected %d" name (Array.length got)
-                  (Array.length expected))
-        else
-          Array.iteri
-            (fun i e ->
-              if !mismatch = None && not (close ~tol e got.(i)) then
-                note (Printf.sprintf "array %s[%d]: got %.17g, expected %.17g" name i got.(i) e))
-            expected)
-      expectation.arrays;
-    (match (expectation.ret, result.Exec.ret) with
-    | None, _ -> ()
-    | Some (Exec.Rint e), Some (Exec.Rint g) ->
-      if e <> g then note (Printf.sprintf "return: got %d, expected %d" g e)
-    | Some (Exec.Rfp e), Some (Exec.Rfp g) ->
-      if not (close ~tol e g) then note (Printf.sprintf "return: got %.17g, expected %.17g" g e)
-    | Some _, Some _ -> note "return: kind mismatch"
-    | Some _, None -> note "return: kernel returned nothing");
-    match !mismatch with None -> Ok () | Some msg -> Error msg)
-
 (* The environment is spent once its outputs are read, so it goes back
-   to the buffer pool on every path, traps and mismatches included. *)
-let check_compiled ?(tol = 1e-5) ~ret_fsize cf env expectation =
+   to the buffer pool on every path, traps included. *)
+let outputs ~ret_fsize ~arrays cf env =
   Fun.protect
     ~finally:(fun () -> Env.release env)
-    (fun () -> run_and_compare ~tol ~ret_fsize cf env expectation)
+    (fun () ->
+      match Exec.exec ~ret_fsize cf env with
+      | exception Exec.Trap msg -> Error (Printf.sprintf "trap: %s" msg)
+      | r ->
+        Ok { ret = r.Exec.ret; arrays = List.map (fun a -> (a, Env.to_array env a)) arrays })
 
-let check ?(tol = 1e-5) ~ret_fsize func env expectation =
-  Fun.protect
-    ~finally:(fun () -> Env.release env)
-    (fun () -> run_and_compare ~tol ~ret_fsize (Exec.compile func) env expectation)
+let mismatch ~close ~expected got =
+  let ret =
+    match (expected.ret, got.ret) with
+    | None, None -> None
+    | Some (Exec.Rint e), Some (Exec.Rint g) ->
+      if e = g then None else Some (Printf.sprintf "return: got %d, expected %d" g e)
+    | Some (Exec.Rfp e), Some (Exec.Rfp g) ->
+      if close None e g then None
+      else Some (Printf.sprintf "return: got %.17g, expected %.17g" g e)
+    | Some _, Some _ -> Some "return: kind mismatch"
+    | Some _, None -> Some "return: kernel returned nothing"
+    | None, Some _ -> Some "return: kernel returned a value, none expected"
+  in
+  let array (name, e) =
+    match List.assoc_opt name got.arrays with
+    | None -> Some (Printf.sprintf "array %s: missing" name)
+    | Some g when Array.length g <> Array.length e ->
+      Some (Printf.sprintf "array %s: length %d, expected %d" name (Array.length g)
+              (Array.length e))
+    | Some g ->
+      let ok = close (Some name) in
+      let rec go i =
+        if i = Array.length e then None
+        else if ok e.(i) g.(i) then go (i + 1)
+        else Some (Printf.sprintf "array %s[%d]: got %.17g, expected %.17g" name i g.(i) e.(i))
+      in
+      go 0
+  in
+  match ret with Some _ -> ret | None -> List.find_map array expected.arrays
+
+let check_compiled ?(tol = 1e-5) ~ret_fsize cf env expected =
+  match outputs ~ret_fsize ~arrays:(List.map fst expected.arrays) cf env with
+  | Error msg -> Error msg
+  | Ok got -> (
+    match mismatch ~close:(fun _ -> close ~tol) ~expected got with
+    | None -> Ok ()
+    | Some msg -> Error msg)
+
+let check ?tol ~ret_fsize func env expected =
+  check_compiled ?tol ~ret_fsize (Exec.compile func) env expected

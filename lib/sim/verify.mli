@@ -3,14 +3,20 @@
     For each candidate transformation point, the compiled kernel is
     executed (without timing) and compared against expected results —
     "unnecessary in theory, but useful in practice" (paper,
-    Section 2.1).  Floating-point comparison uses a relative tolerance
-    scaled by problem size, because vectorization and accumulator
-    expansion legitimately reassociate reductions. *)
+    Section 2.1).  Every tester — the BLAS ones ({!check}), the generic
+    one, per-pass translation validation and the differential fuzzer —
+    runs the kernel through {!outputs} and compares through
+    {!mismatch}, each with its own closeness policy.  Floating-point
+    comparison uses a relative tolerance scaled by problem size,
+    because vectorization and accumulator expansion legitimately
+    reassociate reductions. *)
 
 type expectation = {
-  arrays : (string * float array) list;  (** expected final array contents *)
-  ret : Exec.ret_val option;  (** expected return value *)
+  arrays : (string * float array) list;  (** final array contents *)
+  ret : Exec.ret_val option;  (** return value *)
 }
+(** A run's observable outputs: what a test expects, and what
+    {!outputs} reads. *)
 
 val close : ?tol:float -> float -> float -> bool
 (** Relative/absolute closeness test used for array elements. *)
@@ -41,6 +47,31 @@ val close_reduction : ?fsize:Instr.fsize -> ?ulps:int64 -> ?abs_floor:float ->
     where relative/ULP distance is meaningless — within [abs_floor]
     (default 1e-6) absolutely. *)
 
+val outputs :
+  ret_fsize:Instr.fsize ->
+  arrays:string list ->
+  Exec.compiled ->
+  Env.t ->
+  (expectation, string) Stdlib.result
+(** [outputs ~ret_fsize ~arrays cf env] runs [cf] once on [env] and
+    reads its return value and the final contents of [arrays].  A trap
+    gives [Error "trap: ..."].  [env] is spent: it goes back to {!Env}'s
+    buffer pool on every path, and must not be used again. *)
+
+val mismatch :
+  close:(string option -> float -> float -> bool) ->
+  expected:expectation ->
+  expectation ->
+  string option
+(** [mismatch ~close ~expected got] describes the first difference, or
+    [None]: the return value first, then [expected]'s arrays in order.
+    [close where e g] judges an expected float [e] against the observed
+    [g]; [where] is [None] for the return value and [Some name] for an
+    element of array [name].  The return rule is strict: a return value
+    on one side only, or an integer against a float, is a difference,
+    and integer returns must be equal.  So is an array that is missing
+    from [got] or has another length. *)
+
 val check :
   ?tol:float ->
   ret_fsize:Instr.fsize ->
@@ -48,10 +79,11 @@ val check :
   Env.t ->
   expectation ->
   (unit, string) Stdlib.result
-(** Run the kernel on [env] and compare against [expectation]; the
-    error string pinpoints the first mismatch.  [env] is spent after
-    the call: it is released to {!Env}'s buffer pool on every path,
-    traps and mismatches included, and must not be used again. *)
+(** Run the kernel on [env] ({!outputs}) and compare against
+    [expectation] ({!mismatch}, relative tolerance [tol], default
+    1e-5); the error string pinpoints the first mismatch.  An
+    expectation without a return value fails a kernel that returns
+    one.  Like {!outputs}, it spends [env]. *)
 
 val check_compiled :
   ?tol:float ->

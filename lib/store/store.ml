@@ -535,7 +535,7 @@ let tune_key ?strategy ~kernel ~machine ~context ~n ~seed ~check ~flops_per_n ()
 
 (* ---------------------------------------------------------------- *)
 
-type ckpt_stat = { ck_machine : string; ck_snapshots : int; ck_transients : int }
+type ckpt_stat = { ck_machine : string; ck_transients : int }
 
 type stat = {
   st_path : string;
@@ -557,11 +557,10 @@ type stat = {
   st_ckpts : ckpt_stat list;
 }
 
-(* The serve daemon persists warm-state checkpoints next to the shards
-   (one ckpt-<machine> directory each: <key>.ckpt blobs plus a
-   transients.jsonl of resume-transient scalars).  Counting them here
-   makes `ifko store stat` show how much warm-up/transient work a
-   daemon restart will be able to skip. *)
+(* The serve daemon persists resume-transient scalars next to the
+   shards (one ckpt-<machine> directory each, holding a
+   transients.jsonl).  Counting them here makes `ifko store stat` show
+   how much transient work a daemon restart will be able to skip. *)
 let ckpt_stats_of_dir dir =
   let ls d = try Sys.readdir d with Sys_error _ -> [||] in
   Array.to_list (ls dir)
@@ -569,11 +568,6 @@ let ckpt_stats_of_dir dir =
          let path = Filename.concat dir name in
          if String.length name > 5 && String.sub name 0 5 = "ckpt-" && Sys.is_directory path
          then begin
-           let snapshots =
-             Array.fold_left
-               (fun acc f -> if Filename.check_suffix f ".ckpt" then acc + 1 else acc)
-               0 (ls path)
-           in
            let transients =
              match read_file (Filename.concat path "transients.jsonl") with
              | exception Sys_error _ -> 0
@@ -581,7 +575,7 @@ let ckpt_stats_of_dir dir =
            in
            Some
              { ck_machine = String.sub name 5 (String.length name - 5);
-               ck_snapshots = snapshots; ck_transients = transients }
+               ck_transients = transients }
          end
          else None)
   |> List.sort (fun a b -> compare a.ck_machine b.ck_machine)
@@ -669,7 +663,6 @@ let stat_fields s =
              (fun c ->
                Json.O
                  [ ("machine", Json.S c.ck_machine);
-                   ("snapshots", Json.N (float_of_int c.ck_snapshots));
                    ("transients", Json.N (float_of_int c.ck_transients));
                  ])
              s.st_ckpts) );
@@ -700,8 +693,7 @@ let stat_to_string s =
        :: List.map journal_line s.st_shards)
       @ List.map
           (fun c ->
-            Printf.sprintf "ckpt-%s: %d warm-state snapshots, %d transients\n" c.ck_machine
-              c.ck_snapshots c.ck_transients)
+            Printf.sprintf "ckpt-%s: %d transients\n" c.ck_machine c.ck_transients)
           s.st_ckpts)
 
 let clear p = if Sys.file_exists p then Sys.remove p

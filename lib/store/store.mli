@@ -226,11 +226,10 @@ val tune_key :
 
 type ckpt_stat = {
   ck_machine : string;  (** from the [ckpt-<machine>] directory name *)
-  ck_snapshots : int;  (** persisted [<key>.ckpt] warm-state blobs *)
   ck_transients : int;  (** lines in [transients.jsonl] *)
 }
-(** Persisted warm-state checkpoints the serve daemon keeps next to the
-    shards — the state a restart reloads instead of re-warming. *)
+(** Persisted resume-transients the serve daemon keeps next to the
+    shards — the values a restart reloads instead of re-measuring. *)
 
 type stat = {
   st_path : string;

@@ -43,7 +43,10 @@ val apply :
     transform, each repeatable sub-pass that fired, and each
     post-allocation step, the {!Ifko_analysis.Lint} suite and
     {!Passcheck} translation validation run, raising
-    {!Passcheck.Pass_failed} naming the first offending pass.
+    {!Passcheck.Pass_failed} naming the first offending pass.  Build
+    the check with {!Passcheck.of_spec} over the tune's workload; it
+    runs and compares the kernel through {!Ifko_sim.Verify}, against
+    the lowering's outputs captured before the first pass.
 
     [inject] is test-only fault injection: [(pass, break)] applies
     [break] right after the named pass so tests can assert that the

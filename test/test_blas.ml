@@ -137,6 +137,27 @@ let test_verify_releases_env () =
   Alcotest.check_raises "get_elem after release" (Invalid_argument "Env: environment already released")
     (fun () -> ignore (Ifko_sim.Env.get_elem env "Y" 0 : float))
 
+(* The generic tester holds a candidate to the reference's return: a
+   ddot whose return register was dropped fails, however equal its
+   arrays are. *)
+let test_generic_rejects_dropped_return () =
+  let compiled = Hil_sources.compile { Defs.routine = Defs.Dot; prec = Instr.D } in
+  let spec = Ifko_search.Generic.spec compiled in
+  let test = Ifko_search.Generic.test compiled spec in
+  let dropped = Cfg.copy compiled.Ifko_codegen.Lower.func in
+  let returns = ref 0 in
+  List.iter
+    (fun (b : Block.t) ->
+      match b.Block.term with
+      | Block.Ret (Some _) ->
+        incr returns;
+        b.Block.term <- Block.Ret None
+      | _ -> ())
+    dropped.Cfg.blocks;
+  Alcotest.(check bool) "ddot returns a value" true (!returns > 0);
+  Alcotest.(check bool) "the reference passes" true (test compiled.Ifko_codegen.Lower.func);
+  Alcotest.(check bool) "the dropped return fails" false (test dropped)
+
 let suite =
   [ Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "ref dot" `Quick test_ref_dot;
@@ -148,6 +169,8 @@ let suite =
     Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
     Alcotest.test_case "workload bindings" `Quick test_workload_bindings;
     QCheck_alcotest.to_alcotest prop_expectation_matches_ref;
+    Alcotest.test_case "generic test needs the return" `Quick
+      test_generic_rejects_dropped_return;
     Alcotest.test_case "HIL sources compile" `Quick test_hil_sources_compile;
     Alcotest.test_case "verify releases its env" `Quick test_verify_releases_env;
   ]

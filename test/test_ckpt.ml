@@ -121,47 +121,22 @@ let test_key_content_addressing () =
   Alcotest.(check int) "two fresh warm-ups" 2 s.Ifko_sim.Ckpt.misses;
   Alcotest.(check int) "one memory hit" 1 s.Ifko_sim.Ckpt.hits
 
-let test_disk_round_trip () =
-  let dir = temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
-      let ms = Memsys.create cfg in
-      let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      Alcotest.(check bool) "miss runs the warm-up" true
-        (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:warm_lines);
-      let reference = continuation ~base:0.0 ms in
-      (* a second cache over the same directory answers from disk, with
-         observably the same machine state *)
-      let c2 = Ifko_sim.Ckpt.create ~dir ~cfg () in
-      let ms2 = Memsys.create cfg in
-      let key2 = Ifko_sim.Ckpt.key c2 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      Alcotest.(check string) "keys are stable across instances" key key2;
-      Alcotest.(check bool) "disk hit skips the warm-up" false
-        (Ifko_sim.Ckpt.with_state c2 ~key:key2 ms2 ~warm:warm_lines);
-      let s = Ifko_sim.Ckpt.stats c2 in
-      Alcotest.(check int) "answered from disk" 1 s.Ifko_sim.Ckpt.disk_loads;
-      Alcotest.(check int) "no fresh warm-up" 0 s.Ifko_sim.Ckpt.misses;
-      Alcotest.(check (list (float 0.0))) "restored state is bit-identical" reference
-        (continuation ~base:0.0 ms2))
-
 let test_geometry_change_invalidates () =
   let dir = temp_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
-      let ms = Memsys.create cfg in
-      let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:warm_lines : bool);
+      Ifko_sim.Ckpt.set_transient c1 ~key:"warm:cand" 1.5;
       (* a different machine (cache geometry included) wipes the
-         persisted snapshots and forces a fresh warm-up *)
+         persisted transients *)
       let c2 = Ifko_sim.Ckpt.create ~dir ~cfg:Config.opteron () in
       Alcotest.(check bool) "geometry digests differ" false
         (Ifko_sim.Ckpt.geometry_digest c1 = Ifko_sim.Ckpt.geometry_digest c2);
-      Alcotest.(check int) "persisted snapshots discarded" 1
+      Alcotest.(check int) "persisted transients discarded" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.invalidated;
+      Alcotest.(check (option (float 0.0))) "no stale transient survives" None
+        (Ifko_sim.Ckpt.find_transient c2 ~key:"warm:cand");
       let ms2 = Memsys.create Config.opteron in
       let key2 = Ifko_sim.Ckpt.key c2 ~kernel:"k" ~context:"in-L2" ~n:512 in
       Alcotest.(check bool) "fresh warm-up ran" true
@@ -175,22 +150,19 @@ let test_stale_meta_invalidates () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let c1 = Ifko_sim.Ckpt.create ~dir ~cfg () in
-      let ms = Memsys.create cfg in
-      let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
-      ignore (Ifko_sim.Ckpt.with_state c1 ~key ms ~warm:warm_lines : bool);
-      (* hand-edit the meta: nothing vouches for the snapshots now *)
+      Ifko_sim.Ckpt.set_transient c1 ~key:"warm:cand" 1.5;
+      (* hand-edit the meta: nothing vouches for the transients now *)
       Out_channel.with_open_text (Filename.concat dir "store.meta") (fun oc ->
           Out_channel.output_string oc "not json\n");
       let c2 = Ifko_sim.Ckpt.create ~dir ~cfg () in
-      Alcotest.(check int) "stale meta discards snapshots" 1
+      Alcotest.(check int) "stale meta discards transients" 1
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.invalidated;
-      let ms2 = Memsys.create cfg in
-      Alcotest.(check bool) "fresh warm-up ran" true
-        (Ifko_sim.Ckpt.with_state c2 ~key ms2 ~warm:warm_lines);
-      Alcotest.(check int) "counted as a miss" 1
-        (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.misses)
+      Alcotest.(check int) "nothing reloaded" 0
+        (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.transients_loaded;
+      Alcotest.(check (option (float 0.0))) "no stale transient survives" None
+        (Ifko_sim.Ckpt.find_transient c2 ~key:"warm:cand"))
 
-(* Every call counts exactly one hit, disk load or miss, even when
+(* Every call counts exactly one hit or miss, even when
    domains race on the same keys, and reports a miss as its own
    warm-up: nothing is lost between the counters and the flag. *)
 let test_concurrent_counters () =
@@ -212,8 +184,8 @@ let test_concurrent_counters () =
     |> List.map Domain.join
   in
   let s = Ifko_sim.Ckpt.stats c in
-  Alcotest.(check int) "hits + disk loads + misses = calls" (4 * calls_per_domain)
-    (s.Ifko_sim.Ckpt.hits + s.Ifko_sim.Ckpt.disk_loads + s.Ifko_sim.Ckpt.misses);
+  Alcotest.(check int) "hits + misses = calls" (4 * calls_per_domain)
+    (s.Ifko_sim.Ckpt.hits + s.Ifko_sim.Ckpt.misses);
   Alcotest.(check int) "each miss is its caller's own warm-up" s.Ifko_sim.Ckpt.misses
     (List.fold_left ( + ) 0 warmed)
 
@@ -228,8 +200,15 @@ let test_transients_disk_round_trip () =
       Ifko_sim.Ckpt.set_transient c1 ~key:"warm:cand-b" (-3.0e-7);
       (* a value that needs the full %.17g precision to round-trip *)
       Ifko_sim.Ckpt.set_transient c1 ~key:"warm:cand-c" (1.0 /. 3.0);
+      (* warm states stay in memory: a snapshot file an older build
+         left behind is never opened *)
+      let key = Ifko_sim.Ckpt.key c1 ~kernel:"k" ~context:"in-L2" ~n:512 in
+      Out_channel.with_open_bin (Filename.concat dir (key ^ ".ckpt")) (fun oc ->
+          Out_channel.output_string oc "not a snapshot");
       (* a second cache over the same directory preloads them *)
       let c2 = Ifko_sim.Ckpt.create ~dir ~cfg () in
+      Alcotest.(check bool) "a restart warms fresh" true
+        (Ifko_sim.Ckpt.with_state c2 ~key (Memsys.create cfg) ~warm:warm_lines);
       Alcotest.(check int) "three transients reloaded" 3
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.transients_loaded;
       Alcotest.(check (option (float 0.0))) "value a survives the disk"
@@ -244,7 +223,7 @@ let test_transients_disk_round_trip () =
       Alcotest.(check int) "reloads answer as transient hits" 3
         (Ifko_sim.Ckpt.stats c2).Ifko_sim.Ckpt.transient_hits;
       (* the memo lives under the store.meta guard: a geometry change
-         wipes it with the snapshots *)
+         wipes it *)
       let c3 = Ifko_sim.Ckpt.create ~dir ~cfg:Config.opteron () in
       Alcotest.(check int) "geometry change drops the transients" 0
         (Ifko_sim.Ckpt.stats c3).Ifko_sim.Ckpt.transients_loaded;
@@ -489,7 +468,6 @@ let suite =
     Alcotest.test_case "restore shape mismatch" `Quick test_restore_shape_mismatch;
     Alcotest.test_case "rebase time translation" `Quick test_rebase_translates;
     Alcotest.test_case "key content addressing" `Quick test_key_content_addressing;
-    Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "geometry change invalidates" `Quick test_geometry_change_invalidates;
     Alcotest.test_case "stale meta invalidates" `Quick test_stale_meta_invalidates;
     Alcotest.test_case "concurrent counters" `Quick test_concurrent_counters;

@@ -229,11 +229,10 @@ let test_every_pass_validates () =
   List.iter
     (fun id ->
       let compiled = Hil_sources.compile id in
-      let check = Passcheck.generic ~line_bytes:128 compiled in
+      let check = Passcheck.of_spec ~line_bytes:128 (Ifko_search.Generic.spec compiled) in
       try ignore (Pipeline.apply ~check ~line_bytes:128 compiled (default_for id))
-      with Passcheck.Pass_failed _ as e ->
-        Alcotest.failf "%s: %s" (Defs.name id)
-          (Option.value ~default:"Pass_failed" (Passcheck.describe e)))
+      with Passcheck.Pass_failed { pass; failure } ->
+        Alcotest.failf "%s: %s" (Defs.name id) (Passcheck.describe ~pass failure))
     Defs.all
 
 (* ---------- localizing a deliberately broken transform ---------- *)
@@ -272,7 +271,7 @@ let add_undefined_read (c : Lower.compiled) =
 
 let apply_broken ~pass break =
   let compiled = Hil_sources.compile daxpy in
-  let check = Passcheck.generic ~line_bytes:128 compiled in
+  let check = Passcheck.of_spec ~line_bytes:128 (Ifko_search.Generic.spec compiled) in
   match
     Pipeline.apply ~check ~inject:(pass, break) ~line_bytes:128 compiled
       (point ~sv:false ~unroll:4 ())

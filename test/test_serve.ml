@@ -515,6 +515,43 @@ let test_daemon_protocol_errors () =
         | _ -> Alcotest.fail "connection unusable after bad lines");
         Unix.close fd)
 
+(* One client cannot grow the daemon's memory without limit: a request
+   line past 1 MiB is answered with a failure naming the limit, counted
+   as one error, and its connection is closed.  Other connections keep
+   working. *)
+let test_daemon_line_bound () =
+  with_daemon ~jobs:1 (fun listen ->
+      let errors () =
+        Client.with_client listen (fun c ->
+            match Client.stat c with
+            | Error e -> Alcotest.failf "stat failed: %s" e
+            | Ok fields -> (
+              match List.assoc_opt "server" fields with
+              | Some (Json.O server) -> (
+                match List.assoc_opt "errors" server with
+                | Some (Json.N e) -> e
+                | _ -> Alcotest.fail "no errors counter")
+              | _ -> Alcotest.fail "no server object in stat"))
+      in
+      let before = errors () in
+      let path = match listen with `Unix p -> p | `Tcp _ -> assert false in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      output_string oc (String.make ((1 lsl 20) + 1) 'x');
+      flush oc;
+      (match Proto.parse_response (input_line ic) with
+      | Ok { Proto.reply = Proto.Failed msg; _ } ->
+        Alcotest.(check bool) ("message names the limit: " ^ msg) true
+          (Test_util.contains msg (string_of_int (1 lsl 20)))
+      | _ -> Alcotest.fail "overlong line not rejected with an error reply");
+      (match input_line ic with
+      | exception End_of_file -> ()
+      | _ -> Alcotest.fail "connection left open after an overlong line");
+      Unix.close fd;
+      Alcotest.(check (float 0.0)) "one error counted" (before +. 1.0) (errors ()))
+
 let test_daemon_replica_pair () =
   (* two daemons, one store directory: what one computes, the other
      serves from its result cache via reload-on-miss *)
@@ -712,6 +749,7 @@ let suite =
       test_daemon_shared_compile_batch;
     Alcotest.test_case "daemon: protocol errors answered" `Quick
       test_daemon_protocol_errors;
+    Alcotest.test_case "daemon: request line bounded" `Quick test_daemon_line_bound;
     Alcotest.test_case "daemon: replica pair shares results" `Quick
       test_daemon_replica_pair;
     Alcotest.test_case "daemon: related kernels share warm starts" `Quick

@@ -305,6 +305,68 @@ let test_verify_tolerance () =
   Alcotest.(check bool) "close" true (Ifko_sim.Verify.close ~tol:1e-6 1.0 (1.0 +. 1e-8));
   Alcotest.(check bool) "not close" false (Ifko_sim.Verify.close ~tol:1e-9 1.0 1.1)
 
+(* The one output check: the strict return rule, the first differing
+   element, length differences, and where [close] is consulted. *)
+let test_verify_mismatch () =
+  let module V = Ifko_sim.Verify in
+  let out ?ret arrays = { V.arrays; ret } in
+  let rfp v = Some (Ifko_sim.Exec.Rfp v) and rint v = Some (Ifko_sim.Exec.Rint v) in
+  let diff ~expected got = V.mismatch ~close:(fun _ -> V.close ~tol:1e-9) ~expected got in
+  let differs what ~expected got needle =
+    match diff ~expected got with
+    | None -> Alcotest.failf "%s: no difference reported" what
+    | Some msg ->
+      Alcotest.(check bool) (what ^ ": " ^ msg) true (Test_util.contains msg needle)
+  in
+  let x = [ ("X", [| 1.0; 2.0; 3.0 |]) ] in
+  Alcotest.(check (option string)) "equal outputs agree" None
+    (diff ~expected:(out ?ret:(rfp 1.5) x) (out ?ret:(rfp 1.5) x));
+  differs "return expected, none got" ~expected:(out ?ret:(rfp 1.5) x) (out x)
+    "returned nothing";
+  differs "return got, none expected" ~expected:(out x) (out ?ret:(rfp 1.5) x) "none expected";
+  differs "int against float" ~expected:(out ?ret:(rint 1) x) (out ?ret:(rfp 1.0) x) "kind";
+  differs "float against int" ~expected:(out ?ret:(rfp 1.0) x) (out ?ret:(rint 1) x) "kind";
+  differs "int returns must be equal" ~expected:(out ?ret:(rint 1) x) (out ?ret:(rint 2) x)
+    "got 2, expected 1";
+  differs "first differing element" ~expected:(out x)
+    (out [ ("X", [| 1.0; 2.5; 9.0 |]) ])
+    "X[1]: got 2.5, expected 2";
+  differs "length" ~expected:(out x) (out [ ("X", [| 1.0; 2.0 |]) ]) "length 2, expected 3";
+  (* [close] sees None for the return value, the array's name for an
+     element, and decides alone: exact equality is not required *)
+  let seen = ref [] in
+  let near where e g =
+    seen := where :: !seen;
+    Float.abs (e -. g) < 0.1
+  in
+  Alcotest.(check (option string)) "close decides" None
+    (V.mismatch ~close:near ~expected:(out ?ret:(rfp 1.0) [ ("X", [| 1.0 |]) ])
+       (out ?ret:(rfp 1.05) [ ("X", [| 0.99 |]) ]));
+  Alcotest.(check (list (option string))) "close is asked per side" [ None; Some "X" ]
+    (List.rev !seen)
+
+(* A trap is an [Error "trap: ..."], and the environment is spent even
+   so: releasing it again raises. *)
+let test_verify_outputs_trap () =
+  let env = Ifko_sim.Env.create () in
+  Ifko_sim.Env.alloc_array env "A" Instr.D 8;
+  let f = Cfg.create ~name:"t" ~params:[ ("A", gpr 0) ] in
+  f.Cfg.blocks <-
+    [ Block.make "entry"
+        ~instrs:[ Instr.Fld (Instr.D, xmm 0, mem ~disp:(1 lsl 30) (gpr 0)) ]
+        ~term:(Block.Ret None);
+    ];
+  (match
+     Ifko_sim.Verify.outputs ~ret_fsize:Instr.D ~arrays:[ "A" ] (Ifko_sim.Exec.compile f) env
+   with
+  | Error msg ->
+    Alcotest.(check bool) ("trap reported: " ^ msg) true
+      (String.length msg > 6 && String.sub msg 0 6 = "trap: ")
+  | Ok _ -> Alcotest.fail "out-of-bounds load did not trap");
+  Alcotest.check_raises "env already released"
+    (Invalid_argument "Env.release: environment already released") (fun () ->
+      Ifko_sim.Env.release env)
+
 let test_timer_extrapolation_close () =
   (* the extrapolated timing must track full simulation closely *)
   let id = { Ifko_blas.Defs.routine = Ifko_blas.Defs.Dot; prec = Instr.D } in
@@ -479,6 +541,8 @@ let suite =
     Alcotest.test_case "spill roundtrip" `Quick test_spill_roundtrip;
     Alcotest.test_case "environment" `Quick test_env;
     Alcotest.test_case "verify tolerance" `Quick test_verify_tolerance;
+    Alcotest.test_case "verify mismatch rules" `Quick test_verify_mismatch;
+    Alcotest.test_case "verify outputs on a trap" `Quick test_verify_outputs_trap;
     Alcotest.test_case "env pool unobservable" `Quick test_env_pool_unobservable;
     Alcotest.test_case "pooled measure stability" `Quick test_pooled_measure_stability;
     Alcotest.test_case "timer extrapolation" `Quick test_timer_extrapolation_close;
