@@ -22,39 +22,55 @@ end
 
 module Make (D : DOMAIN) = struct
   type result = {
-    at_entry : (string, D.t) Hashtbl.t;  (** value at each block's entry *)
-    at_exit : (string, D.t) Hashtbl.t;  (** value at each block's exit *)
+    index : (string, int) Hashtbl.t;  (** block label -> slot *)
+    at_entry : D.t array;  (** value at each block's entry, by slot *)
+    at_exit : D.t array;  (** value at each block's exit, by slot *)
   }
 
-  let get tbl label = Option.value ~default:D.bottom (Hashtbl.find_opt tbl label)
-  let entry_value r label = get r.at_entry label
-  let exit_value r label = get r.at_exit label
+  let get r values label =
+    match Hashtbl.find_opt r.index label with Some i -> values.(i) | None -> D.bottom
+
+  let entry_value r label = get r r.at_entry label
+  let exit_value r label = get r r.at_exit label
 
   (** [run ~direction ~boundary ~transfer f] iterates [transfer] to a
       fixpoint.  [transfer b v] maps the value on [b]'s incoming side
       (entry when forward, exit when backward) to the outgoing side.
       [boundary] is the value entering the CFG: joined into the entry
       block's input when forward, into every [Ret] block's output when
-      backward. *)
+      backward.
+
+      Labels are resolved to integer slots once, up front, so a visit
+      costs array reads instead of string-keyed table lookups; a block
+      is a slot, and with duplicate labels the last block of a label
+      owns it (the others are never transferred). *)
   let run ~direction ?(boundary = D.bottom) ~transfer (f : Cfg.func) =
-    let n = List.length f.Cfg.blocks in
-    let at_entry = Hashtbl.create n and at_exit = Hashtbl.create n in
-    let preds = Cfg.predecessors f in
-    let succs b = Block.successors b.Block.term in
-    let by_label = Hashtbl.create n in
-    List.iter (fun b -> Hashtbl.replace by_label b.Block.label b) f.Cfg.blocks;
-    let entry_label =
-      match f.Cfg.blocks with [] -> None | b :: _ -> Some b.Block.label
+    let blocks = Array.of_list f.Cfg.blocks in
+    let n = Array.length blocks in
+    let index = Hashtbl.create n in
+    Array.iteri (fun i b -> Hashtbl.replace index b.Block.label i) blocks;
+    let slot (b : Block.t) = Hashtbl.find index b.Block.label in
+    let slots labels = List.filter_map (Hashtbl.find_opt index) labels in
+    (* Absint's join widens, so its result depends on visit order:
+       neighbours are visited in [Cfg.predecessors]'s and
+       [Block.successors]'s order. *)
+    let preds =
+      let by_label = Cfg.predecessors f in
+      Array.map
+        (fun b -> slots (Option.value ~default:[] (Hashtbl.find_opt by_label b.Block.label)))
+        blocks
     in
+    let succs = Array.map (fun b -> slots (Block.successors b.Block.term)) blocks in
+    let at_entry = Array.make n D.bottom and at_exit = Array.make n D.bottom in
     (* Worklist: a queue plus a membership flag so a block is enqueued
        at most once between visits.  Seeded with every block in an
        order matching the direction, for fast first-sweep convergence. *)
     let queue = Queue.create () in
-    let queued = Hashtbl.create n in
-    let enqueue label =
-      if Hashtbl.mem by_label label && not (Hashtbl.mem queued label) then begin
-        Hashtbl.replace queued label ();
-        Queue.add label queue
+    let queued = Array.make n false in
+    let enqueue i =
+      if not queued.(i) then begin
+        queued.(i) <- true;
+        Queue.add i queue
       end
     in
     let seed =
@@ -62,41 +78,41 @@ module Make (D : DOMAIN) = struct
       | Forward -> f.Cfg.blocks
       | Backward -> List.rev f.Cfg.blocks
     in
-    List.iter (fun b -> enqueue b.Block.label) seed;
+    List.iter (fun b -> enqueue (slot b)) seed;
+    let entry = match f.Cfg.blocks with [] -> -1 | b :: _ -> slot b in
     while not (Queue.is_empty queue) do
-      let label = Queue.pop queue in
-      Hashtbl.remove queued label;
-      let b = Hashtbl.find by_label label in
+      let i = Queue.pop queue in
+      queued.(i) <- false;
+      let b = blocks.(i) in
       match direction with
       | Forward ->
         let inn =
           List.fold_left
-            (fun acc p -> D.join acc (get at_exit p))
-            (if entry_label = Some label then boundary else D.bottom)
-            (Option.value ~default:[] (Hashtbl.find_opt preds label))
+            (fun acc p -> D.join acc at_exit.(p))
+            (if i = entry then boundary else D.bottom)
+            preds.(i)
         in
-        Hashtbl.replace at_entry label inn;
+        at_entry.(i) <- inn;
         let out = transfer b inn in
-        if not (D.equal out (get at_exit label)) then begin
-          Hashtbl.replace at_exit label out;
-          List.iter enqueue (succs b)
+        if not (D.equal out at_exit.(i)) then begin
+          at_exit.(i) <- out;
+          List.iter enqueue succs.(i)
         end
       | Backward ->
         let out =
           List.fold_left
-            (fun acc s -> D.join acc (get at_entry s))
+            (fun acc s -> D.join acc at_entry.(s))
             (match b.Block.term with Block.Ret _ -> boundary | _ -> D.bottom)
-            (succs b)
+            succs.(i)
         in
-        Hashtbl.replace at_exit label out;
+        at_exit.(i) <- out;
         let inn = transfer b out in
-        if not (D.equal inn (get at_entry label)) then begin
-          Hashtbl.replace at_entry label inn;
-          List.iter enqueue
-            (Option.value ~default:[] (Hashtbl.find_opt preds label))
+        if not (D.equal inn at_entry.(i)) then begin
+          at_entry.(i) <- inn;
+          List.iter enqueue preds.(i)
         end
     done;
-    { at_entry; at_exit }
+    { index; at_entry; at_exit }
 end
 
 (** The workhorse domain: sets of registers under union (liveness,

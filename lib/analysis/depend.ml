@@ -217,6 +217,12 @@ let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 let empty ~stale =
   { has_loop = false; stale; trips = None; accesses = []; pairs = []; nonaffine = [] }
 
+(** {!analyze}'s [stale] verdict without the analysis: a loop nest is
+    marked but its labels no longer name the loop's blocks. *)
+let stale (compiled : Lower.compiled) =
+  Option.is_some compiled.Lower.loopnest
+  && match Ptrinfo.loop_blocks compiled with [] -> true | _ :: _ -> false
+
 let may_alias (a : Lower.array_param) (b : Lower.array_param) =
   a.Lower.a_mayalias || b.Lower.a_mayalias
 

@@ -15,12 +15,17 @@
 
 open Ifko_codegen
 
-type t = { depend : Depend.t; compiled : Lower.compiled }
+(* The dependence analysis runs only for the queries that read it (SV,
+   WNT, the report): UR and AE check loop bookkeeping alone, and
+   analyzing the unrolled body for them was most of their cost.  A [t]
+   is built and queried within one transform call, never shared
+   between domains, so a [Lazy] is safe here. *)
+type t = { depend : Depend.t Lazy.t; compiled : Lower.compiled }
 
 let analyze (compiled : Lower.compiled) =
-  { depend = Depend.analyze compiled; compiled }
+  { depend = lazy (Depend.analyze compiled); compiled }
 
-let depend t = t.depend
+let depend t = Lazy.force t.depend
 
 let reject pass fmt = Diag.warning ~pass "IFK012" fmt
 
@@ -35,7 +40,7 @@ let describe (p : Depend.pair) =
     (distance 0).  A carried dependence, an unproven pair (MAYALIAS,
     non-affine) or an unanalyzable loop refuses. *)
 let vectorize t =
-  let d = t.depend in
+  let d = depend t in
   if not d.Depend.has_loop then
     Error
       (reject "SV" "loop nest %s: vectorization legality cannot be established"
@@ -49,7 +54,7 @@ let fresh_and_consistent pass t =
   match t.compiled.Lower.loopnest with
   | None -> Ok () (* nothing to transform: the pass no-ops *)
   | Some _ ->
-    if t.depend.Depend.stale then
+    if Depend.stale t.compiled then
       Error
         (reject pass "loop-nest labels are stale; the transform cannot locate the loop")
     else (
@@ -71,7 +76,7 @@ let accexp t = fresh_and_consistent "AE" t
     array may carry the MAYALIAS mark-up (an aliased reader could
     observe the weaker ordering). *)
 let ntwrite t =
-  let d = t.depend in
+  let d = depend t in
   let outputs =
     List.filter (fun (a : Lower.array_param) -> a.Lower.a_output) t.compiled.Lower.arrays
   in

@@ -1,13 +1,6 @@
 (** Per-block liveness, as an instance of the generic {!Dataflow}
     engine: a backward may-analysis over register sets. *)
 
-type t = {
-  live_in : (string, Reg.Set.t) Hashtbl.t;
-  live_out : (string, Reg.Set.t) Hashtbl.t;
-}
-
-let get tbl label = Option.value ~default:Reg.Set.empty (Hashtbl.find_opt tbl label)
-
 (* use/def summary of a whole block: [uses] are registers read before
    any write inside the block; [defs] are all registers written. *)
 let block_summary (b : Block.t) =
@@ -25,6 +18,8 @@ let block_summary (b : Block.t) =
 
 module Engine = Dataflow.Make (Dataflow.Reg_set_domain)
 
+type t = Engine.result
+
 let compute (f : Cfg.func) =
   let summaries = Hashtbl.create 16 in
   List.iter
@@ -34,28 +29,27 @@ let compute (f : Cfg.func) =
     let uses, defs = Hashtbl.find summaries b.Block.label in
     Reg.Set.union uses (Reg.Set.diff out defs)
   in
-  let r = Engine.run ~direction:Dataflow.Backward ~transfer f in
-  { live_in = r.Engine.at_entry; live_out = r.Engine.at_exit }
+  Engine.run ~direction:Dataflow.Backward ~transfer f
 
-let live_in t label = get t.live_in label
-let live_out t label = get t.live_out label
+let live_in = Engine.entry_value
+let live_out = Engine.exit_value
 
 let live_before_each t (b : Block.t) =
-  (* Walk backward accumulating liveness, then reverse. *)
-  let after_term = live_out t b.Block.label in
+  (* Walk backward accumulating liveness, then reverse:
+     live before [i] = uses [i] + (live after [i] - defs [i]). *)
+  let step live ~uses ~defs =
+    List.fold_left
+      (fun s r -> Reg.Set.add r s)
+      (List.fold_left (fun s r -> Reg.Set.remove r s) live defs)
+      uses
+  in
   let at_term =
-    Reg.Set.union
-      (Reg.Set.of_list (Block.term_uses b.Block.term))
-      (Reg.Set.diff after_term (Reg.Set.of_list (Block.term_defs b.Block.term)))
+    step (live_out t b.Block.label) ~uses:(Block.term_uses b.Block.term)
+      ~defs:(Block.term_defs b.Block.term)
   in
   let rec go live acc = function
     | [] -> acc
     | i :: before ->
-      let live' =
-        Reg.Set.union
-          (Reg.Set.of_list (Instr.uses i))
-          (Reg.Set.diff live (Reg.Set.of_list (Instr.defs i)))
-      in
-      go live' ((i, live) :: acc) before
+      go (step live ~uses:(Instr.uses i) ~defs:(Instr.defs i)) ((i, live) :: acc) before
   in
   go at_term [] (List.rev b.Block.instrs)

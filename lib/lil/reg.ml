@@ -26,7 +26,20 @@ let stack_ptr = { id = 7; cls = Gpr; phys = true }
 let virt cls id = { id; cls; phys = false }
 let phys cls id = { id; cls; phys = true }
 let equal a b = a.id = b.id && a.cls = b.cls && a.phys = b.phys
-let compare = compare
+
+(* A typed compare: [id], then [cls] ([Gpr] < [Xmm]), then [phys]
+   ([false] < [true]).  That is field by field, in declaration order,
+   exactly the order polymorphic [compare] gives on this record, so
+   every [Set]/[Map] iterates as it did under [Stdlib.compare] -- but
+   without a call into the C runtime under every set operation. *)
+let compare a b =
+  let c = Int.compare a.id b.id in
+  if c <> 0 then c
+  else
+    match (a.cls, b.cls) with
+    | Gpr, Xmm -> -1
+    | Xmm, Gpr -> 1
+    | Gpr, Gpr | Xmm, Xmm -> Bool.compare a.phys b.phys
 
 let gpr_names = [| "eax"; "ecx"; "edx"; "ebx"; "esi"; "edi"; "ebp"; "esp" |]
 
@@ -38,6 +51,10 @@ let to_string r =
   | Gpr, false -> Printf.sprintf "g%d" r.id
   | Xmm, false -> Printf.sprintf "x%d" r.id
 
+(* Distinct for distinct registers of any realistic id, and computed
+   inline instead of through the polymorphic [Hashtbl.hash]. *)
+let hash r = (r.id lsl 2) lor (match r.cls with Gpr -> 0 | Xmm -> 2) lor Bool.to_int r.phys
+
 module Set = Set.Make (struct
   type nonrec t = t
 
@@ -48,4 +65,11 @@ module Map = Map.Make (struct
   type nonrec t = t
 
   let compare = compare
+end)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
 end)

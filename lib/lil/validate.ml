@@ -2,9 +2,15 @@ exception Invalid of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
+(* [what] names the checked item for the error message.  It is a thunk
+   because the message is almost never built: rendering every
+   instruction with [Instr.to_string] up front cost more than all the
+   checks together.  The text is the same either way. *)
 let check_class what (r : Reg.t) cls =
-  if r.Reg.cls <> cls then
-    fail "%s: register %s should be %s" what (Reg.to_string r)
+  match (r.Reg.cls, cls) with
+  | Reg.Gpr, Reg.Gpr | Reg.Xmm, Reg.Xmm -> ()
+  | _ ->
+    fail "%s: register %s should be %s" (what ()) (Reg.to_string r)
       (match cls with Reg.Gpr -> "a GPR" | Reg.Xmm -> "an XMM register")
 
 let check_mem what (m : Instr.mem) =
@@ -12,10 +18,10 @@ let check_mem what (m : Instr.mem) =
   Option.iter (fun idx -> check_class what idx Reg.Gpr) m.Instr.index;
   (match m.Instr.scale with
   | 1 | 2 | 4 | 8 -> ()
-  | s -> fail "%s: invalid scale %d" what s)
+  | s -> fail "%s: invalid scale %d" (what ()) s)
 
 let check_instr instr =
-  let what = Instr.to_string instr in
+  let what () = Instr.to_string instr in
   let gpr r = check_class what r Reg.Gpr in
   let xmm r = check_class what r Reg.Xmm in
   let mem m = check_mem what m in
@@ -69,7 +75,7 @@ let check_instr instr =
     xmm d;
     xmm s;
     if lane < 0 || lane >= Instr.lanes sz then
-      fail "%s: lane %d out of range for precision" what lane
+      fail "%s: lane %d out of range for precision" (what ()) lane
   | Vreduce (_, _, d, s) ->
     xmm d;
     xmm s
@@ -77,15 +83,15 @@ let check_instr instr =
   | Nop -> ()
 
 let check_term labels b =
-  let what = Printf.sprintf "block %s terminator" b.Block.label in
+  let what () = Printf.sprintf "block %s terminator" b.Block.label in
   List.iter
-    (fun l -> if not (Hashtbl.mem labels l) then fail "%s: unknown target %S" what l)
+    (fun l -> if not (Hashtbl.mem labels l) then fail "%s: unknown target %S" (what ()) l)
     (Block.successors b.Block.term);
   match b.Block.term with
   | Block.Br { lhs; rhs; dec; _ } ->
     check_class what lhs Reg.Gpr;
     (match rhs with Instr.Oreg r -> check_class what r Reg.Gpr | Instr.Oimm _ -> ());
-    if dec < 0 then fail "%s: negative fused decrement" what
+    if dec < 0 then fail "%s: negative fused decrement" (what ())
   | Block.Fbr { lhs; rhs; _ } ->
     check_class what lhs Reg.Xmm;
     check_class what rhs Reg.Xmm

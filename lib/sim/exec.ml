@@ -846,7 +846,8 @@ type cblock = {
 
 type compiled = {
   c_func : Cfg.func;
-  c_digest : string;  (* of the rendered CFG; computed once at compile *)
+  c_digest : string option Atomic.t;
+      (* of the rendered CFG; computed on first [digest], see there *)
   c_blocks : cblock array;
   c_entry : int;
   c_rets : Reg.t option array;  (* terminator code [-1 - k] returns [c_rets.(k)] *)
@@ -855,7 +856,21 @@ type compiled = {
 }
 
 let func c = c.c_func
-let digest c = c.c_digest
+
+(* Rendering and hashing the whole CFG costs as much as decoding it,
+   and only the sampled timer reads the digest, so it is computed on
+   first use.  Compiled code crosses domains through the codecache, so
+   two domains may ask at once, and a [Lazy] may raise
+   [Lazy.Undefined] there.  The cell is a benign race instead: both
+   compute the same string from the same (never mutated) function, and
+   whichever store lands is kept. *)
+let digest c =
+  match Atomic.get c.c_digest with
+  | Some d -> d
+  | None ->
+    let d = Digest.to_hex (Digest.string (Cfg.to_string c.c_func)) in
+    Atomic.set c.c_digest (Some d);
+    d
 
 let fusion c =
   let instrs = Array.fold_left (fun acc b -> acc + b.c_len) 0 c.c_blocks in
@@ -1997,7 +2012,7 @@ let compile (f : Cfg.func) : compiled =
   in
   {
     c_func = f;
-    c_digest = Digest.to_hex (Digest.string (Cfg.to_string f));
+    c_digest = Atomic.make None;
     c_blocks = cblocks;
     c_entry = centry;
     c_rets = Array.of_list (List.rev !rets);

@@ -51,10 +51,13 @@ val func : compiled -> Cfg.func
 (** The function a {!compiled} was decoded from. *)
 
 val digest : compiled -> string
-(** Hex digest of the rendered CFG, computed once at {!compile} —
-    callers that key caches by compiled code (the sampled timer's
-    resume-transient memo) use this instead of re-rendering the
-    function per measurement. *)
+(** Hex MD5 of the rendered CFG ([Cfg.to_string]), computed on the
+    first call and kept — callers that key caches by compiled code (the
+    sampled timer's resume-transient memo) use this instead of
+    re-rendering the function per measurement, and code that is never
+    timed sampled never pays for it.  Safe to call from several domains
+    at once on one [compiled]: all get the same string.  The function
+    must not be mutated after {!compile}. *)
 
 val fusion : compiled -> int * int
 (** [(blocks, instrs)]: how many straight-line bodies were fused into

@@ -12,21 +12,30 @@ open Ifko_analysis
 (* Fold [Fld t, m; ...; Fop op d, a, t] into [Fopm op d, a, m] when [t]
    has exactly that one use in the block, is not live out, and neither
    [t] nor [m]'s address registers are redefined in between (stores in
-   between block the fold: they might alias [m]). *)
+   between block the fold: they might alias [m]).
+
+   Use counts come from a table built once per block (every live
+   instruction's uses plus the terminator's) and kept exact across
+   folds: a fold subtracts the uses of the killed load and of the old
+   consumer and adds those of the new [Fopm]/[Vopm].  Rescanning the
+   block for every load made the pass quadratic in the block length. *)
 let fold_loads (b : Block.t) live_out =
   let changed = ref false in
   let arr = Array.of_list b.Block.instrs in
   let n = Array.length arr in
   let killed = Array.make n false in
-  let uses_count r =
-    let c = ref 0 in
-    Array.iteri
-      (fun i instr ->
-        if not killed.(i) then
-          List.iter (fun u -> if Reg.equal u r then incr c) (Instr.uses instr))
-      arr;
-    List.iter (fun u -> if Reg.equal u r then incr c) (Block.term_uses b.Block.term);
-    !c
+  let counts : int Reg.Tbl.t = Reg.Tbl.create 64 in
+  let uses_count r = Option.value ~default:0 (Reg.Tbl.find_opt counts r) in
+  let count delta r = Reg.Tbl.replace counts r (uses_count r + delta) in
+  Array.iter (fun instr -> List.iter (count 1) (Instr.uses instr)) arr;
+  List.iter (count 1) (Block.term_uses b.Block.term);
+  let fold i j instr' =
+    List.iter (count (-1)) (Instr.uses arr.(i));
+    List.iter (count (-1)) (Instr.uses arr.(j));
+    List.iter (count 1) (Instr.uses instr');
+    arr.(j) <- instr';
+    killed.(i) <- true;
+    changed := true
   in
   for i = 0 to n - 1 do
     if not killed.(i) then
@@ -51,14 +60,10 @@ let fold_loads (b : Block.t) live_out =
               match instr with
               | Instr.Fop (sz', op, d, a, u)
                 when (not vector) && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
-                arr.(j) <- Instr.Fopm (sz', op, d, a, m);
-                killed.(i) <- true;
-                changed := true
+                fold i j (Instr.Fopm (sz', op, d, a, m))
               | Instr.Vop (sz', op, d, a, u)
                 when vector && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
-                arr.(j) <- Instr.Vopm (sz', op, d, a, m);
-                killed.(i) <- true;
-                changed := true
+                fold i j (Instr.Vopm (sz', op, d, a, m))
               | instr ->
                 let blocked' =
                   clobbers || Instr.is_store instr

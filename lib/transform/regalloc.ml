@@ -10,19 +10,29 @@ type interval = {
   mutable pinned : bool;  (** written by a fused branch: must stay in a register *)
 }
 
-(* Build live intervals over the linearized function. *)
+(* Build live intervals over the linearized function.
+
+   An interval spans every position at which its register is live, but
+   only the def, use and block-boundary positions need touching: a
+   register live after instruction [k] was either defined at or before
+   [k] in the block or is in the block's live-in (touched at the block
+   start), and is either used after [k] in the block (terminator
+   included) or is in the block's live-out (touched at the
+   terminator).  Those touches already bound [k], so the intervals are
+   the ones a touch at every live point would give, without building a
+   live set per instruction. *)
 let build_intervals (f : Cfg.func) =
   let live = Liveness.compute f in
-  let tbl : (Reg.t, interval) Hashtbl.t = Hashtbl.create 32 in
+  let tbl : interval Reg.Tbl.t = Reg.Tbl.create 32 in
   let touch pos r =
-    match Hashtbl.find_opt tbl r with
+    match Reg.Tbl.find_opt tbl r with
     | Some iv ->
       if pos < iv.istart then iv.istart <- pos;
       if pos > iv.iend then iv.iend <- pos
-    | None -> Hashtbl.replace tbl r { reg = r; istart = pos; iend = pos; weight = 0; pinned = false }
+    | None -> Reg.Tbl.replace tbl r { reg = r; istart = pos; iend = pos; weight = 0; pinned = false }
   in
   let weigh r =
-    match Hashtbl.find_opt tbl r with Some iv -> iv.weight <- iv.weight + 1 | None -> ()
+    match Reg.Tbl.find_opt tbl r with Some iv -> iv.weight <- iv.weight + 1 | None -> ()
   in
   (* Parameters are defined at entry. *)
   List.iter (fun (_, r) -> touch 0 r) f.Cfg.params;
@@ -32,14 +42,13 @@ let build_intervals (f : Cfg.func) =
       incr pos;
       Reg.Set.iter (touch !pos) (Liveness.live_in live b.Block.label);
       List.iter
-        (fun (i, live_after) ->
+        (fun i ->
           incr pos;
           List.iter (touch !pos) (Instr.defs i);
           List.iter (touch !pos) (Instr.uses i);
           List.iter weigh (Instr.defs i);
-          List.iter weigh (Instr.uses i);
-          Reg.Set.iter (touch !pos) live_after)
-        (Liveness.live_before_each live b);
+          List.iter weigh (Instr.uses i))
+        b.Block.instrs;
       incr pos;
       List.iter (touch !pos) (Block.term_uses b.Block.term);
       List.iter (touch !pos) (Block.term_defs b.Block.term);
@@ -47,19 +56,26 @@ let build_intervals (f : Cfg.func) =
       Reg.Set.iter (touch !pos) (Liveness.live_out live b.Block.label);
       (match b.Block.term with
       | Block.Br { lhs; dec; _ } when dec > 0 -> (
-        match Hashtbl.find_opt tbl lhs with
+        match Reg.Tbl.find_opt tbl lhs with
         | Some iv -> iv.pinned <- true
         | None -> ())
       | _ -> ()))
     f.Cfg.blocks;
-  Hashtbl.fold (fun _ iv acc -> iv :: acc) tbl []
+  Reg.Tbl.fold (fun _ iv acc -> iv :: acc) tbl []
 
 (* One linear-scan pass.  Returns either a complete assignment or the
    set of virtual registers to spill.  [spillable] excludes registers
    whose spilling cannot make progress (pinned counters, the reload
    temporaries of earlier rounds, minimal def-use ranges). *)
 let scan ~spillable intervals =
-  let sorted = List.sort (fun a b -> compare (a.istart, a.reg) (b.istart, b.reg)) intervals in
+  (* By start, then register: a total order, so the table's iteration
+     order in [build_intervals] does not matter. *)
+  let sorted =
+    List.sort
+      (fun a b ->
+        match Int.compare a.istart b.istart with 0 -> Reg.compare a.reg b.reg | c -> c)
+      intervals
+  in
   let pool = function Reg.Gpr -> List.init 6 Fun.id | Reg.Xmm -> List.init 8 Fun.id in
   let free = Hashtbl.create 2 in
   Hashtbl.replace free Reg.Gpr (pool Reg.Gpr);
@@ -67,7 +83,7 @@ let scan ~spillable intervals =
   let active : (Reg.cls, (interval * int) list) Hashtbl.t = Hashtbl.create 2 in
   Hashtbl.replace active Reg.Gpr [];
   Hashtbl.replace active Reg.Xmm [];
-  let assignment : (Reg.t, int) Hashtbl.t = Hashtbl.create 32 in
+  let assignment : int Reg.Tbl.t = Reg.Tbl.create 32 in
   let spills = ref [] in
   List.iter
     (fun iv ->
@@ -82,7 +98,7 @@ let scan ~spillable intervals =
       match Hashtbl.find free cls with
       | id :: rest ->
         Hashtbl.replace free cls rest;
-        Hashtbl.replace assignment iv.reg id;
+        Reg.Tbl.replace assignment iv.reg id;
         Hashtbl.replace active cls ((iv, id) :: still_active)
       | [] ->
         (* Poletto's heuristic: spill the eligible candidate whose
@@ -92,7 +108,9 @@ let scan ~spillable intervals =
         let eligible (a, _) = (not a.pinned) && spillable a.reg && a.iend - a.istart > 3 in
         let candidates = List.filter eligible ((iv, -1) :: still_active) in
         (match
-           List.sort (fun (a, _) (b, _) -> compare (-a.iend, a.weight) (-b.iend, b.weight))
+           List.sort
+             (fun (a, _) (b, _) ->
+               match Int.compare b.iend a.iend with 0 -> Int.compare a.weight b.weight | c -> c)
              candidates
          with
         | [] -> raise (Failure "register pressure cannot be relieved by spilling")
@@ -100,8 +118,8 @@ let scan ~spillable intervals =
           spills := victim.reg :: !spills;
           if vid >= 0 then begin
             (* hand the victim's register to the current interval *)
-            Hashtbl.remove assignment victim.reg;
-            Hashtbl.replace assignment iv.reg vid;
+            Reg.Tbl.remove assignment victim.reg;
+            Reg.Tbl.replace assignment iv.reg vid;
             Hashtbl.replace active cls
               ((iv, vid) :: List.filter (fun (a, _) -> a != victim) still_active)
           end))
@@ -111,8 +129,8 @@ let scan ~spillable intervals =
 (* Rewrite every touch of the spilled registers through fresh
    temporaries around loads/stores to a dedicated frame slot. *)
 let insert_spill_code (f : Cfg.func) spilled =
-  let slot_of : (Reg.t, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace slot_of r (Cfg.alloc_slot f)) spilled;
+  let slot_of : int Reg.Tbl.t = Reg.Tbl.create 8 in
+  List.iter (fun r -> Reg.Tbl.replace slot_of r (Cfg.alloc_slot f)) spilled;
   let slot_mem disp = Instr.mk_mem ~disp Reg.frame_ptr in
   let load cls t disp =
     match cls with
@@ -124,14 +142,14 @@ let insert_spill_code (f : Cfg.func) spilled =
     | Reg.Gpr -> Instr.Ist (slot_mem disp, t)
     | Reg.Xmm -> Instr.Vst (Instr.D, slot_mem disp, t)
   in
-  let is_spilled r = Hashtbl.mem slot_of r in
+  let is_spilled r = Reg.Tbl.mem slot_of r in
   (* Parameters that were spilled must be saved to their slot at entry,
      while their register is still live. *)
   let entry = Cfg.entry f in
   let param_saves =
     List.filter_map
       (fun (_, r) ->
-        match Hashtbl.find_opt slot_of r with
+        match Reg.Tbl.find_opt slot_of r with
         | Some disp -> Some (store r.Reg.cls disp r)
         | None -> None)
       f.Cfg.params
@@ -148,42 +166,42 @@ let insert_spill_code (f : Cfg.func) spilled =
           else begin
             let used = List.filter is_spilled (Instr.uses i) in
             let defined = List.filter is_spilled (Instr.defs i) in
-            let mapping = Hashtbl.create 4 in
+            let mapping = Reg.Tbl.create 4 in
             List.iter
               (fun r ->
-                if not (Hashtbl.mem mapping r) then begin
+                if not (Reg.Tbl.mem mapping r) then begin
                   let t = Cfg.fresh_reg f r.Reg.cls in
-                  Hashtbl.replace mapping r t;
-                  emit (load r.Reg.cls t (Hashtbl.find slot_of r))
+                  Reg.Tbl.replace mapping r t;
+                  emit (load r.Reg.cls t (Reg.Tbl.find slot_of r))
                 end)
               used;
             List.iter
               (fun r ->
-                if not (Hashtbl.mem mapping r) then
-                  Hashtbl.replace mapping r (Cfg.fresh_reg f r.Reg.cls))
+                if not (Reg.Tbl.mem mapping r) then
+                  Reg.Tbl.replace mapping r (Cfg.fresh_reg f r.Reg.cls))
               defined;
-            let subst r = Option.value ~default:r (Hashtbl.find_opt mapping r) in
+            let subst r = Option.value ~default:r (Reg.Tbl.find_opt mapping r) in
             emit (Instr.map_regs subst i);
             List.iter
-              (fun r -> emit (store r.Reg.cls (Hashtbl.find slot_of r) (Hashtbl.find mapping r)))
+              (fun r -> emit (store r.Reg.cls (Reg.Tbl.find slot_of r) (Reg.Tbl.find mapping r)))
               defined
           end)
         b.Block.instrs;
       (* Terminator uses. *)
       let term_used = List.filter is_spilled (Block.term_uses b.Block.term) in
-      let mapping = Hashtbl.create 2 in
+      let mapping = Reg.Tbl.create 2 in
       List.iter
         (fun r ->
-          if not (Hashtbl.mem mapping r) then begin
+          if not (Reg.Tbl.mem mapping r) then begin
             let t = Cfg.fresh_reg f r.Reg.cls in
-            Hashtbl.replace mapping r t;
-            emit (load r.Reg.cls t (Hashtbl.find slot_of r))
+            Reg.Tbl.replace mapping r t;
+            emit (load r.Reg.cls t (Reg.Tbl.find slot_of r))
           end)
         term_used;
-      if Hashtbl.length mapping > 0 then
+      if Reg.Tbl.length mapping > 0 then
         b.Block.term <-
           Block.map_term_regs
-            (fun r -> Option.value ~default:r (Hashtbl.find_opt mapping r))
+            (fun r -> Option.value ~default:r (Reg.Tbl.find_opt mapping r))
             b.Block.term;
       b.Block.instrs <- List.rev !out)
     f.Cfg.blocks
@@ -192,7 +210,7 @@ let apply_assignment (f : Cfg.func) assignment =
   let subst (r : Reg.t) =
     if r.Reg.phys then r
     else
-      match Hashtbl.find_opt assignment r with
+      match Reg.Tbl.find_opt assignment r with
       | Some id -> Reg.phys r.Reg.cls id
       | None -> (
         (* Never-live register (e.g. unused parameter): any register of

@@ -443,6 +443,29 @@ let test_predictor_parity () =
     ];
   run_both ~timed:true ~ret_fsize:Instr.D "alternating branch" f (fun () -> Env.create ())
 
+(* [Exec.digest] is computed on first use while compiled code is shared
+   across domains: two domains forcing it at once on one [compiled]
+   must both get the MD5 of the rendered CFG, and neither may raise. *)
+let test_digest_two_domains () =
+  let func = (Hil_sources.compile { Defs.routine = Defs.Dot; prec = Instr.D }).Ifko_codegen.Lower.func in
+  let expected = Digest.to_hex (Digest.string (Cfg.to_string func)) in
+  for _ = 1 to 20 do
+    let c = Exec.compile func in
+    let ready = Atomic.make 0 in
+    let force () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      Exec.digest c
+    in
+    let other = Domain.spawn force in
+    let mine = force () in
+    let theirs = Domain.join other in
+    Alcotest.(check string) "this domain" expected mine;
+    Alcotest.(check string) "other domain" expected theirs
+  done
+
 let suite =
   [ Alcotest.test_case "BLAS kernels bit-identical" `Quick test_blas_equivalence;
     Alcotest.test_case "adversarial cache geometries" `Quick test_adversarial_geometries;
@@ -451,6 +474,7 @@ let suite =
     Alcotest.test_case "trap parity" `Quick test_trap_parity;
     Alcotest.test_case "vector trap order unified" `Quick test_vector_trap_order;
     Alcotest.test_case "lazy label resolution" `Quick test_lazy_label_resolution;
-    Alcotest.test_case "branch predictor parity" `Quick test_predictor_parity
+    Alcotest.test_case "branch predictor parity" `Quick test_predictor_parity;
+    Alcotest.test_case "digest forced from two domains" `Quick test_digest_two_domains;
   ]
   @ corpus_cases

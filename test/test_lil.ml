@@ -84,6 +84,46 @@ let expect_invalid f =
   | exception Validate.Invalid _ -> ()
   | () -> Alcotest.fail "expected Validate.Invalid"
 
+(* The exact diagnostics: the validator builds its message only on
+   failure, and the text must not change for it. *)
+let expect_message msg f =
+  match Validate.check f with
+  | exception Validate.Invalid s -> Alcotest.(check string) "message" msg s
+  | () -> Alcotest.fail "expected Validate.Invalid"
+
+let test_validate_messages () =
+  let one instr = mk_func [ Block.make "entry" ~instrs:[ instr ] ~term:(Block.Ret None) ] in
+  expect_message "movsd  g0, [g1]: register g0 should be an XMM register"
+    (one (Instr.Fld (Instr.D, gpr 0, mem (gpr 1))));
+  expect_message "addpd  x0, x1, g2: register g2 should be an XMM register"
+    (one (Instr.Vop (Instr.D, Instr.Fadd, xmm 0, xmm 1, gpr 2)));
+  expect_message "movsd  x0, [g0 + g1*3 +8]: invalid scale 3"
+    (one (Instr.Fld (Instr.D, xmm 0, mem ~index:(gpr 1) ~scale:3 ~disp:8 (gpr 0))));
+  expect_message "block entry terminator: unknown target \"missing\""
+    (mk_func [ Block.make "entry" ~term:(Block.Jmp "missing") ])
+
+(* [Reg.compare] is typed but must order exactly as polymorphic
+   compare did: every [Reg.Set]/[Reg.Map] iteration depends on it. *)
+let test_reg_compare_order () =
+  let regs =
+    List.concat_map
+      (fun id ->
+        List.concat_map
+          (fun cls -> [ { Reg.id; cls; phys = false }; { Reg.id; cls; phys = true } ])
+          [ Reg.Gpr; Reg.Xmm ])
+      (List.init 22 (fun i -> i - 1))
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let sign x = Int.compare x 0 in
+          if sign (Reg.compare a b) <> sign (Stdlib.compare a b) then
+            Alcotest.failf "Reg.compare %s %s disagrees with Stdlib.compare" (Reg.to_string a)
+              (Reg.to_string b))
+        regs)
+    regs
+
 let test_validate_ok () =
   let f =
     mk_func
@@ -169,5 +209,7 @@ let suite =
     Alcotest.test_case "validate no ret" `Quick test_validate_no_ret;
     Alcotest.test_case "validate duplicate label" `Quick test_validate_duplicate_label;
     Alcotest.test_case "validate physical" `Quick test_validate_physical;
+    Alcotest.test_case "validate messages" `Quick test_validate_messages;
+    Alcotest.test_case "Reg.compare keeps polymorphic order" `Quick test_reg_compare_order;
     Alcotest.test_case "asm printer" `Quick test_pp_smoke;
   ]

@@ -14,6 +14,7 @@ let () =
       ("ckpt", Test_ckpt.suite);
       ("exec-compiled", Test_exec_compiled.suite);
       ("transform", Test_transform.suite);
+      ("pipeline-golden", Test_pipeline_golden.suite);
       ("regalloc", Test_regalloc.suite);
       ("par", Test_par.suite);
       ("store", Test_store.suite);

@@ -311,6 +311,46 @@ let test_peephole_no_fold_when_live () =
   ignore (Peephole.run f : bool);
   Alcotest.(check int) "three instrs stay" 3 (List.length b.Block.instrs)
 
+let test_peephole_no_fold_two_uses () =
+  (* the second use is the terminator's: still two uses, no fold *)
+  let b =
+    Block.make "entry"
+      ~instrs:
+        [ Instr.Fld (Instr.D, xmm 1, mem (gpr 0));
+          Instr.Fop (Instr.D, Instr.Fmul, xmm 2, xmm 0, xmm 1);
+        ]
+      ~term:
+        (Block.Fbr
+           { fsize = Instr.D; cmp = Instr.Lt; lhs = xmm 1; rhs = xmm 2; ifso = "out"; ifnot = "out" })
+  in
+  let f = Cfg.create ~name:"t" ~params:[ ("A", gpr 0) ] in
+  f.Cfg.blocks <- [ b; Block.make "out" ~term:(Block.Ret None) ];
+  ignore (Peephole.run f : bool);
+  match b.Block.instrs with
+  | [ Instr.Fld _; Instr.Fop _ ] -> ()
+  | _ -> Alcotest.fail "a load with two uses was folded"
+
+let test_peephole_folds_two_loads () =
+  (* two folds in one block: the use-count table, kept across the
+     first fold, must still let the second one fire *)
+  let b =
+    Block.make "entry"
+      ~instrs:
+        [ Instr.Fld (Instr.D, xmm 1, mem (gpr 0));
+          Instr.Fop (Instr.D, Instr.Fmul, xmm 2, xmm 0, xmm 1);
+          Instr.Fld (Instr.D, xmm 3, mem ~disp:8 (gpr 0));
+          Instr.Fop (Instr.D, Instr.Fadd, xmm 4, xmm 2, xmm 3);
+        ]
+      ~term:(Block.Ret (Some (xmm 4)))
+  in
+  let f = Cfg.create ~name:"t" ~params:[ ("A", gpr 0) ] in
+  f.Cfg.blocks <- [ b ];
+  Alcotest.(check bool) "changed" true (Peephole.run f);
+  match b.Block.instrs with
+  | [ Instr.Fopm (_, Instr.Fmul, _, _, m1); Instr.Fopm (_, Instr.Fadd, _, _, m2) ] ->
+    Alcotest.(check (pair int int)) "memory operands" (0, 8) (m1.Instr.disp, m2.Instr.disp)
+  | _ -> Alcotest.fail "both loads should fold"
+
 let test_branchopt () =
   let f = Cfg.create ~name:"t" ~params:[] in
   f.Cfg.blocks <-
@@ -357,6 +397,8 @@ let suite =
       Alcotest.test_case "faint code" `Quick test_faint_code;
       Alcotest.test_case "peephole folds loads" `Quick test_peephole_folds;
       Alcotest.test_case "peephole keeps live loads" `Quick test_peephole_no_fold_when_live;
+      Alcotest.test_case "peephole keeps two-use loads" `Quick test_peephole_no_fold_two_uses;
+      Alcotest.test_case "peephole folds two loads" `Quick test_peephole_folds_two_loads;
       Alcotest.test_case "branch cleanup" `Quick test_branchopt;
       Alcotest.test_case "branch cleanup protection" `Quick test_branchopt_protect;
       Alcotest.test_case "pipeline emits physical code" `Quick test_pipeline_validates_physical;
