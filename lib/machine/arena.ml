@@ -19,10 +19,10 @@
    arbitrary state like any other, and the next reset re-establishes
    the invariant.
 
-   Pools are keyed by [Config.geometry] — the same canonical string the
-   checkpoint store uses — so two configs share instances exactly when
-   every timing-relevant parameter agrees.  The pool is bounded per
-   geometry; beyond that instances are simply dropped for the GC. *)
+   Pools are keyed by [Config.geometry], so two configs share instances
+   exactly when every timing-relevant parameter agrees.  The pool is
+   bounded per geometry; beyond that instances are simply dropped for
+   the GC. *)
 
 let max_pooled_per_geometry = 32
 

@@ -142,10 +142,9 @@ let of_name = function
   | other -> Error (Printf.sprintf "unknown machine %S (p4e|opteron)" other)
 
 (** Canonical rendering of every parameter that can influence the
-    memory system's state or timing.  Warm-state checkpoints (Ckpt in
-    lib/sim) embed this in their on-disk metadata: change any cache
-    geometry or bus/latency parameter and persisted transients are
-    invalidated rather than silently reused. *)
+    memory system's state or timing.  Memory-system pools (Arena) are
+    keyed by it, so two configurations that differ in any cache
+    geometry or bus/latency parameter never share a pooled system. *)
 let geometry t =
   let lvl l = Printf.sprintf "%d/%d/%d/%d" l.size l.line l.assoc l.latency in
   Printf.sprintf

@@ -775,12 +775,6 @@ let pending_writeback_cost t =
   let l2b = Cache.dirty_lines t.l2 * Cache.line_bytes t.l2 in
   float_of_int (l1b + l2b) *. t.cfg.Config.wb_extra /. t.cfg.Config.bus_bytes_per_cycle
 
-let stats t =
-  let h1, m1 = Cache.stats t.l1 and h2, m2 = Cache.stats t.l2 in
-  Printf.sprintf
-    "L1 %d hit / %d miss; L2 %d hit / %d miss; swpf %d issued / %d dropped; hwpf %d; nt %d; bus %.0f"
-    h1 m1 h2 m2 t.sw_pf_issued t.sw_pf_dropped t.hw_pf_issued t.nt_lines t.fl.(f_claims)
-
 type profile = {
   loads : int;
   stores : int;

@@ -84,9 +84,6 @@ val pending_writeback_cost : t -> float
     traffic is charged at its steady-state rate regardless of whether
     the sampled problem size exceeds L2. *)
 
-val stats : t -> string
-(** Human-readable hit/miss/drop counters (for the CLI's -v mode). *)
-
 (** {2 Profiling}
 
     Fast-path coverage and cycle-attribution counters, accumulated

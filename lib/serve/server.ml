@@ -72,8 +72,7 @@ type t = {
       (* daemon-wide: distinct in-flight tunes (same kernel, different
          N / context / fidelity) compile each candidate once *)
   ckpts : (string, Ckpt.t) Hashtbl.t;
-      (* per machine name, created on first use; persisted under
-         store_dir/ckpt-<machine> so warm states survive restarts *)
+      (* per machine name, created on first use; in memory only *)
   mutable n_requests : int;
   mutable n_tunes : int;  (* tune ops that ran the search *)
   mutable n_tune_hits : int;  (* tune ops answered from the result cache *)
@@ -135,9 +134,9 @@ let lookup_result t key =
   | None -> None
   | Some entry -> decode_result entry
 
-(* One persistent checkpoint cache per machine: warm states and their
-   companion transients are keyed by (kernel|seed, context, N) inside,
-   so every tune of a machine shares the same cache safely. *)
+(* One in-memory checkpoint cache per machine: warm states are keyed by
+   (kernel|seed, context, N) inside, so every tune of a machine shares
+   the same cache safely. *)
 let ckpt_for t cfgm =
   let name = cfgm.Config.name in
   Mutex.lock t.mu;
@@ -145,8 +144,7 @@ let ckpt_for t cfgm =
     match Hashtbl.find_opt t.ckpts name with
     | Some c -> c
     | None ->
-      let dir = Filename.concat t.cfg.store_dir ("ckpt-" ^ name) in
-      let c = Ckpt.create ~dir ~cfg:cfgm () in
+      let c = Ckpt.create ~cfg:cfgm () in
       Hashtbl.add t.ckpts name c;
       c
   in
@@ -261,10 +259,6 @@ let stat_fields t =
   let ckpt =
     [ ("hits", Json.N (sum (fun (st : Ckpt.stats) -> st.Ckpt.hits)));
       ("misses", Json.N (sum (fun st -> st.Ckpt.misses)));
-      ("invalidated", Json.N (sum (fun st -> st.Ckpt.invalidated)));
-      ("transient_hits", Json.N (sum (fun st -> st.Ckpt.transient_hits)));
-      ("transient_misses", Json.N (sum (fun st -> st.Ckpt.transient_misses)));
-      ("transients_loaded", Json.N (sum (fun st -> st.Ckpt.transients_loaded)));
     ]
   in
   let cc = Codecache.stats t.codecache in

@@ -8,42 +8,27 @@
     probe of the same tune, which is observably identical to re-running
     the warm-up (verified by the bit-identity tests).
 
-    Snapshots live in memory only.  What persists, with a [dir], is
-    the per-candidate transient memo ({!find_transient}): it carries
-    all of a restart's measurable gain, while re-running one warm-up
-    per state costs nothing measurable.
-
-    Invalidation mirrors the probe store's content addressing:
-    - a {e kernel edit} changes the fingerprint, hence the key;
-    - a {e cache-geometry (or any machine-parameter) change} changes
-      the geometry digest recorded in the persistence directory's
-      [store.meta], which wipes the persisted transients on open;
-    - a {e stale or hand-edited store.meta} (wrong schema, unparsable,
-      missing) likewise discards them rather than trusting them.
-
-    None of them can therefore reuse a wrong value. *)
+    Everything — snapshots, the per-candidate transient memo
+    ({!find_transient}) and the environment masters ({!master_memo}) —
+    lives in one process's memory and is never read from or written to
+    disk, so a restart starts cold.  Invalidation is by key content: a
+    kernel edit changes the fingerprint, and the machine name, context
+    and N are all part of the key; a [t] serves the one machine
+    configuration it was created for.  No state can therefore be
+    reused for a different one. *)
 
 type t
 
 type stats = {
   hits : int;  (** warm states answered from memory *)
   disk_loads : int;
-      (** always 0: snapshots no longer persist; the field stays for
-          callers that still sum it *)
+      (** always 0: nothing persists; the field stays for callers that
+          still sum it *)
   misses : int;  (** fresh warm-ups run (then captured) *)
-  invalidated : int;  (** persisted transient sets discarded on open *)
-  transient_hits : int;  (** resume-transients answered from the memo *)
-  transient_misses : int;  (** resume-transients that had to be measured *)
-  transients_loaded : int;  (** transients preloaded from disk on open *)
 }
 
-val create : ?dir:string -> cfg:Ifko_machine.Config.t -> unit -> t
-(** In-memory checkpoint cache for machine [cfg]; with [dir], the
-    transients also persist there ([transients.jsonl] plus a
-    [store.meta] recording the schema version and geometry digest).
-    Persistence is best-effort: I/O failures only cost future
-    companion windows.  [.ckpt] snapshot files that older builds left
-    in [dir] are never opened. *)
+val create : cfg:Ifko_machine.Config.t -> unit -> t
+(** An empty checkpoint cache for machine [cfg]. *)
 
 val key : t -> kernel:string -> context:string -> n:int -> string
 (** Digest of (kernel fingerprint, machine name, context, N). *)
@@ -67,23 +52,16 @@ val find_transient : t -> key:string -> float option
 (** Look up a per-(warm state, compiled code) scalar — the sampled
     timer memoizes each candidate's resume-transient here, keyed by
     (snapshot key, code digest), so each distinct candidate's restart
-    cost is priced exactly once.  With a persistence [dir], transients
-    reload on open (from [transients.jsonl], %.17g round-trip exact),
-    so a daemon restart does not repay every companion rate window;
-    the file lives under the [store.meta] guard and is wiped when the
-    guard fails. *)
+    cost is priced exactly once. *)
 
 val set_transient : t -> key:string -> float -> unit
-(** Record a transient (appending to [transients.jsonl] when
-    persistent).  Values are deterministic functions of their key, so
-    concurrent writers racing on one key are benign. *)
+(** Record a transient.  Values are deterministic functions of their
+    key, so concurrent writers racing on one key are benign. *)
 
 val master_memo : t -> key:string -> (unit -> Env.master) -> Env.master
-(** Session-only memo for pristine environment images (see
-    {!Env.capture}), keyed by (kernel fingerprint, element count); the
-    sampled timer also reads each kernel's page geometry off a tiny
-    one.  [f] must be a pure function of [key]; it runs outside the
+(** Memo for pristine environment images (see {!Env.capture}), keyed
+    by (kernel fingerprint, element count); the sampled timer also
+    reads each kernel's page geometry off a tiny one.  [f] must be a pure function of [key]; it runs outside the
     lock, and racing computations are benign. *)
 
 val stats : t -> stats
-val geometry_digest : t -> string

@@ -535,8 +535,6 @@ let tune_key ?strategy ~kernel ~machine ~context ~n ~seed ~check ~flops_per_n ()
 
 (* ---------------------------------------------------------------- *)
 
-type ckpt_stat = { ck_machine : string; ck_transients : int }
-
 type stat = {
   st_path : string;
   st_dir : bool;
@@ -554,31 +552,7 @@ type stat = {
   st_misses : int;
   st_joins : int;
   st_shards : stat list;
-  st_ckpts : ckpt_stat list;
 }
-
-(* The serve daemon persists resume-transient scalars next to the
-   shards (one ckpt-<machine> directory each, holding a
-   transients.jsonl).  Counting them here makes `ifko store stat` show
-   how much transient work a daemon restart will be able to skip. *)
-let ckpt_stats_of_dir dir =
-  let ls d = try Sys.readdir d with Sys_error _ -> [||] in
-  Array.to_list (ls dir)
-  |> List.filter_map (fun name ->
-         let path = Filename.concat dir name in
-         if String.length name > 5 && String.sub name 0 5 = "ckpt-" && Sys.is_directory path
-         then begin
-           let transients =
-             match read_file (Filename.concat path "transients.jsonl") with
-             | exception Sys_error _ -> 0
-             | s -> String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
-           in
-           Some
-             { ck_machine = String.sub name 5 (String.length name - 5);
-               ck_transients = transients }
-         end
-         else None)
-  |> List.sort (fun a b -> compare a.ck_machine b.ck_machine)
 
 (* Counts over a set of journals; the service-level counters and the
    per-shard breakdown are filled in by [stat]. *)
@@ -618,7 +592,6 @@ let tally path js =
     st_misses = 0;
     st_joins = 0;
     st_shards = [];
-    st_ckpts = [];
   }
 
 let stat t =
@@ -630,7 +603,6 @@ let stat t =
     st_misses = misses t;
     st_joins = Atomic.get t.join_count;
     st_shards = List.map (fun j -> tally j.path [ j ]) js;
-    st_ckpts = (if t.is_dir then ckpt_stats_of_dir t.root else []);
   }
 
 (* Follows the [Diag.to_json] conventions: one object, every field
@@ -657,15 +629,6 @@ let stat_fields s =
       ("shards", Json.N (float_of_int (List.length s.st_shards)));
       ("inflight_joins", Json.N (float_of_int s.st_joins));
       ("per_shard", Json.A (List.map (fun st -> Json.O (journal_fields st)) s.st_shards));
-      ( "ckpt_dirs",
-        Json.A
-          (List.map
-             (fun c ->
-               Json.O
-                 [ ("machine", Json.S c.ck_machine);
-                   ("transients", Json.N (float_of_int c.ck_transients));
-                 ])
-             s.st_ckpts) );
     ]
 
 let stat_json s = Json.render (stat_fields s)
@@ -686,14 +649,10 @@ let stat_to_string s =
   if not s.st_dir then journal_line s
   else
     String.concat ""
-      ((Printf.sprintf "%s: %d shards, %d entries, %d bytes%s%s\n" s.st_path
-          (List.length s.st_shards) s.st_entries s.st_bytes
-          (if s.st_corrupt > 0 then Printf.sprintf ", %d corrupt lines" s.st_corrupt else "")
-          (if s.st_torn > 0 then Printf.sprintf ", %d torn lines" s.st_torn else "")
-       :: List.map journal_line s.st_shards)
-      @ List.map
-          (fun c ->
-            Printf.sprintf "ckpt-%s: %d transients\n" c.ck_machine c.ck_transients)
-          s.st_ckpts)
+      (Printf.sprintf "%s: %d shards, %d entries, %d bytes%s%s\n" s.st_path
+         (List.length s.st_shards) s.st_entries s.st_bytes
+         (if s.st_corrupt > 0 then Printf.sprintf ", %d corrupt lines" s.st_corrupt else "")
+         (if s.st_torn > 0 then Printf.sprintf ", %d torn lines" s.st_torn else "")
+      :: List.map journal_line s.st_shards)
 
 let clear p = if Sys.file_exists p then Sys.remove p

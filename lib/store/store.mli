@@ -224,13 +224,6 @@ val tune_key :
 
 (** {2 Statistics} *)
 
-type ckpt_stat = {
-  ck_machine : string;  (** from the [ckpt-<machine>] directory name *)
-  ck_transients : int;  (** lines in [transients.jsonl] *)
-}
-(** Persisted resume-transients the serve daemon keeps next to the
-    shards — the values a restart reloads instead of re-measuring. *)
-
 type stat = {
   st_path : string;
   st_dir : bool;  (** a shard directory rather than a journal file *)
@@ -248,7 +241,6 @@ type stat = {
   st_misses : int;
   st_joins : int;
   st_shards : stat list;  (** one per journal, in shard order *)
-  st_ckpts : ckpt_stat list;  (** directories only; sorted by machine *)
 }
 
 val stat : t -> stat
@@ -256,8 +248,9 @@ val stat : t -> stat
 
 val stat_fields : stat -> (string * Json.value) list
 (** The [stat] object's fields — the journal counts, the service
-    counters, a ["per_shard"] array of per-journal objects and a
-    ["ckpt_dirs"] array — for embedding into larger JSON documents. *)
+    counters and a ["per_shard"] array of per-journal objects — for
+    embedding into larger JSON documents.  Only the journals are
+    counted: no other file in a shard directory is read. *)
 
 val stat_json : stat -> string
 (** One JSON object, [Diag.to_json]-style: every field present, [null]

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Serve smoke: boot the tuning daemon on a Unix socket, run a cold
 # tune, assert the warm lookup is answered from the result cache, pull
-# the JSON stats, and shut down gracefully.  Then treat the daemon's
-# store directory as the CLI's store: stat and compact it, and re-run
+# the JSON stats, and shut down gracefully.  Check the daemon left only
+# store.meta and the shard journals behind, then treat its store
+# directory as the CLI's store: stat and compact it, and re-run
 # the same tune through `ifko tune --store`, which must compute no
 # probe.  Every step is timeout-bounded so a wedged daemon fails the
 # gate instead of hanging it.  Run from the repository root after
@@ -41,6 +42,13 @@ grep -q '"per_shard"' "$TMP/stat.out"
 
 timeout 60 $IFKO query shutdown --socket "$SOCK"
 wait $DAEMON_PID
+
+# The daemon leaves nothing but the store: store.meta and the shards.
+STRAY=$(find "$TMP/store" -mindepth 1 ! -name store.meta ! -name 'shard-*.jsonl')
+if [ -n "$STRAY" ]; then
+  echo "serve_smoke: unexpected files in the store directory: $STRAY" >&2
+  exit 1
+fi
 
 # One store format: the daemon's directory is an ordinary store.
 timeout 60 $IFKO store stat --json "$TMP/store" | tee "$TMP/store_stat.out"

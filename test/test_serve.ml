@@ -2,8 +2,9 @@
    rejection, the store on both of its shapes (persistence,
    single-flight, eviction, replica reload-on-miss), an end-to-end
    daemon on a Unix socket with concurrent clients whose replies must be
-   bit-identical to a sequential, storeless Driver.tune, and the CLI's
-   Driver.tune reading the directory a daemon filled. *)
+   bit-identical to a sequential, storeless Driver.tune, the CLI's
+   Driver.tune reading the directory a daemon filled, and the files a
+   daemon leaves (or ignores) in its directory. *)
 
 module Store = Ifko_store.Store
 module Json = Store.Json
@@ -325,22 +326,19 @@ let start_daemon config =
      with _ -> ());
     Thread.join th
 
-let with_daemon ?(jobs = 2) ?shards f =
-  let dir = tmp_dir "ifko_served" in
+(* Run [f listen] against a daemon over the store directory [dir]; the
+   daemon has stopped (even when [f] failed) by the time this returns,
+   and [dir] is left in place. *)
+let serve_dir ?(jobs = 2) ?(shards = 4) dir f =
   let listen = `Unix (tmp_dir "ifko_sock" ^ ".sock") in
   let stop =
-    start_daemon
-      { (Server.default_config ~store_dir:dir listen) with
-        Server.jobs;
-        shards = Option.value ~default:4 shards;
-      }
+    start_daemon { (Server.default_config ~store_dir:dir listen) with Server.jobs; shards }
   in
-  Fun.protect
-    ~finally:(fun () ->
-      (* make sure the daemon dies even when the test body failed *)
-      stop ();
-      rm_rf dir)
-    (fun () -> f listen)
+  Fun.protect ~finally:stop (fun () -> f listen)
+
+let with_daemon ?jobs ?shards f =
+  let dir = tmp_dir "ifko_served" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> serve_dir ?jobs ?shards dir f)
 
 (* The bit-identity contract: the daemon's reply equals a local
    sequential, storeless tune — same best point, same MFLOPS bits,
@@ -428,6 +426,21 @@ let test_daemon_tune_deterministic () =
           | Ok (Some _) -> Alcotest.fail "lookup computed a cold result"
           | Error e -> Alcotest.failf "cold lookup failed: %s" e))
 
+(* One object of the daemon's stat reply, as its (key, value) fields. *)
+let stat_object listen obj =
+  Client.with_client listen (fun c ->
+      match Client.stat c with
+      | Error e -> Alcotest.failf "stat failed: %s" e
+      | Ok fields -> (
+        match List.assoc_opt obj fields with
+        | Some (Proto.Json.O o) -> o
+        | _ -> Alcotest.failf "stat object %s missing" obj))
+
+let stat_num listen obj k =
+  match List.assoc_opt k (stat_object listen obj) with
+  | Some (Proto.Json.N v) -> int_of_float v
+  | _ -> Alcotest.failf "stat field %s.%s missing" obj k
+
 (* Two concurrent tunes of one kernel at different problem sizes: the
    tune-level single-flight cannot merge them (different keys), so any
    sharing happens in the daemon-wide codecache — candidate params are
@@ -460,25 +473,13 @@ let test_daemon_shared_compile_batch () =
           | Some (Error e) -> Alcotest.failf "tune %d failed: %s" i e
           | None -> Alcotest.failf "client %d did not finish" i)
         replies;
-      Client.with_client listen (fun c ->
-          match Client.stat c with
-          | Error e -> Alcotest.failf "stat failed: %s" e
-          | Ok fields ->
-            let num obj k =
-              match List.assoc_opt obj fields with
-              | Some (Proto.Json.O o) -> (
-                match List.assoc_opt k o with
-                | Some (Proto.Json.N v) -> int_of_float v
-                | _ -> Alcotest.failf "stat field %s.%s missing" obj k)
-              | _ -> Alcotest.failf "stat object %s missing" obj
-            in
-            Alcotest.(check bool) "candidates were compiled" true
-              (num "codecache" "misses" > 0);
-            Alcotest.(check bool) "the sibling tune reused the batch" true
-              (num "codecache" "hits" > 0);
-            (* the warm-state checkpoint counters ride the same reply *)
-            Alcotest.(check bool) "ckpt counters surfaced" true
-              (num "ckpt" "misses" >= 0 && num "ckpt" "hits" >= 0)))
+      let num = stat_num listen in
+      Alcotest.(check bool) "candidates were compiled" true (num "codecache" "misses" > 0);
+      Alcotest.(check bool) "the sibling tune reused the batch" true
+        (num "codecache" "hits" > 0);
+      (* the warm-state checkpoint counters ride the same reply *)
+      Alcotest.(check bool) "ckpt counters surfaced" true
+        (num "ckpt" "misses" >= 0 && num "ckpt" "hits" >= 0))
 
 let test_daemon_protocol_errors () =
   with_daemon ~jobs:1 (fun listen ->
@@ -670,13 +671,8 @@ let test_daemon_warm_start () =
 let test_daemon_dir_serves_cli () =
   let n = 600 and seed = 3 and flops_per_n = 2.0 in
   let dir = tmp_dir "ifko_one_store" in
-  let listen = `Unix (tmp_dir "ifko_one_sock" ^ ".sock") in
-  let stop =
-    start_daemon
-      { (Server.default_config ~store_dir:dir listen) with Server.shards = 4; jobs = 1 }
-  in
   let served =
-    Fun.protect ~finally:stop (fun () ->
+    serve_dir ~jobs:1 dir (fun listen ->
         Client.with_client listen (fun c ->
             match
               Client.tune c
@@ -733,6 +729,97 @@ let test_daemon_dir_serves_cli () =
         && Int64.bits_of_float warm.Ifko_search.Driver.ifko_mflops
            = Int64.bits_of_float warm_ref.Ifko_search.Driver.ifko_mflops))
 
+(* Daemon tunes run at full fidelity and keep their warm states in
+   memory, so the store directory they leave is an ordinary store:
+   store.meta and the shard journals, nothing else.  The stat reply
+   still shows the one in-memory snapshot cache shared across tunes. *)
+let test_daemon_dir_is_a_store () =
+  let dir = tmp_dir "ifko_plain_store" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let args = { (Proto.default_args ~kernel:ddot_src) with Proto.n = 600; seed = 3 } in
+      let ckpt =
+        serve_dir dir (fun listen ->
+            Client.with_client listen (fun c ->
+                List.iter
+                  (fun a ->
+                    match Client.tune c a with
+                    | Ok r -> Alcotest.(check bool) "computed cold" false r.Proto.hit
+                    | Error e -> Alcotest.failf "tune failed: %s" e)
+                  [ args;
+                    { args with
+                      Proto.context = "l2";
+                      strategy = "surrogate";
+                      warm_start = true;
+                    };
+                  ]);
+            stat_object listen "ckpt")
+      in
+      Alcotest.(check (list string)) "ckpt counters" [ "hits"; "misses" ]
+        (List.sort compare (List.map fst ckpt));
+      Alcotest.(check bool) "warm states shared across probes" true
+        (match List.assoc_opt "hits" ckpt with
+        | Some (Proto.Json.N h) -> h > 0.0
+        | _ -> false);
+      Alcotest.(check (list string)) "only the store's own files"
+        [ "shard-00.jsonl"; "shard-01.jsonl"; "shard-02.jsonl"; "shard-03.jsonl";
+          "store.meta" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Older builds kept a ckpt-<machine> directory of resume transients
+   (plus snapshot files before that) next to the shards.  Nothing reads
+   that state any more: garbage there neither stops the daemon nor
+   changes a reply, survives byte for byte, and stays out of the store
+   statistics. *)
+let test_daemon_ignores_leftover_state () =
+  let n = 600 and seed = 3 and flops_per_n = 2.0 in
+  let dir = tmp_dir "ifko_leftover" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Store.close (Store.open_ ~shards:4 dir);
+      let old = Filename.concat dir "ckpt-P4E" in
+      Sys.mkdir old 0o755;
+      let leftovers =
+        [ ("store.meta", "{\"schema\":garbage\n");
+          ("transients.jsonl", "{\"key\":\"warm:cand\",\"v\":1.5}\nnot json\n");
+          ("0123456789abcdef.ckpt", "not a snapshot") ]
+      in
+      List.iter
+        (fun (f, bytes) ->
+          Out_channel.with_open_bin (Filename.concat old f) (fun oc ->
+              Out_channel.output_string oc bytes))
+        leftovers;
+      let reply =
+        serve_dir dir (fun listen ->
+            Client.with_client listen (fun c ->
+                match
+                  Client.tune c { (Proto.default_args ~kernel:ddot_src) with Proto.n; seed }
+                with
+                | Ok r -> r
+                | Error e -> Alcotest.failf "tune failed: %s" e))
+      in
+      check_against_reference ddot_src reply ~n ~seed ~flops_per_n;
+      List.iter
+        (fun (f, bytes) ->
+          Alcotest.(check string) (f ^ " untouched") bytes
+            (In_channel.with_open_bin (Filename.concat old f) In_channel.input_all))
+        leftovers;
+      let st = Store.open_ dir in
+      let s = Store.stat st in
+      Store.close st;
+      List.iter
+        (fun text ->
+          Alcotest.(check bool) "stat ignores the leftovers" false
+            (contains text "ckpt-P4E" || contains text ".ckpt" || contains text "transient"))
+        [ Store.stat_json s; Store.stat_to_string s ])
+
 let suite =
   [ Alcotest.test_case "proto: request round-trip" `Quick test_proto_request_roundtrip;
     Alcotest.test_case "proto: response round-trip" `Quick test_proto_response_roundtrip;
@@ -756,4 +843,8 @@ let suite =
       test_daemon_warm_start;
     Alcotest.test_case "daemon: its directory serves CLI tunes" `Quick
       test_daemon_dir_serves_cli;
+    Alcotest.test_case "daemon: its directory is an ordinary store" `Quick
+      test_daemon_dir_is_a_store;
+    Alcotest.test_case "daemon: leftover checkpoint state never read" `Quick
+      test_daemon_ignores_leftover_state;
   ]
