@@ -14,8 +14,9 @@
                     cycle-attribution counters in the simbench experiment
      --baseline P   a previous results file, read before anything is
                     overwritten; over the kernels both runs measured,
-                    fail the run if the simbench engine geomeans regress
-                    by more than 15%, if sampled fidelity misses its
+                    fail the run if the simbench engine geomeans (MIPS
+                    over the native reference's rate) regress by more
+                    than 15%, if sampled fidelity misses its
                     cycle-error budget against the baseline's
                     full-fidelity cycles, or if sampled us/measure
                     regresses >20% vs the baseline.  With or without a
@@ -354,17 +355,20 @@ let geo rows f =
    each row's kernel. *)
 let engine_rows = ([ "kernels" ], "kernel")
 let fidelity_rows = ([ "fidelity"; "kernels" ], "fid_kernel")
-let untimed_speedup r = num r [ "threaded_untimed_mips" ] /. num r [ "walker_untimed_mips" ]
-let timed_speedup r = num r [ "threaded_timed_mips" ] /. num r [ "walker_timed_mips" ]
+(* Host-normalised engine throughput: interpreted MIPS over the same
+   process's rate, in million elements per second, of the kernel's
+   native OCaml reference ([Workload.expectation], which every tester
+   runs).  A faster or slower host moves both alike. *)
+let untimed_norm r = num r [ "untimed_mips" ] /. num r [ "native_melems" ]
+let timed_norm r = num r [ "timed_mips" ] /. num r [ "native_melems" ]
 
 (* ---------- simulator throughput (simbench) ---------- *)
 
-(* Interpreted-instructions-per-second of the two execution engines on
-   every BLAS kernel at its tuned default point: the reference
-   tree-walking interpreter vs. the pre-decoded threaded-code engine,
-   untimed (pure semantics) and timed (full pipeline model).  The
-   compiled engine decodes once outside the measurement loop — exactly
-   how Timer/Driver/Oracle use it. *)
+(* Interpreted instructions per second of the execution engine on every
+   BLAS kernel at its tuned default point, untimed (pure semantics) and
+   timed (full pipeline model), each over the rate of the kernel's
+   native reference.  The engine decodes once outside the measurement
+   loop — exactly how Timer/Driver/Oracle use it. *)
 
 let simbench_n = 8192
 
@@ -382,7 +386,7 @@ let exp_simbench () =
   let n = simbench_n in
   let min_time = if !quick then 0.1 else 0.4 in
   (* steady-state rate: one warm-up run, then repeat until [min_time]
-     has elapsed; returns interpreted MIPS *)
+     has elapsed; returns millions of [run]'s units per second *)
   let rate run =
     let (_ : int) = run () in
     let t0 = Unix.gettimeofday () in
@@ -393,9 +397,12 @@ let exp_simbench () =
     done;
     float_of_int !instrs /. !elapsed /. 1e6
   in
-  Printf.printf "Simulator throughput, P4E default points, N=%d (interpreted MIPS)\n" n;
-  Printf.printf "  %-7s %14s %14s %8s %14s %14s %8s\n" "kernel" "walker-untimed"
-    "threaded-untimed" "speedup" "walker-timed" "threaded-timed" "speedup";
+  Printf.printf
+    "Simulator throughput, P4E default points, N=%d (interpreted MIPS; native reference \
+     in M elements/s)\n"
+    n;
+  Printf.printf "  %-7s %10s %14s %9s %14s %9s\n" "kernel" "native" "untimed-MIPS" "/native"
+    "timed-MIPS" "/native";
   let rows =
     List.map
       (fun id ->
@@ -415,12 +422,12 @@ let exp_simbench () =
           (cfg, ms)
         in
         (* Memsys.reset clears the profile counters, so coverage is
-           accumulated per repetition during the timed threaded phase. *)
+           accumulated per repetition during the timed phase. *)
         let loads = ref 0 and fast_loads = ref 0 in
         let stores = ref 0 and fast_stores = ref 0 in
         let demand = ref 0 and demand_cy = ref 0.0 and bus_cy = ref 0.0 in
         let sw_pf = ref 0 and sw_drop = ref 0 and hw_pf = ref 0 in
-        let timed_threaded () =
+        let timed_run () =
           let r = Ifko_sim.Exec.exec ~timing:(timing ()) ~ret_fsize:rfs cf env in
           let p = Memsys.profile ms in
           loads := !loads + p.Memsys.loads;
@@ -436,24 +443,18 @@ let exp_simbench () =
           r.Ifko_sim.Exec.instr_count
         in
         let blocks, fused_instrs = Ifko_sim.Exec.fusion cf in
-        let ref_untimed =
+        let native =
           rate (fun () ->
-              (Ifko_sim.Exec.run_reference ~ret_fsize:rfs func env)
-                .Ifko_sim.Exec.instr_count)
+              ignore (Workload.expectation id ~seed n : Ifko_sim.Verify.expectation);
+              n)
         in
-        let new_untimed =
+        let untimed =
           rate (fun () ->
               (Ifko_sim.Exec.exec ~ret_fsize:rfs cf env).Ifko_sim.Exec.instr_count)
         in
-        let ref_timed =
-          rate (fun () ->
-              (Ifko_sim.Exec.run_reference ~timing:(timing ()) ~ret_fsize:rfs func env)
-                .Ifko_sim.Exec.instr_count)
-        in
-        let new_timed = rate timed_threaded in
-        Printf.printf "  %-7s %14.1f %16.1f %7.1fx %14.1f %14.1f %7.1fx\n" (Defs.name id)
-          ref_untimed new_untimed (new_untimed /. ref_untimed) ref_timed new_timed
-          (new_timed /. ref_timed);
+        let timed = rate timed_run in
+        Printf.printf "  %-7s %10.1f %14.1f %9.2f %14.1f %9.2f\n" (Defs.name id) native untimed
+          (untimed /. native) timed (timed /. native);
         let frac a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
         if !profile_mode then begin
           Printf.printf
@@ -470,11 +471,11 @@ let exp_simbench () =
         end;
         Json.O
           [ ("kernel", Json.S (Defs.name id));
-            ("walker_untimed_mips", Json.N ref_untimed);
-            ("threaded_untimed_mips", Json.N new_untimed);
-            ("walker_timed_mips", Json.N ref_timed);
-            ("threaded_timed_mips", Json.N new_timed);
-            (* fast-path coverage accumulated over the timed threaded reps *)
+            (* Workload.expectation, million elements per second *)
+            ("native_melems", Json.N native);
+            ("untimed_mips", Json.N untimed);
+            ("timed_mips", Json.N timed);
+            (* fast-path coverage accumulated over the timed reps *)
             ("fast_load_frac", Json.N (frac !fast_loads !loads));
             ("fast_store_frac", Json.N (frac !fast_stores !stores));
             (* superblock fusion (static per compiled kernel) *)
@@ -483,8 +484,9 @@ let exp_simbench () =
           ])
       (kernels ())
   in
-  let untimed = geo rows untimed_speedup and timed = geo rows timed_speedup in
-  Printf.printf "  geomean speedup: %.1fx untimed, %.1fx timed\n" untimed timed;
+  let untimed = geo rows untimed_norm and timed = geo rows timed_norm in
+  Printf.printf "  geomean MIPS per native M elements/s: %.2f untimed, %.2f timed\n" untimed
+    timed;
   (* sampled-vs-full fidelity: every kernel at its default point,
      out-of-cache N=80000 — the tuning driver's hot measurement.  Each
      kernel gets a fresh checkpoint cache, exactly as Driver.tune
@@ -612,8 +614,8 @@ let exp_simbench () =
           Json.O
             [ ("machine", Json.S "P4E");
               ("n", Json.N (float_of_int n));
-              ("geomean_speedup_untimed", Json.N untimed);
-              ("geomean_speedup_timed", Json.N timed);
+              ("geomean_untimed_norm", Json.N untimed);
+              ("geomean_timed_norm", Json.N timed);
               ("fidelity", fidelity);
               ("kernels", Json.A rows);
             ] );
@@ -820,8 +822,8 @@ let write_delta_md path fresh =
     Printf.fprintf oc "| %s | %s | %s | %s |\n" name b (Printf.sprintf fmt now) d
   in
   let field k r = num r [ k ] in
-  row "engine speedup, untimed (geomean)" "%.2fx" engine_rows untimed_speedup;
-  row "engine speedup, timed (geomean)" "%.2fx" engine_rows timed_speedup;
+  row "engine MIPS / native rate, untimed (geomean)" "%.2f" engine_rows untimed_norm;
+  row "engine MIPS / native rate, timed (geomean)" "%.2f" engine_rows timed_norm;
   row "sampled cycle error (geomean)" "%.3f%%" fidelity_rows (field "fid_err_pct");
   row "sampled wall speedup (geomean)" "%.2fx" fidelity_rows (field "fid_speedup");
   row "sampled work ratio (geomean)" "%.2fx" fidelity_rows (field "fid_work_ratio");
@@ -834,8 +836,9 @@ let write_delta_md path fresh =
    kernels both files list:
 
    - engine throughput: a >15% geomean drop on either the untimed or
-     timed rate fails the run — the threshold rides well above the
-     scheduler noise a busy host adds to wall-clock rates;
+     timed host-normalised rate (MIPS over the native reference's rate)
+     fails the run — the threshold rides well above the scheduler noise
+     a busy host adds to wall-clock rates;
    - sampled accuracy: the fresh sampled cycles must stay within the
      error budget of full fidelity, both against this run's own full
      measurements and against the baseline's per-kernel full-fidelity
@@ -864,12 +867,13 @@ let check_baseline () =
     | pairs ->
       let check name f =
         let now, base = geo2 pairs f in
-        Printf.printf "baseline %s: %.2fx now vs %.2fx before (%+.1f%%)\n" name now base
+        Printf.printf "baseline %s MIPS/native: %.2f now vs %.2f before (%+.1f%%)\n" name now
+          base
           (100.0 *. ((now /. base) -. 1.0));
         now < 0.85 *. base
       in
-      let bad_untimed = check "untimed" untimed_speedup in
-      let bad_timed = check "timed" timed_speedup in
+      let bad_untimed = check "untimed" untimed_norm in
+      let bad_timed = check "timed" timed_norm in
       if bad_untimed || bad_timed then
         fail "simbench geomean regressed by more than 15% against the baseline");
     let fid k = num fresh [ "fidelity"; k ] in

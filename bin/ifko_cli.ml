@@ -9,9 +9,9 @@
                                        --jobs N evaluates probes in parallel)
      ifko fuzz     [flags]         -- differential fuzzing of the pipeline
                                       (--replay PATH re-runs saved reproducers)
-     ifko sim      FILE [flags]    -- one simulator run, both engines checked
-                                      bit-for-bit (--profile: fast-path coverage,
-                                      superblock fusion, cycle attribution)
+     ifko sim      FILE [flags]    -- one simulator run (--profile: fast-path
+                                      coverage, superblock fusion, cycle
+                                      attribution)
      ifko store    stat/compact/clear PATH -- tuning-store maintenance
 
    Timing requires knowing how to build workloads for the kernel's
@@ -295,8 +295,14 @@ let tune_cmd =
     let spec = generic_spec ~seed compiled in
     let store = Option.map (Ifko.Store.open_ ~seed) store_path in
     let tuned =
-      Ifko.tune ~check_each_pass ~strategy ~warm_start ?store ~jobs ~seed ~fidelity ~cfg
-        ~context ~spec ~n ~flops_per_n ~test:(generic_test compiled spec) compiled
+      match
+        Ifko.tune ~check_each_pass ~strategy ~warm_start ?store ~jobs ~seed ~fidelity ~cfg
+          ~context ~spec ~n ~flops_per_n ~test:(generic_test compiled spec) compiled
+      with
+      | tuned -> tuned
+      | exception Invalid_argument msg ->
+        Printf.eprintf "ifko tune: %s\n" msg;
+        Stdlib.exit 1
     in
     (match store with
     | Some st ->
@@ -502,14 +508,6 @@ let sim_cmd =
   let untimed =
     Arg.(value & flag & info [ "untimed" ] ~doc:"architectural semantics only, no timing model")
   in
-  let engine =
-    Arg.(
-      value & opt string "both"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "threaded, walker, or both (run the pre-decoded engine and the reference \
-             tree-walker and check they agree bit-for-bit)")
-  in
   let profile =
     Arg.(
       value & flag
@@ -531,8 +529,11 @@ let sim_cmd =
              relative error and the simulated-work ratio; exit 1 when the sampled \
              estimate neither meets the error budget nor falls back to full fidelity")
   in
-  let run file machine sv ur ae wnt pf_dist context n untimed engine profile seed
-      compare_fidelity =
+  let run file machine sv ur ae wnt pf_dist context n untimed profile seed compare_fidelity =
+    if n < 0 then begin
+      Printf.eprintf "ifko sim: n must not be negative\n";
+      Stdlib.exit 1
+    end;
     let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
     let context = ok_or_fail (Ifko_sim.Timer.context_of_name context) in
     let compiled = load file in
@@ -540,61 +541,34 @@ let sim_cmd =
     let func = Ifko.compile_point ~cfg compiled params in
     let cf = Ifko_sim.Exec.compile func in
     let spec = generic_spec ~seed compiled in
-    (* Starts from the timer's own context setup, but keeps the memory
-       system around so the profile counters can be reported
-       afterwards. *)
-    let run_engine exec_fn =
-      let env = spec.Ifko_sim.Timer.make_env n in
-      if untimed then (exec_fn ?timing:None env, None)
-      else begin
-        let ms = Ifko_machine.Memsys.create cfg in
-        Ifko_sim.Timer.prepare ~cfg ~context ms env;
-        (exec_fn ?timing:(Some (cfg, ms)) env, Some ms)
-      end
-    in
-    let threaded ?timing env =
-      Ifko_sim.Exec.exec ?timing ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize cf env
-    in
-    let walker ?timing env =
-      Ifko_sim.Exec.run_reference ?timing ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize func env
-    in
-    let show name (r : Ifko_sim.Exec.result) =
-      Printf.printf "  %-8s %d instrs, %d uops%s%s\n" name r.Ifko_sim.Exec.instr_count
-        r.Ifko_sim.Exec.uop_count
-        (if untimed then "" else Printf.sprintf ", %.1f cycles" r.Ifko_sim.Exec.cycles)
-        (match r.Ifko_sim.Exec.ret with
-        | None -> ""
-        | Some (Ifko_sim.Exec.Rint i) -> Printf.sprintf ", ret %d" i
-        | Some (Ifko_sim.Exec.Rfp f) -> Printf.sprintf ", ret %.17g" f)
-    in
     Printf.printf "%s: n=%d, %s, %s, %s\n"
       compiled.Ifko.Lower.source.Ifko.Hil.Ast.k_name n cfg.Ifko.Config.name
       (if untimed then "untimed" else Ifko_sim.Timer.context_name context)
       (Ifko.Params.to_string params);
-    let result, ms =
-      match engine with
-      | "threaded" ->
-        let r, ms = run_engine threaded in
-        show "threaded" r;
-        (r, ms)
-      | "walker" ->
-        let r, ms = run_engine walker in
-        show "walker" r;
-        (r, ms)
-      | "both" ->
-        let r, ms = run_engine threaded in
-        let r_ref, _ = run_engine walker in
-        show "threaded" r;
-        if r = r_ref then print_endline "  walker   identical (bit-identity check passed)"
-        else begin
-          show "walker" r_ref;
-          prerr_endline "engines disagree: threaded result differs from the reference walker";
-          Stdlib.exit 1
-        end;
-        (r, ms)
-      | other -> failwith (Printf.sprintf "unknown engine %S (threaded|walker|both)" other)
+    (* Starts from the timer's own context setup, but keeps the memory
+       system around so the profile counters can be reported
+       afterwards. *)
+    let env = spec.Ifko_sim.Timer.make_env n in
+    let ms =
+      if untimed then None
+      else begin
+        let ms = Ifko_machine.Memsys.create cfg in
+        Ifko_sim.Timer.prepare ~cfg ~context ms env;
+        Some ms
+      end
     in
-    ignore (result : Ifko_sim.Exec.result);
+    let r =
+      Ifko_sim.Exec.exec
+        ?timing:(Option.map (fun ms -> (cfg, ms)) ms)
+        ~ret_fsize:spec.Ifko_sim.Timer.ret_fsize cf env
+    in
+    Printf.printf "  %d instrs, %d uops%s%s\n" r.Ifko_sim.Exec.instr_count
+      r.Ifko_sim.Exec.uop_count
+      (if untimed then "" else Printf.sprintf ", %.1f cycles" r.Ifko_sim.Exec.cycles)
+      (match r.Ifko_sim.Exec.ret with
+      | None -> ""
+      | Some (Ifko_sim.Exec.Rint i) -> Printf.sprintf ", ret %d" i
+      | Some (Ifko_sim.Exec.Rfp f) -> Printf.sprintf ", ret %.17g" f);
     if profile then begin
       let blocks, fused = Ifko_sim.Exec.fusion cf in
       Printf.printf "  profile:\n";
@@ -621,8 +595,8 @@ let sim_cmd =
           p.Ifko_machine.Memsys.hw_pf_issued
     end;
     (* Setup-vs-simulate wall-time attribution rides the timer, so run
-       one timer measurement under the profile instrument (the engines
-       above execute directly and have no setup floor to attribute). *)
+       one timer measurement under the profile instrument (the run
+       above executes directly and has no setup floor to attribute). *)
     if profile && not untimed then begin
       Ifko_sim.Timer.profile_reset ();
       Ifko_sim.Timer.profile_enable true;
@@ -674,12 +648,12 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim"
        ~doc:
-         "run a HIL kernel on the simulator at a parameter point; by default both \
-          execution engines run and their results are checked bit-for-bit; --profile \
-          reports fast-path coverage, superblock fusion and cycle attribution")
+         "run a HIL kernel once on the simulator at a parameter point and print its \
+          instruction and uop counts, cycles and return value; --profile reports \
+          fast-path coverage, superblock fusion and cycle attribution")
     Term.(
       const run $ file $ machine_arg $ sv_arg $ ur_arg $ ae_arg $ wnt_arg $ pf_arg
-      $ context $ n $ untimed $ engine $ profile $ seed_arg $ compare_fidelity)
+      $ context $ n $ untimed $ profile $ seed_arg $ compare_fidelity)
 
 (* ---- store ---- *)
 

@@ -58,6 +58,7 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
     ?(warm_start = false) ?donors ?store ?cache ?pool ?(jobs = 1) ?(seed = 0)
     ?(fidelity = Ifko_sim.Timer.Full) ?ckpt ?codecache ~cfg ~context ~spec ~n ~flops_per_n
     ~test compiled =
+  if n <= 0 then invalid_arg "n must be positive";
   let report = Ifko_analysis.Report.analyze compiled in
   let default_params =
     Ifko_transform.Params.default ~line_bytes:cfg.Config.prefetchable_line report

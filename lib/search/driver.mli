@@ -83,6 +83,7 @@ val tune :
   tuned
 (** Run the full iterative and empirical compilation of a lowered
     kernel for problem size [n] in the given machine and context.
+    Raises [Invalid_argument "n must be positive"] when [n <= 0].
     [extensions] also searches the future-work transformations (block
     fetch, CISC indexing); defaults to the paper's published FKO.
 

@@ -15,11 +15,12 @@ let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 
 (* ---------- architectural state ---------- *)
 
+(* The register files are sized by [exec] to the function's full
+   register extent (see [compile]), so every slot a decoded closure
+   uses is in range. *)
 type state = {
-  mutable gpr : int array;
-  mutable gcap : int;
-  mutable xmm : Bytes.t;  (* 16 bytes per register *)
-  mutable xcap : int;
+  gpr : int array;
+  xmm : Bytes.t;  (* 16 bytes per register *)
   memm : Bytes.t;
 }
 
@@ -27,78 +28,9 @@ type state = {
    slot [8+i], so allocated and unallocated code both run. *)
 let slot (r : Reg.t) = if r.Reg.phys then r.Reg.id else r.Reg.id + 8
 
-let ensure_gpr st n =
-  if n >= st.gcap then begin
-    let cap = max (n + 1) (2 * st.gcap) in
-    let a = Array.make cap 0 in
-    Array.blit st.gpr 0 a 0 st.gcap;
-    st.gpr <- a;
-    st.gcap <- cap
-  end
-
-let ensure_xmm st n =
-  if n >= st.xcap then begin
-    let cap = max (n + 1) (2 * st.xcap) in
-    let b = Bytes.make (cap * 16) '\000' in
-    Bytes.blit st.xmm 0 b 0 (st.xcap * 16);
-    st.xmm <- b;
-    st.xcap <- cap
-  end
-
-let gget st r =
-  let i = slot r in
-  ensure_gpr st i;
-  st.gpr.(i)
-
-let gset st r v =
-  let i = slot r in
-  ensure_gpr st i;
-  st.gpr.(i) <- v
-
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
-let xget64 st r lane =
-  let i = slot r in
-  ensure_xmm st i;
-  Int64.float_of_bits (Bytes.get_int64_le st.xmm ((i * 16) + (lane * 8)))
-
-let xset64 st r lane v =
-  let i = slot r in
-  ensure_xmm st i;
-  Bytes.set_int64_le st.xmm ((i * 16) + (lane * 8)) (Int64.bits_of_float v)
-
-let xget32 st r lane =
-  let i = slot r in
-  ensure_xmm st i;
-  Int32.float_of_bits (Bytes.get_int32_le st.xmm ((i * 16) + (lane * 4)))
-
-let xset32 st r lane v =
-  let i = slot r in
-  ensure_xmm st i;
-  Bytes.set_int32_le st.xmm ((i * 16) + (lane * 4)) (Int32.bits_of_float v)
-
-let xlane st sz r lane =
-  match sz with Instr.D -> xget64 st r lane | Instr.S -> xget32 st r lane
-
-let set_xlane st sz r lane v =
-  match sz with Instr.D -> xset64 st r lane v | Instr.S -> xset32 st r lane (round32 v)
-
-let xzero st r =
-  let i = slot r in
-  ensure_xmm st i;
-  Bytes.fill st.xmm (i * 16) 16 '\000'
-
-let xcopy st d s =
-  let di = slot d and si = slot s in
-  ensure_xmm st (max di si);
-  Bytes.blit st.xmm (si * 16) st.xmm (di * 16) 16
-
 (* ---------- memory access ---------- *)
-
-let addr_of st (m : Instr.mem) =
-  let base = gget st m.Instr.base in
-  let idx = match m.Instr.index with Some r -> gget st r * m.Instr.scale | None -> 0 in
-  base + idx + m.Instr.disp
 
 let check_bounds st addr bytes =
   if addr < 0 || addr + bytes > Bytes.length st.memm then
@@ -110,75 +42,6 @@ let check_bounds st addr bytes =
 let check_vec_access st ~what addr =
   check_bounds st addr 16;
   if addr mod 16 <> 0 then trap "unaligned vector %s at %d" what addr
-
-let load_f st sz addr =
-  match sz with
-  | Instr.D ->
-    check_bounds st addr 8;
-    Int64.float_of_bits (Bytes.get_int64_le st.memm addr)
-  | Instr.S ->
-    check_bounds st addr 4;
-    Int32.float_of_bits (Bytes.get_int32_le st.memm addr)
-
-let store_f st sz addr v =
-  match sz with
-  | Instr.D ->
-    check_bounds st addr 8;
-    Bytes.set_int64_le st.memm addr (Int64.bits_of_float v)
-  | Instr.S ->
-    check_bounds st addr 4;
-    Bytes.set_int32_le st.memm addr (Int32.bits_of_float (round32 v))
-
-let vload st r addr =
-  check_vec_access st ~what:"load" addr;
-  let i = slot r in
-  ensure_xmm st i;
-  Bytes.blit st.memm addr st.xmm (i * 16) 16
-
-let vstore st addr r =
-  check_vec_access st ~what:"store" addr;
-  let i = slot r in
-  ensure_xmm st i;
-  Bytes.blit st.xmm (i * 16) st.memm addr 16
-
-(* ---------- arithmetic ---------- *)
-
-let fop_eval op a b =
-  match op with
-  | Instr.Fadd -> a +. b
-  | Instr.Fsub -> a -. b
-  | Instr.Fmul -> a *. b
-  | Instr.Fdiv -> a /. b
-  | Instr.Fmax -> Float.max a b
-  | Instr.Fmin -> Float.min a b
-
-let iop_eval op a b =
-  match op with
-  | Instr.Iadd -> a + b
-  | Instr.Isub -> a - b
-  | Instr.Imul -> a * b
-  | Instr.Iand -> a land b
-  | Instr.Ior -> a lor b
-  | Instr.Ishl -> a lsl b
-  | Instr.Ishr -> a asr b
-
-let cmp_eval_i op a b =
-  match op with
-  | Instr.Lt -> a < b
-  | Instr.Le -> a <= b
-  | Instr.Gt -> a > b
-  | Instr.Ge -> a >= b
-  | Instr.Eq -> a = b
-  | Instr.Ne -> a <> b
-
-let cmp_eval_f op a b =
-  match op with
-  | Instr.Lt -> a < b
-  | Instr.Le -> a <= b
-  | Instr.Gt -> a > b
-  | Instr.Ge -> a >= b
-  | Instr.Eq -> a = b
-  | Instr.Ne -> a <> b
 
 (* ---------- timing model ---------- *)
 
@@ -205,10 +68,8 @@ type timing = {
   ms : Memsys.t;
   msio : float array;  (** [Memsys.io ms]: unboxed load/store time channel *)
   clk : float array;  (** [k_front] = issue frontier; [k_last] = furthest completion *)
-  mutable gready : float array;
-  mutable gr_cap : int;
-  mutable xready : float array;
-  mutable xr_cap : int;
+  gready : float array;  (** per-slot ready times, sized like the register files *)
+  xready : float array;
   unit_free : float array;
   service : float array;
   issue_cost : float array;  (** [uops /. issue_width], precomputed per uop count *)
@@ -219,24 +80,19 @@ type timing = {
   l1_l : float;
   misp : float;
   vuops : int;
-  predictor : (string, bool) Hashtbl.t;
   rob : float array;  (** completion times, circular; bounds issue depth *)
   mutable rob_idx : int;
   mutable uops : int;
-  mutable tstate : state;
-      (** The architectural state the threaded engine is driving.  The
-          timed per-instruction closures take only [timing] — a one-
-          argument application of an unknown closure is a direct call
-          through the code pointer, where a two-argument one goes
-          through [caml_apply2]'s arity check on every instruction —
-          and reach the state through this field.  [exec] sets it
-          before entering the code; the walker never reads it. *)
+  tstate : state;
+      (** The architectural state the engine is driving.  The timed
+          per-instruction closures take only [timing] — a one-argument
+          application of an unknown closure is a direct call through
+          the code pointer, where a two-argument one goes through
+          [caml_apply2]'s arity check on every instruction — and reach
+          the state through this field. *)
 }
 
-let dummy_state =
-  { gpr = [||]; gcap = 0; xmm = Bytes.empty; xcap = 0; memm = Bytes.empty }
-
-let make_timing cfg ms =
+let make_timing cfg ms st =
   let service = Array.make n_units 1.0 in
   service.(u_alu) <- 0.5;
   service.(u_fpdiv) <- float_of_int cfg.Config.fdiv_lat;
@@ -245,10 +101,8 @@ let make_timing cfg ms =
     ms;
     msio = Memsys.io ms;
     clk = Array.make 2 0.0;
-    gready = Array.make 32 0.0;
-    gr_cap = 32;
-    xready = Array.make 32 0.0;
-    xr_cap = 32;
+    gready = Array.make (Array.length st.gpr) 0.0;
+    xready = Array.make (Bytes.length st.xmm / 16) 0.0;
     unit_free = Array.make n_units 0.0;
     service;
     issue_cost =
@@ -260,36 +114,11 @@ let make_timing cfg ms =
     l1_l = float_of_int cfg.Config.l1.Config.latency;
     misp = float_of_int cfg.Config.branch_misp_penalty;
     vuops = cfg.Config.vec_uops;
-    predictor = Hashtbl.create 16;
     rob = Array.make (max 8 cfg.Config.rob_size) 0.0;
     rob_idx = 0;
     uops = 0;
-    tstate = dummy_state;
+    tstate = st;
   }
-
-let ensure_ready tm cls n =
-  match cls with
-  | Reg.Gpr ->
-    if n >= tm.gr_cap then begin
-      let cap = max (n + 1) (2 * tm.gr_cap) in
-      let a = Array.make cap 0.0 in
-      Array.blit tm.gready 0 a 0 tm.gr_cap;
-      tm.gready <- a;
-      tm.gr_cap <- cap
-    end
-  | Reg.Xmm ->
-    if n >= tm.xr_cap then begin
-      let cap = max (n + 1) (2 * tm.xr_cap) in
-      let a = Array.make cap 0.0 in
-      Array.blit tm.xready 0 a 0 tm.xr_cap;
-      tm.xready <- a;
-      tm.xr_cap <- cap
-    end
-
-let ready tm (r : Reg.t) =
-  let i = slot r in
-  ensure_ready tm r.Reg.cls i;
-  match r.Reg.cls with Reg.Gpr -> tm.gready.(i) | Reg.Xmm -> tm.xready.(i)
 
 (* Timing-clock maximum.  Cycle counts are finite and non-negative
    (never NaN, never -0.0), so this agrees with [Float.max] on every
@@ -306,14 +135,6 @@ let[@inline] retire tm completion =
   tm.rob_idx <- (if i = Array.length tm.rob then 0 else i);
   if completion > Array.unsafe_get tm.clk k_last then
     Array.unsafe_set tm.clk k_last completion
-
-let set_ready tm (r : Reg.t) v =
-  let i = slot r in
-  ensure_ready tm r.Reg.cls i;
-  (match r.Reg.cls with Reg.Gpr -> tm.gready.(i) <- v | Reg.Xmm -> tm.xready.(i) <- v);
-  retire tm v
-
-let srcs_ready tm regs = List.fold_left (fun acc r -> fmax acc (ready tm r)) 0.0 regs
 
 (* Memory traffic through the memory system's unboxed calling
    convention: dispatch time in, completion time out, via a float
@@ -365,462 +186,6 @@ let[@inline] acquire1 tm unit ~srcs =
 
 let fp_unit op = match op with Instr.Fmul -> u_fpmul | Instr.Fdiv -> u_fpdiv | _ -> u_fpadd
 
-let fp_lat tm op =
-  match op with
-  | Instr.Fmul -> float_of_int tm.cfg.Config.fmul_lat
-  | Instr.Fdiv -> float_of_int tm.cfg.Config.fdiv_lat
-  | _ -> float_of_int tm.cfg.Config.fadd_lat
-
-let mem_regs (m : Instr.mem) = Instr.mem_uses m
-
-(* ---------- parameter binding (shared by both engines) ---------- *)
-
-let bind_args st (f : Cfg.func) env =
-  gset st Reg.frame_ptr (Env.stack_base env);
-  gset st Reg.stack_ptr (Env.stack_base env);
-  List.iter
-    (fun (name, r) ->
-      match Env.binding env name with
-      | Env.Int_arg v -> gset st r v
-      | Env.Array_arg { addr; _ } -> gset st r addr
-      | Env.Fp_arg (sz, v) ->
-        xzero st r;
-        set_xlane st sz r 0 v
-      | exception Not_found -> trap "no binding for parameter %S" name)
-    f.Cfg.params
-
-(* ---------- the reference walker ---------- *)
-
-let run_reference ?timing ?(max_instrs = 200_000_000) ?(ret_fsize = Instr.D) (f : Cfg.func)
-    (env : Env.t) =
-  let st =
-    {
-      gpr = Array.make 32 0;
-      gcap = 32;
-      xmm = Bytes.make (32 * 16) '\000';
-      xcap = 32;
-      memm = Env.mem env;
-    }
-  in
-  let tm = Option.map (fun (cfg, ms) -> make_timing cfg ms) timing in
-  bind_args st f env;
-  let blocks : (string, Instr.t array * Block.term) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-      Hashtbl.replace blocks b.Block.label (Array.of_list b.Block.instrs, b.Block.term))
-    f.Cfg.blocks;
-  let instr_count = ref 0 in
-  let lanes = Instr.lanes in
-  (* Execute one instruction: semantics always, timing when enabled. *)
-  let step i =
-    incr instr_count;
-    if !instr_count > max_instrs then trap "instruction budget exceeded";
-    match i with
-    | Instr.Ild (d, m) ->
-      let addr = addr_of st m in
-      check_bounds st addr 8;
-      gset st d (Int64.to_int (Bytes.get_int64_le st.memm addr));
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_load ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          set_ready tm d (mload tm addr start))
-        tm
-    | Instr.Ist (m, s) ->
-      let addr = addr_of st m in
-      check_bounds st addr 8;
-      Bytes.set_int64_le st.memm addr (Int64.of_int (gget st s));
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_store ~srcs:(srcs_ready tm (s :: mem_regs m)) ~uops:1 in
-          mstore tm addr start;
-          retire tm (start +. 1.0))
-        tm
-    | Instr.Imov (d, s) ->
-      gset st d (gget st s);
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_alu ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Ildi (d, v) ->
-      gset st d v;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_alu ~srcs:0.0 ~uops:1 in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Iop (op, d, a, b) ->
-      let bv = match b with Instr.Oreg r -> gget st r | Instr.Oimm k -> k in
-      gset st d (iop_eval op (gget st a) bv);
-      Option.iter
-        (fun tm ->
-          let srcs =
-            Float.max (ready tm a)
-              (match b with Instr.Oreg r -> ready tm r | Instr.Oimm _ -> 0.0)
-          in
-          let lat = match op with Instr.Imul -> 3.0 | _ -> 1.0 in
-          let start = acquire tm u_alu ~srcs ~uops:1 in
-          set_ready tm d (start +. lat))
-        tm
-    | Instr.Lea (d, m) ->
-      gset st d (addr_of st m);
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_alu ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Fld (sz, d, m) ->
-      let addr = addr_of st m in
-      xzero st d;
-      set_xlane st sz d 0 (load_f st sz addr);
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_load ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          set_ready tm d (mload tm addr start))
-        tm
-    | Instr.Fst (sz, m, s) ->
-      let addr = addr_of st m in
-      store_f st sz addr (xlane st sz s 0);
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_store ~srcs:(srcs_ready tm (s :: mem_regs m)) ~uops:1 in
-          mstore tm addr start;
-          retire tm (start +. 1.0))
-        tm
-    | Instr.Fstnt (sz, m, s) ->
-      let addr = addr_of st m in
-      store_f st sz addr (xlane st sz s 0);
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_store ~srcs:(srcs_ready tm (s :: mem_regs m)) ~uops:1 in
-          mnt_store tm addr ~bytes:(Instr.fsize_bytes sz) start;
-          retire tm (start +. 1.0))
-        tm
-    | Instr.Fmov (_, d, s) ->
-      xcopy st d s;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Fldi (sz, d, c) ->
-      xzero st d;
-      set_xlane st sz d 0 c;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_load ~srcs:0.0 ~uops:1 in
-          set_ready tm d (start +. float_of_int tm.cfg.Config.l1.Config.latency))
-        tm
-    | Instr.Fop (sz, op, d, a, b) ->
-      set_xlane st sz d 0 (fop_eval op (xlane st sz a 0) (xlane st sz b 0));
-      Option.iter
-        (fun tm ->
-          let start =
-            acquire tm (fp_unit op) ~srcs:(Float.max (ready tm a) (ready tm b)) ~uops:1
-          in
-          set_ready tm d (start +. fp_lat tm op))
-        tm
-    | Instr.Fopm (sz, op, d, a, m) ->
-      let addr = addr_of st m in
-      set_xlane st sz d 0 (fop_eval op (xlane st sz a 0) (load_f st sz addr));
-      Option.iter
-        (fun tm ->
-          let lstart = acquire tm u_load ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          let data = mload tm addr lstart in
-          let start =
-            acquire tm (fp_unit op) ~srcs:(Float.max data (ready tm a)) ~uops:1
-          in
-          set_ready tm d (start +. fp_lat tm op))
-        tm
-    | Instr.Fabs (sz, d, s) ->
-      set_xlane st sz d 0 (Float.abs (xlane st sz s 0));
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Fsqrt (sz, d, s) ->
-      set_xlane st sz d 0 (Float.sqrt (xlane st sz s 0));
-      Option.iter
-        (fun tm ->
-          (* square root shares the unpipelined divider *)
-          let start = acquire tm u_fpdiv ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. float_of_int tm.cfg.Config.fdiv_lat))
-        tm
-    | Instr.Fneg (sz, d, s) ->
-      set_xlane st sz d 0 (-.xlane st sz s 0);
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Vld (_, d, m) ->
-      let addr = addr_of st m in
-      vload st d addr;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_load ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          set_ready tm d (mload tm addr start))
-        tm
-    | Instr.Vst (_, m, s) ->
-      let addr = addr_of st m in
-      vstore st addr s;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_store ~srcs:(srcs_ready tm (s :: mem_regs m)) ~uops:1 in
-          mstore tm addr start;
-          retire tm (start +. 1.0))
-        tm
-    | Instr.Vstnt (_, m, s) ->
-      let addr = addr_of st m in
-      vstore st addr s;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_store ~srcs:(srcs_ready tm (s :: mem_regs m)) ~uops:1 in
-          mnt_store tm addr ~bytes:16 start;
-          retire tm (start +. 1.0))
-        tm
-    | Instr.Vmov (_, d, s) ->
-      xcopy st d s;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Vbcast (sz, d, s) ->
-      let v = xlane st sz s 0 in
-      for lane = 0 to lanes sz - 1 do
-        set_xlane st sz d lane v
-      done;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 2.0))
-        tm
-    | Instr.Vldi (sz, d, c) ->
-      for lane = 0 to lanes sz - 1 do
-        set_xlane st sz d lane c
-      done;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_load ~srcs:0.0 ~uops:1 in
-          set_ready tm d (start +. float_of_int tm.cfg.Config.l1.Config.latency))
-        tm
-    | Instr.Vop (sz, op, d, a, b) ->
-      for lane = 0 to lanes sz - 1 do
-        set_xlane st sz d lane (fop_eval op (xlane st sz a lane) (xlane st sz b lane))
-      done;
-      Option.iter
-        (fun tm ->
-          let uops = tm.cfg.Config.vec_uops in
-          let start =
-            acquire tm (fp_unit op) ~srcs:(Float.max (ready tm a) (ready tm b)) ~uops
-          in
-          set_ready tm d (start +. fp_lat tm op))
-        tm
-    | Instr.Vopm (sz, op, d, a, m) ->
-      let addr = addr_of st m in
-      check_vec_access st ~what:"operand" addr;
-      for lane = 0 to lanes sz - 1 do
-        let mv = load_f st sz (addr + (lane * Instr.fsize_bytes sz)) in
-        set_xlane st sz d lane (fop_eval op (xlane st sz a lane) mv)
-      done;
-      Option.iter
-        (fun tm ->
-          let lstart = acquire tm u_load ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          let data = mload tm addr lstart in
-          let uops = tm.cfg.Config.vec_uops in
-          let start = acquire tm (fp_unit op) ~srcs:(Float.max data (ready tm a)) ~uops in
-          set_ready tm d (start +. fp_lat tm op))
-        tm
-    | Instr.Vabs (sz, d, s) ->
-      for lane = 0 to lanes sz - 1 do
-        set_xlane st sz d lane (Float.abs (xlane st sz s lane))
-      done;
-      Option.iter
-        (fun tm ->
-          let uops = tm.cfg.Config.vec_uops in
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops in
-          set_ready tm d (start +. 1.0))
-        tm
-    | Instr.Vsqrt (sz, d, s) ->
-      for lane = 0 to lanes sz - 1 do
-        set_xlane st sz d lane (Float.sqrt (xlane st sz s lane))
-      done;
-      Option.iter
-        (fun tm ->
-          let uops = tm.cfg.Config.vec_uops in
-          let start = acquire tm u_fpdiv ~srcs:(ready tm s) ~uops in
-          set_ready tm d (start +. float_of_int tm.cfg.Config.fdiv_lat))
-        tm
-    | Instr.Vcmp (sz, cmp, d, a, b) ->
-      for lane = 0 to lanes sz - 1 do
-        let t = cmp_eval_f cmp (xlane st sz a lane) (xlane st sz b lane) in
-        let i = slot d in
-        ensure_xmm st i;
-        (match sz with
-        | Instr.D ->
-          Bytes.set_int64_le st.xmm ((i * 16) + (lane * 8))
-            (if t then Int64.minus_one else 0L)
-        | Instr.S ->
-          Bytes.set_int32_le st.xmm ((i * 16) + (lane * 4))
-            (if t then Int32.minus_one else 0l))
-      done;
-      Option.iter
-        (fun tm ->
-          let uops = tm.cfg.Config.vec_uops in
-          let start = acquire tm u_fpadd ~srcs:(Float.max (ready tm a) (ready tm b)) ~uops in
-          set_ready tm d (start +. 3.0))
-        tm
-    | Instr.Vmovmsk (sz, d, s) ->
-      let mask = ref 0 in
-      let i = slot s in
-      ensure_xmm st i;
-      for lane = 0 to lanes sz - 1 do
-        let top =
-          match sz with
-          | Instr.D ->
-            Int64.to_int
-              (Int64.shift_right_logical (Bytes.get_int64_le st.xmm ((i * 16) + (lane * 8))) 63)
-          | Instr.S ->
-            Int32.to_int
-              (Int32.shift_right_logical (Bytes.get_int32_le st.xmm ((i * 16) + (lane * 4))) 31)
-        in
-        if top land 1 = 1 then mask := !mask lor (1 lsl lane)
-      done;
-      gset st d !mask;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 2.0))
-        tm
-    | Instr.Vextract (sz, d, s, lane) ->
-      let v = xlane st sz s lane in
-      xzero st d;
-      set_xlane st sz d 0 v;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_fpadd ~srcs:(ready tm s) ~uops:1 in
-          set_ready tm d (start +. 2.0))
-        tm
-    | Instr.Vreduce (sz, op, d, s) ->
-      let acc = ref (xlane st sz s 0) in
-      for lane = 1 to lanes sz - 1 do
-        acc := fop_eval op !acc (xlane st sz s lane);
-        if sz = Instr.S then acc := round32 !acc
-      done;
-      let v = !acc in
-      xzero st d;
-      set_xlane st sz d 0 v;
-      Option.iter
-        (fun tm ->
-          let start = acquire tm (fp_unit op) ~srcs:(ready tm s) ~uops:2 in
-          set_ready tm d (start +. (2.0 *. fp_lat tm op)))
-        tm
-    | Instr.Touch (sz, m) ->
-      let addr = addr_of st m in
-      check_bounds st addr (Instr.fsize_bytes sz);
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_load ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          let done_ = mload tm addr start in
-          retire tm done_)
-        tm
-    | Instr.Prefetch (kind, m) ->
-      let addr = addr_of st m in
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_load ~srcs:(srcs_ready tm (mem_regs m)) ~uops:1 in
-          if addr >= 0 && addr < Bytes.length st.memm then
-            mprefetch tm addr ~kind start;
-          retire tm (start +. 1.0))
-        tm
-    | Instr.Nop -> ()
-  in
-  (* Terminator execution; returns the next label or the return value. *)
-  let terminate label term =
-    match term with
-    | Block.Jmp l ->
-      Option.iter
-        (fun tm ->
-          let start = acquire tm u_branch ~srcs:0.0 ~uops:1 in
-          retire tm (start +. 1.0))
-        tm;
-      `Goto l
-    | Block.Br { cmp; lhs; rhs; ifso; ifnot; dec } ->
-      if dec > 0 then gset st lhs (gget st lhs - dec);
-      let rv = match rhs with Instr.Oreg r -> gget st r | Instr.Oimm k -> k in
-      let taken = cmp_eval_i cmp (gget st lhs) rv in
-      Option.iter
-        (fun tm ->
-          let srcs =
-            Float.max (ready tm lhs)
-              (match rhs with Instr.Oreg r -> ready tm r | Instr.Oimm _ -> 0.0)
-          in
-          let start = acquire tm u_branch ~srcs ~uops:1 in
-          let resolve = start +. 1.0 in
-          if dec > 0 then set_ready tm lhs resolve else retire tm resolve;
-          let predicted =
-            match Hashtbl.find_opt tm.predictor label with Some p -> p | None -> true
-          in
-          if predicted <> taken then
-            tm.clk.(k_front) <- fmax tm.clk.(k_front) (resolve +. tm.misp);
-          Hashtbl.replace tm.predictor label taken)
-        tm;
-      `Goto (if taken then ifso else ifnot)
-    | Block.Fbr { fsize; cmp; lhs; rhs; ifso; ifnot } ->
-      let taken = cmp_eval_f cmp (xlane st fsize lhs 0) (xlane st fsize rhs 0) in
-      Option.iter
-        (fun tm ->
-          let srcs = Float.max (ready tm lhs) (ready tm rhs) in
-          let start = acquire tm u_branch ~srcs ~uops:2 in
-          let resolve = start +. 3.0 in
-          retire tm resolve;
-          let predicted =
-            match Hashtbl.find_opt tm.predictor label with Some p -> p | None -> false
-          in
-          if predicted <> taken then
-            tm.clk.(k_front) <- fmax tm.clk.(k_front) (resolve +. tm.misp);
-          Hashtbl.replace tm.predictor label taken)
-        tm;
-      `Goto (if taken then ifso else ifnot)
-    | Block.Ret r -> `Return r
-  in
-  let rec go label =
-    match Hashtbl.find_opt blocks label with
-    | None -> trap "jump to unknown block %S" label
-    | Some (instrs, term) ->
-      Array.iter step instrs;
-      (match terminate label term with
-      | `Goto l -> go l
-      | `Return r -> r)
-  in
-  let ret_reg = go (Cfg.entry f).Block.label in
-  let ret =
-    Option.map
-      (fun (r : Reg.t) ->
-        match r.Reg.cls with
-        | Reg.Gpr -> Rint (gget st r)
-        | Reg.Xmm -> Rfp (xlane st ret_fsize r 0))
-      ret_reg
-  in
-  let cycles =
-    match tm with
-    | None -> 0.0
-    | Some tm ->
-      let finish =
-        fmax tm.clk.(k_front)
-          (match ret_reg with Some r -> ready tm r | None -> tm.clk.(k_last))
-      in
-      Memsys.drain_time tm.ms ~now:(fmax finish tm.clk.(k_last))
-  in
-  {
-    ret;
-    cycles;
-    instr_count = !instr_count;
-    uop_count = (match tm with Some tm -> tm.uops | None -> !instr_count);
-  }
-
 (* ---------- the threaded-code engine ----------
 
    [compile] decodes a function once into per-block closure arrays:
@@ -829,9 +194,11 @@ let run_reference ?timing ?(max_instrs = 200_000_000) ?(ret_fsize = Instr.D) (f 
    is specialized into two closures built from the same decode — pure
    semantics for untimed runs and semantics+timing for timed runs — so
    neither path pays for the other's dispatch.  [exec] then replays
-   the closures; it must stay observably bit-identical to
-   [run_reference]: same values, same trap messages raised at the same
-   points, same [cycles]/[instr_count]/[uop_count]. *)
+   the closures.  What a run observably does — values, trap messages
+   and the points they are raised at, [cycles]/[instr_count]/
+   [uop_count], the final memory image — is pinned by the execution
+   goldens in test/test_exec_compiled.ml, so a rewrite for speed must
+   leave every one of them unchanged. *)
 
 type cblock = {
   c_pure : (state -> unit) array;
@@ -929,8 +296,8 @@ let[@inline] getd b o = Int64.float_of_bits (uget64 b o)
 let[@inline] setd b o v = uset64 b o (Int64.bits_of_float v)
 let[@inline] gets b o = Int32.float_of_bits (uget32 b o)
 
-(* Writing the 32-bit image of [v] IS the round-to-single of
-   [set_xlane]: [bits_of_float (round32 v)] = [bits_of_float v]. *)
+(* Writing the 32-bit image of [v] rounds it to single precision:
+   [bits_of_float (round32 v)] = [bits_of_float v]. *)
 let[@inline] sets b o v = uset32 b o (Int32.bits_of_float v)
 
 let xoff (r : Reg.t) = slot r * 16
@@ -948,7 +315,7 @@ let[@inline] ea g b i s d = Array.unsafe_get g b + (Array.unsafe_get g i * s) + 
 
 (* Readiness (class, slot) pairs of a mem operand; with no index the
    base is duplicated — [fmax x x = x], so the combined readiness is
-   bit-identical to the walker's fold over [mem_uses]. *)
+   the latest of the operand's [Instr.mem_uses]. *)
 let mready (m : Instr.mem) =
   let bc = m.Instr.base.Reg.cls and b = slot m.Instr.base in
   match m.Instr.index with
@@ -956,10 +323,10 @@ let mready (m : Instr.mem) =
   | Some r -> (bc, b, r.Reg.cls, slot r)
 
 (* Monomorphic arithmetic/comparison on decode-captured operators.
-   The annotations matter: they turn the generic structural compare of
-   the walker's [cmp_eval_*] into immediate int/float compares (the
-   two agree on every int and on NaN for all six operators), and the
-   match on an immediate constructor costs a branch, not a call. *)
+   The annotations matter: they turn the generic structural compare
+   into immediate int/float compares (the two agree on every int and
+   on NaN for all six operators), and the match on an immediate
+   constructor costs a branch, not a call. *)
 
 let[@inline] fop_x op (a : float) (b : float) =
   match op with
@@ -1017,16 +384,16 @@ let[@inline] wr tm (cls : Reg.cls) i v =
   retire tm v
 
 (* Decode one instruction into its (pure, timed) closure pair.  Timed
-   closures for memory ops compute the address exactly once and
-   interleave semantics with timing the way the walker does — the
-   semantic destination may alias the address base (e.g. Ild d,[d]).
+   closures for memory ops compute the address exactly once, before
+   the semantic write — the destination may alias the address base
+   (e.g. Ild d,[d]).
 
    The float size is matched at decode time, so each closure body is a
    straight line of inlined primitives over the flat register files:
    no lane-accessor closures, no boxed floats in flight.  Vector lanes
-   are unrolled (D = 2 lanes, S = 4) in the walker's lane order, which
-   preserves aliasing behaviour when the destination overlaps a
-   source. *)
+   are unrolled (D = 2 lanes, S = 4) in lane order, which fixes the
+   aliasing behaviour when the destination overlaps a source; the
+   execution goldens pin both orders. *)
 (* Unchecked register-file access for decode closures: [compile]
    pre-sizes the gpr file to the function's full register extent, so
    every decode-resolved slot is in range by construction. *)
@@ -1491,8 +858,7 @@ let decode_instr (ins : Instr.t) : (state -> unit) * (timing -> unit) =
     let di = slot d and dc = d.Reg.cls in
     let unit_ = fp_unit op in
     (* [check_vec_access] proves the whole 16-byte operand in range, so
-       the walker's per-lane bounds checks are statically redundant and
-       dropped here. *)
+       the lanes need no bounds checks of their own. *)
     let sem =
       match sz with
       | Instr.D ->
@@ -1674,8 +1040,7 @@ let decode_instr (ins : Instr.t) : (state -> unit) * (timing -> unit) =
           zero16 x doff;
           setd x doff acc
       | Instr.S ->
-        (* single precision rounds after every fold step, as the
-           walker does *)
+        (* single precision rounds after every fold step *)
         fun st ->
           let x = st.xmm in
           let acc = round32 (fop_x op (gets x so) (gets x (so + 4))) in
@@ -1717,8 +1082,8 @@ let decode_instr (ins : Instr.t) : (state -> unit) * (timing -> unit) =
 
 (* Jump targets resolve to block indices at decode time; an unresolved
    label compiles to a closure that traps only when executed, so a
-   never-taken branch to a missing block still runs (as in the
-   walker). *)
+   never-taken branch to a missing block still runs (the "labels"
+   execution golden). *)
 let goto_fn lmap l : state -> int =
   match Hashtbl.find_opt lmap l with
   | Some i -> fun _ -> i
@@ -1726,8 +1091,9 @@ let goto_fn lmap l : state -> int =
 
 (* Terminator closures return the next block index, or [-1 - k] for
    the [k]-th Ret site.  The branch predictor is an int array indexed
-   by block ([-1] = never seen); same one-bit policy as the walker's
-   label-keyed table. *)
+   by block ([-1] = never seen, predicted taken for [Br] and not taken
+   for [Fbr]); one bit per block, the last outcome (the "predictor"
+   execution golden). *)
 let decode_term ~bi ~lmap ~ret (t : Block.term) :
     (state -> int) * (state -> timing -> int array -> int) =
   match t with
@@ -1964,8 +1330,9 @@ let rec fuse_timed (code : (timing -> unit) array) lo hi =
 
 let compile (f : Cfg.func) : compiled =
   let blocks = Array.of_list f.Cfg.blocks in
-  (* Hashtbl.replace in block order: with duplicate labels the last
-     block wins, exactly as in the walker's block table. *)
+  (* Hashtbl.replace in block order: with duplicate labels a jump goes
+     to the last block of that name (the execution goldens pin this
+     order). *)
   let lmap = Hashtbl.create (max 16 (2 * Array.length blocks)) in
   Array.iteri (fun i b -> Hashtbl.replace lmap b.Block.label i) blocks;
   (* Pre-size the flat register files: at least the 8 physical slots
@@ -2020,14 +1387,32 @@ let compile (f : Cfg.func) : compiled =
     c_nxmm = !nxmm;
   }
 
+(* Parameters are bound by name from the environment's bindings; the
+   frame and stack pointers both start at the environment's stack.
+   Every parameter register is in [Cfg.all_regs], so its slot is in
+   range of the register file of its class. *)
+let bind_args st (f : Cfg.func) env =
+  st.gpr.(slot Reg.frame_ptr) <- Env.stack_base env;
+  st.gpr.(slot Reg.stack_ptr) <- Env.stack_base env;
+  List.iter
+    (fun (name, (r : Reg.t)) ->
+      let i = slot r in
+      match (Env.binding env name, r.Reg.cls) with
+      | Env.Int_arg v, Reg.Gpr -> st.gpr.(i) <- v
+      | Env.Array_arg { addr; _ }, Reg.Gpr -> st.gpr.(i) <- addr
+      | Env.Fp_arg (sz, v), Reg.Xmm -> (
+        zero16 st.xmm (i * 16);
+        match sz with Instr.D -> setd st.xmm (i * 16) v | Instr.S -> sets st.xmm (i * 16) v)
+      | _ -> trap "parameter %S is bound to a value of the wrong register class" name
+      | exception Not_found -> trap "no binding for parameter %S" name)
+    f.Cfg.params
+
 let exec ?timing ?(max_instrs = 200_000_000) ?(ret_fsize = Instr.D) (c : compiled)
     (env : Env.t) =
   let st =
     {
       gpr = Array.make c.c_ngpr 0;
-      gcap = c.c_ngpr;
       xmm = Bytes.make (c.c_nxmm * 16) '\000';
-      xcap = c.c_nxmm;
       memm = Env.mem env;
     }
   in
@@ -2039,9 +1424,10 @@ let exec ?timing ?(max_instrs = 200_000_000) ?(ret_fsize = Instr.D) (c : compile
     let ret =
       Option.map
         (fun (r : Reg.t) ->
-          match r.Reg.cls with
-          | Reg.Gpr -> Rint (gget st r)
-          | Reg.Xmm -> Rfp (xlane st ret_fsize r 0))
+          match (r.Reg.cls, ret_fsize) with
+          | Reg.Gpr, _ -> Rint (gu st (slot r))
+          | Reg.Xmm, Instr.D -> Rfp (getd st.xmm (xoff r))
+          | Reg.Xmm, Instr.S -> Rfp (gets st.xmm (xoff r)))
         ret_reg
     in
     match tm with
@@ -2049,7 +1435,9 @@ let exec ?timing ?(max_instrs = 200_000_000) ?(ret_fsize = Instr.D) (c : compile
     | Some tm ->
       let fin =
         fmax tm.clk.(k_front)
-          (match ret_reg with Some r -> ready tm r | None -> tm.clk.(k_last))
+          (match ret_reg with
+          | Some r -> rd tm r.Reg.cls (slot r)
+          | None -> tm.clk.(k_last))
       in
       let cycles = Memsys.drain_time tm.ms ~now:(fmax fin tm.clk.(k_last)) in
       { ret; cycles; instr_count = !icount; uop_count = tm.uops }
@@ -2058,7 +1446,8 @@ let exec ?timing ?(max_instrs = 200_000_000) ?(ret_fsize = Instr.D) (c : compile
      budget it is charged up front and the body runs with no
      per-instruction check.  [n <= max_instrs - !icount] is
      overflow-safe ([!icount] never exceeds [max_instrs]), and the
-     slow path traps at exactly the same instruction as the walker. *)
+     slow path counts and traps per instruction (the budget goldens
+     pin the instruction it traps at). *)
   match timing with
   | None ->
     let rec go bi =
@@ -2081,10 +1470,7 @@ let exec ?timing ?(max_instrs = 200_000_000) ?(ret_fsize = Instr.D) (c : compile
     in
     finish (go c.c_entry) None
   | Some (cfg, ms) ->
-    let tm = make_timing cfg ms in
-    tm.tstate <- st;
-    ensure_ready tm Reg.Gpr (c.c_ngpr - 1);
-    ensure_ready tm Reg.Xmm (c.c_nxmm - 1);
+    let tm = make_timing cfg ms st in
     let pred = Array.make (Array.length blocks) (-1) in
     let rec go bi =
       let b = Array.unsafe_get blocks bi in

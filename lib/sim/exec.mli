@@ -1,28 +1,25 @@
 (** The LIL executor: architectural semantics plus (optionally) the
     cycle-approximate timing model.
 
-    Two engines share one semantics definition:
-
-    - {!run_reference}, the original tree-walking interpreter — one
-      [match] per executed instruction, labels looked up by string.
-      It stays as the oracle the compiled engine is checked against.
-    - {!compile}/{!exec}, a decode-once threaded-code engine: each
-      instruction is specialized into a closure at compile time
-      (operand slots, memory shapes, comparison/arithmetic functions
-      all resolved once), labels become integer block indices, and the
-      register files are pre-sized from a decode-time scan.  One
-      decode yields separate pure-semantics and semantics+timing
-      closure arrays, so untimed runs pay nothing for the timing
-      model.  The two engines are bit-identical: same values, same
-      trap messages at the same points, same
-      [cycles]/[instr_count]/[uop_count].
+    {!compile} decodes a function once into threaded code: each
+    instruction is specialized into a closure (operand slots, memory
+    shapes, comparison/arithmetic functions all resolved once), labels
+    become integer block indices, and the register files are pre-sized
+    from a decode-time scan.  One decode yields separate pure-semantics
+    and semantics+timing closure arrays, so untimed runs pay nothing for
+    the timing model.  {!exec} replays them.  What a run observably does
+    — return-value bits, trap messages and the points they are raised
+    at, [cycles]/[instr_count]/[uop_count], the final memory image — is
+    pinned by the execution goldens in test/test_exec_compiled.ml,
+    recorded from (and checked equal to) the tree-walking interpreter
+    this engine replaced.
 
     The timing model is a greedy out-of-order scheduler — a
     width-limited front end, per-unit service times, register-ready
     times for true (read-after-write) dependencies only (register
     renaming removes the false ones, as on the modelled machines),
     memory completion times from {!Ifko_machine.Memsys}, and a one-bit
-    branch predictor. *)
+    branch predictor per block. *)
 
 type ret_val = Rint of int | Rfp of float
 
@@ -44,8 +41,8 @@ type compiled
 
 val compile : Cfg.func -> compiled
 (** Decode [func] (virtual or physical registers both work) into
-    closure arrays.  Never traps itself: unresolvable jump targets
-    trap at execution, like the walker. *)
+    closure arrays.  Never traps itself: an unresolvable jump target
+    traps only when the jump is taken. *)
 
 val func : compiled -> Cfg.func
 (** The function a {!compiled} was decoded from. *)
@@ -89,14 +86,3 @@ val run :
 (** [compile] + [exec] in one call — the convenient form for
     single-shot execution.  Callers that run the same function more
     than once should compile once and use {!exec}. *)
-
-val run_reference :
-  ?timing:Ifko_machine.Config.t * Ifko_machine.Memsys.t ->
-  ?max_instrs:int ->
-  ?ret_fsize:Instr.fsize ->
-  Cfg.func ->
-  Env.t ->
-  result
-(** The original tree-walking interpreter, kept as the reference the
-    compiled engine is differentially tested against
-    (test/test_exec_compiled.ml). *)

@@ -124,6 +124,28 @@ let test_driver_rejects_wrong_answers () =
     (tuned.Ifko_search.Driver.ifko_mflops = neg_infinity
     || tuned.Ifko_search.Driver.ifko_mflops = tuned.Ifko_search.Driver.fko_mflops)
 
+(* A non-positive problem size fails closed before any probe runs: at
+   n = 0 every timing is zero cycles, so MFLOPS would be meaningless. *)
+let test_driver_rejects_empty_problem () =
+  let id = { Defs.routine = Defs.Dot; prec = Instr.D } in
+  let compiled = Hil_sources.compile id in
+  let spec = Workload.timer_spec id ~seed:13 in
+  let probes = ref 0 in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "n=%d" n) (Invalid_argument "n must be positive")
+        (fun () ->
+          ignore
+            (Ifko_search.Driver.tune ~cfg:Ifko_machine.Config.p4e
+               ~context:Ifko_sim.Timer.Out_of_cache ~spec ~n ~flops_per_n:2.0
+               ~test:(fun _ ->
+                 incr probes;
+                 true)
+               compiled
+              : Ifko_search.Driver.tuned)))
+    [ 0; -3 ];
+  Alcotest.(check int) "no probe tested" 0 !probes
+
 (* ---- parallel evaluation and the persistent store ---- *)
 
 let params_t : Params.t Alcotest.testable =
@@ -635,6 +657,7 @@ let suite =
     Alcotest.test_case "contributions multiply" `Quick test_linesearch_contributions_multiply;
     Alcotest.test_case "driver improves and verifies" `Slow test_driver_improves_and_verifies;
     Alcotest.test_case "driver rejects wrong answers" `Quick test_driver_rejects_wrong_answers;
+    Alcotest.test_case "driver rejects n <= 0" `Quick test_driver_rejects_empty_problem;
     Alcotest.test_case "codecache dedup and stats" `Quick test_codecache_dedup;
     Alcotest.test_case "codecache single flight" `Quick test_codecache_single_flight;
     Alcotest.test_case "driver codecache reuse" `Quick test_driver_codecache_reuse;
