@@ -24,15 +24,16 @@ check: build fmt test
 bench:
 	dune exec bench/main.exe
 
-# Simulator-throughput report: interpreted MIPS of the reference
-# walker vs. the threaded-code engine on every BLAS kernel, with
-# fast-path coverage and cycle attribution, plus the sampled-vs-full
-# fidelity comparison.  Guarded against the committed results (the
-# baseline is read before the results file is rewritten): a >15%
-# engine-speedup geomean regression fails the target, as does sampled
-# fidelity exceeding its 1% cycle-error budget (against this run and
-# against the baseline's full-fidelity cycles) or the sampled work
-# reduction dropping under 5x.
+# Simulator-throughput report: interpreted MIPS of the execution
+# engine on every BLAS kernel, untimed and timed, each over the rate
+# of the kernel's native reference (Workload.expectation) in the same
+# process, with fast-path coverage and cycle attribution, plus the
+# sampled-vs-full fidelity comparison.  Guarded against the committed
+# results (the baseline is read before the results file is rewritten):
+# a >15% regression of either host-normalised geomean fails the
+# target, as does sampled fidelity exceeding its 1% cycle-error budget
+# (against this run and against the baseline's full-fidelity cycles)
+# or the sampled work reduction dropping under 5x.
 simbench:
 	dune exec bench/main.exe -- --exp simbench --no-store --profile \
 		--baseline BENCH_results.json
