@@ -5,13 +5,15 @@
    trap message — and the MD5 of the final memory image.  The cases
    cover the full BLAS suite untimed and under both timing contexts on
    P4E and Opteron, adversarial cache geometries, warm-cache episodes,
-   every checked-in fuzz reproducer, and hand-built trap, label and
-   branch-predictor cases.
+   every checked-in fuzz reproducer, and hand-built trap, label,
+   branch-predictor and self-addressed-load cases.
 
    The table was recorded from the tree-walking reference interpreter
    the threaded-code engine (Exec.compile / Exec.exec) replaced, and
    checked equal to the threaded engine on every case before that
-   interpreter was deleted.  The goldens run over fused superblock
+   interpreter was deleted.  The self-addressed-load cases came later:
+   they were recorded from the threaded engine while its timed
+   closures still repeated each instruction's semantics inline.  The goldens run over fused superblock
    closures, which call the per-instruction closures in order, and the
    budget trap pins the per-instruction slow path.  A deliberate
    change to the simulator's semantics or timing updates the table
@@ -445,6 +447,9 @@ let goldens =
     ("labels never-taken missing target timed", "ret=int:1 cycles=403a000000000000 instrs=1 uops=2", "b5cfa9d6c8febd618f91ac2843d50a1c");
     ("labels duplicate names", "ret=int:20 cycles=3ffaaaaaaaaaaaaa instrs=2 uops=3", "b5cfa9d6c8febd618f91ac2843d50a1c");
     ("predictor alternating branch", "ret=int:32 cycles=409c59fffffffff9 instrs=131 uops=324", "b5cfa9d6c8febd618f91ac2843d50a1c");
+    ("alias self-addressed load untimed", "ret=int:65536 cycles=0 instrs=4 uops=4", "86188c55d9bf9f1ed595ea5a982da722");
+    ("alias self-addressed load p4e", "ret=int:65536 cycles=4076980000000000 instrs=4 uops=4", "86188c55d9bf9f1ed595ea5a982da722");
+    ("alias self-addressed load opteron", "ret=int:65536 cycles=4060700000000000 instrs=4 uops=4", "86188c55d9bf9f1ed595ea5a982da722");
     ("corpus fz24-f2ed8fc77801.repro ref untimed n=0", "ret=fp:0 cycles=0 instrs=3 uops=3", "484165f384d0173ac7067930b84827af");
     ("corpus fz24-f2ed8fc77801.repro ref timed n=0", "ret=fp:0 cycles=4011555555555555 instrs=3 uops=7", "484165f384d0173ac7067930b84827af");
     ("corpus fz24-f2ed8fc77801.repro ref timed tinyL1 n=0", "ret=fp:0 cycles=4011555555555555 instrs=3 uops=7", "484165f384d0173ac7067930b84827af");
@@ -921,6 +926,26 @@ let test_predictor_goldens () =
   check_group "predictor"
     [ case ~timing:(Flushed cfg) "predictor alternating branch" f (fun () -> Env.create ()) ]
 
+(* A load whose destination is its own address base: the timed engine
+   must charge the memory system for the address the load read, not for
+   the value it wrote.  The line at 64 is stored to first and the loaded
+   value points at a cold line, so charging either address for the
+   other changes the cycle count. *)
+let test_alias_goldens () =
+  let f =
+    one_block
+      ~term:(Block.Ret (Some (gpr 0)))
+      [ Instr.Ildi (gpr 1, 65536);
+        Instr.Ildi (gpr 0, 64);
+        Instr.Ist (mem (gpr 0), gpr 1);
+        Instr.Ild (gpr 0, mem (gpr 0))
+      ]
+  in
+  check_group "alias"
+    (List.map
+       (fun (timing, how) -> case ~timing ("alias self-addressed load " ^ how) f Env.create)
+       [ (Untimed, "untimed"); (Flushed cfg, "p4e"); (Flushed Config.opteron, "opteron") ])
+
 (* [Exec.digest] is computed on first use while compiled code is shared
    across domains: two domains forcing it at once on one [compiled]
    must both get the MD5 of the rendered CFG, and neither may raise. *)
@@ -953,6 +978,7 @@ let suite =
     Alcotest.test_case "vector trap order unified" `Quick test_vector_trap_order;
     Alcotest.test_case "lazy label resolution" `Quick test_lazy_label_resolution;
     Alcotest.test_case "branch predictor goldens" `Quick test_predictor_goldens;
+    Alcotest.test_case "self-addressed load goldens" `Quick test_alias_goldens;
     Alcotest.test_case "digest forced from two domains" `Quick test_digest_two_domains;
   ]
   @ corpus_cases
