@@ -191,10 +191,11 @@ let fp_unit op = match op with Instr.Fmul -> u_fpmul | Instr.Fdiv -> u_fpdiv | _
    [compile] decodes a function once into per-block closure arrays:
    labels become integer block indices, register slots and memory
    operand shapes are resolved at decode time, and every instruction
-   is specialized into two closures built from the same decode — pure
-   semantics for untimed runs and semantics+timing for timed runs — so
-   neither path pays for the other's dispatch.  [exec] then replays
-   the closures.  What a run observably does — values, trap messages
+   is specialized into one semantic closure, which untimed runs call
+   directly, and a timed closure that runs it and then charges the
+   timing model — so untimed runs pay nothing for timing, and each
+   instruction's effect is written once.  [exec] then replays the
+   closures.  What a run observably does — values, trap messages
    and the points they are raised at, [cycles]/[instr_count]/
    [uop_count], the final memory image — is pinned by the execution
    goldens in test/test_exec_compiled.ml, so a rewrite for speed must
@@ -247,11 +248,17 @@ let fusion c =
    by [compile], so closures index the flat arrays directly with
    decode-resolved slots.
 
-   Everything below is written so that the decoded closures contain
-   only inlined primitives: a composed closure that returns a [float]
-   boxes it on every call, so lane reads, lane writes, arithmetic, and
-   readiness lookups are expanded *inside* each instruction's closure
-   body, where the native compiler keeps the intermediates unboxed. *)
+   Two measured rules shape the closures below.  A closure call that
+   returns a [float] boxes it, so lane reads, lane writes, arithmetic
+   and readiness lookups are inlined primitives, expanded inside a
+   closure body where the native compiler keeps the intermediates
+   unboxed.  A call that returns [unit], [bool] or [int] boxes
+   nothing, but it still costs a call, and a timed closure that makes
+   one is no longer leaf code: the timed engine ran measurably slower
+   that way (DESIGN.md §11).  So whole effects (an instruction's
+   semantics, a branch's compare) are written once as local [@inline]
+   closures: untimed runs call them, and the compiler expands them
+   inside the timed closures. *)
 
 (* Unchecked byte accessors.  Every decode-closure access is either
    into the xmm file (pre-sized by [compile] to the function's full
@@ -383,261 +390,210 @@ let[@inline] wr tm (cls : Reg.cls) i v =
   | Reg.Xmm -> Array.unsafe_set tm.xready i v);
   retire tm v
 
-(* Decode one instruction into its (pure, timed) closure pair.  Timed
-   closures for memory ops compute the address exactly once, before
-   the semantic write — the destination may alias the address base
-   (e.g. Ild d,[d]).
-
-   The float size is matched at decode time, so each closure body is a
-   straight line of inlined primitives over the flat register files:
-   no lane-accessor closures, no boxed floats in flight.  Vector lanes
-   are unrolled (D = 2 lanes, S = 4) in lane order, which fixes the
-   aliasing behaviour when the destination overlaps a source; the
-   execution goldens pin both orders. *)
 (* Unchecked register-file access for decode closures: [compile]
    pre-sizes the gpr file to the function's full register extent, so
    every decode-resolved slot is in range by construction. *)
 let[@inline] gu st i = Array.unsafe_get st.gpr i
 let[@inline] gput st i v = Array.unsafe_set st.gpr i v
 
+(* Timing halves shared across opcodes.  They are closed [@inline]
+   functions, so each is expanded inside every timed closure that uses
+   it, like the semantic closures below. *)
+
+(* A single-uop op on [unit_] whose result, in slot [di] of class
+   [dc], is ready [lat] cycles after it starts. *)
+let[@inline] charge_op tm unit_ ~srcs ~lat dc di =
+  let start = acquire1 tm unit_ ~srcs in
+  wr tm dc di (start +. lat)
+
+(* The same for a vector op: [tm.vuops] uops. *)
+let[@inline] charge_vop tm unit_ ~srcs ~lat dc di =
+  let start = acquire tm unit_ ~srcs ~uops:tm.vuops in
+  wr tm dc di (start +. lat)
+
+let[@inline] charge_load tm ~srcs addr dc di =
+  let start = acquire1 tm u_load ~srcs in
+  wr tm dc di (mload tm addr start)
+
+(* [nt] is the byte width of a non-temporal store, 0 for a temporal one. *)
+let[@inline] charge_store tm ~srcs ~nt addr =
+  let start = acquire1 tm u_store ~srcs in
+  if nt = 0 then mstore tm addr start else mnt_store tm addr ~bytes:nt start;
+  retire tm (start +. 1.0)
+
+let[@inline] by_size (sz : Instr.fsize) d s = match sz with Instr.D -> d | Instr.S -> s
+
+(* Decode one instruction into its (pure, timed) closure pair.  The
+   architectural effect is written once, as a semantic closure
+   [sem : state -> unit] (one per float size, [sem_d] and [sem_s],
+   where the size matters).  The pure array holds it itself.  The
+   timed closure runs it on [tm.tstate] and then charges the timing
+   model; [sem] is declared [@inline], so the compiler expands it
+   there and the timed closure makes no extra call.  A memory op's
+   timed closure computes the address before [sem] runs: the
+   destination may be the address base (Ild d,[d]).
+
+   The float size is matched at decode time for the pure closure and
+   by a branch on the captured size in the timed one.  Each [sem] is a
+   straight line of inlined primitives over the flat register files:
+   no lane-accessor closures, no boxed floats in flight.  Vector lanes
+   are unrolled (D = 2 lanes, S = 4) in lane order, which fixes the
+   aliasing behaviour when the destination overlaps a source; the
+   execution goldens pin both orders. *)
 let decode_instr (ins : Instr.t) : (state -> unit) * (timing -> unit) =
   match ins with
   | Instr.Ild (d, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let di = slot d and dc = d.Reg.cls in
-    ( (fun st ->
+    let[@inline] sem st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_bounds st addr 8;
+      gput st di @@ Int64.to_int (uget64 st.memm addr)
+    in
+    ( sem,
+      fun tm ->
+        let st = tm.tstate in
         let addr = ea st.gpr mb mx msc mdp in
-        check_bounds st addr 8;
-        gput st di @@ Int64.to_int (uget64 st.memm addr)),
-      fun tm -> let st = tm.tstate in
-        let addr = ea st.gpr mb mx msc mdp in
-        check_bounds st addr 8;
-        gput st di @@ Int64.to_int (uget64 st.memm addr);
-        let start =
-          acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-        in
-        wr tm dc di (mload tm addr start) )
+        sem st;
+        charge_load tm ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) addr dc di )
   | Instr.Ist (m, s) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let si = slot s and sc = s.Reg.cls in
-    ( (fun st ->
+    let[@inline] sem st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_bounds st addr 8;
+      uset64 st.memm addr (Int64.of_int (gu st si))
+    in
+    ( sem,
+      fun tm ->
+        let st = tm.tstate in
         let addr = ea st.gpr mb mx msc mdp in
-        check_bounds st addr 8;
-        uset64 st.memm addr (Int64.of_int (gu st si))),
-      fun tm -> let st = tm.tstate in
-        let addr = ea st.gpr mb mx msc mdp in
-        check_bounds st addr 8;
-        uset64 st.memm addr (Int64.of_int (gu st si));
-        let start =
-          acquire1 tm u_store
-            ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2)))
-        in
-        mstore tm addr start;
-        retire tm (start +. 1.0) )
+        sem st;
+        charge_store tm addr ~nt:0
+          ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2))) )
   | Instr.Imov (d, s) ->
     let di = slot d and dc = d.Reg.cls and si = slot s and sc = s.Reg.cls in
-    ( (fun st -> gput st di @@ (gu st si)),
-      fun tm -> let st = tm.tstate in
-        gput st di @@ (gu st si);
-        let start = acquire1 tm u_alu ~srcs:(rd tm sc si) in
-        wr tm dc di (start +. 1.0) )
+    let[@inline] sem st = gput st di @@ gu st si in
+    ( sem,
+      fun tm ->
+        sem tm.tstate;
+        charge_op tm u_alu ~srcs:(rd tm sc si) ~lat:1.0 dc di )
   | Instr.Ildi (d, v) ->
     let di = slot d and dc = d.Reg.cls in
-    ( (fun st -> gput st di @@ v),
-      fun tm -> let st = tm.tstate in
-        gput st di @@ v;
-        let start = acquire1 tm u_alu ~srcs:0.0 in
-        wr tm dc di (start +. 1.0) )
+    let[@inline] sem st = gput st di v in
+    ( sem,
+      fun tm ->
+        sem tm.tstate;
+        charge_op tm u_alu ~srcs:0.0 ~lat:1.0 dc di )
   | Instr.Iop (op, d, a, b) ->
     let di = slot d and dc = d.Reg.cls and ai = slot a and ac = a.Reg.cls in
     let lat = match op with Instr.Imul -> 3.0 | _ -> 1.0 in
     (match b with
     | Instr.Oreg r ->
       let bi = slot r and bc = r.Reg.cls in
-      ( (fun st -> gput st di @@ iop_x op (gu st ai) (gu st bi)),
-        fun tm -> let st = tm.tstate in
-          gput st di @@ iop_x op (gu st ai) (gu st bi);
-          let start =
-            acquire1 tm u_alu ~srcs:(fmax (rd tm ac ai) (rd tm bc bi))
-          in
-          wr tm dc di (start +. lat) )
+      let[@inline] sem st = gput st di @@ iop_x op (gu st ai) (gu st bi) in
+      ( sem,
+        fun tm ->
+          sem tm.tstate;
+          charge_op tm u_alu ~srcs:(fmax (rd tm ac ai) (rd tm bc bi)) ~lat dc di )
     | Instr.Oimm k ->
-      ( (fun st -> gput st di @@ iop_x op (gu st ai) k),
-        fun tm -> let st = tm.tstate in
-          gput st di @@ iop_x op (gu st ai) k;
-          let start = acquire1 tm u_alu ~srcs:(rd tm ac ai) in
-          wr tm dc di (start +. lat) ))
+      let[@inline] sem st = gput st di @@ iop_x op (gu st ai) k in
+      ( sem,
+        fun tm ->
+          sem tm.tstate;
+          charge_op tm u_alu ~srcs:(rd tm ac ai) ~lat dc di ))
   | Instr.Lea (d, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let di = slot d and dc = d.Reg.cls in
-    ( (fun st -> gput st di @@ ea st.gpr mb mx msc mdp),
-      fun tm -> let st = tm.tstate in
-        gput st di @@ ea st.gpr mb mx msc mdp;
-        let start =
-          acquire1 tm u_alu ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-        in
-        wr tm dc di (start +. 1.0) )
+    let[@inline] sem st = gput st di @@ ea st.gpr mb mx msc mdp in
+    ( sem,
+      fun tm ->
+        sem tm.tstate;
+        charge_op tm u_alu ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) ~lat:1.0 dc di )
   | Instr.Fld (sz, d, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let xo = xoff d and di = slot d and dc = d.Reg.cls in
-    (match sz with
-    | Instr.D ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          zero16 st.xmm xo;
-          check_bounds st addr 8;
-          setd st.xmm xo (getd st.memm addr)),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          zero16 st.xmm xo;
-          check_bounds st addr 8;
-          setd st.xmm xo (getd st.memm addr);
-          let start =
-            acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-          in
-          wr tm dc di (mload tm addr start) )
-    | Instr.S ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          zero16 st.xmm xo;
-          check_bounds st addr 4;
-          sets st.xmm xo (gets st.memm addr)),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          zero16 st.xmm xo;
-          check_bounds st addr 4;
-          sets st.xmm xo (gets st.memm addr);
-          let start =
-            acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-          in
-          wr tm dc di (mload tm addr start) ))
-  | Instr.Fst (sz, m, s) ->
+    let[@inline] sem_d st =
+      let addr = ea st.gpr mb mx msc mdp in
+      zero16 st.xmm xo;
+      check_bounds st addr 8;
+      setd st.xmm xo (getd st.memm addr)
+    in
+    let[@inline] sem_s st =
+      let addr = ea st.gpr mb mx msc mdp in
+      zero16 st.xmm xo;
+      check_bounds st addr 4;
+      sets st.xmm xo (gets st.memm addr)
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        let st = tm.tstate in
+        let addr = ea st.gpr mb mx msc mdp in
+        (match sz with Instr.D -> sem_d st | Instr.S -> sem_s st);
+        charge_load tm ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) addr dc di )
+  | Instr.Fst (sz, m, s) | Instr.Fstnt (sz, m, s) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let so = xoff s and si = slot s and sc = s.Reg.cls in
-    (match sz with
-    | Instr.D ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 8;
-          setd st.memm addr (getd st.xmm so)),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 8;
-          setd st.memm addr (getd st.xmm so);
-          let start =
-            acquire1 tm u_store
-              ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2)))
-          in
-          mstore tm addr start;
-          retire tm (start +. 1.0) )
-    | Instr.S ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 4;
-          sets st.memm addr (gets st.xmm so)),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 4;
-          sets st.memm addr (gets st.xmm so);
-          let start =
-            acquire1 tm u_store
-              ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2)))
-          in
-          mstore tm addr start;
-          retire tm (start +. 1.0) ))
-  | Instr.Fstnt (sz, m, s) ->
-    let mb, mx, msc, mdp = maddr m in
-    let c1, s1, c2, s2 = mready m in
-    let so = xoff s and si = slot s and sc = s.Reg.cls in
-    let bytes = Instr.fsize_bytes sz in
-    (match sz with
-    | Instr.D ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 8;
-          setd st.memm addr (getd st.xmm so)),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 8;
-          setd st.memm addr (getd st.xmm so);
-          let start =
-            acquire1 tm u_store
-              ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2)))
-          in
-          mnt_store tm addr ~bytes start;
-          retire tm (start +. 1.0) )
-    | Instr.S ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 4;
-          sets st.memm addr (gets st.xmm so)),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 4;
-          sets st.memm addr (gets st.xmm so);
-          let start =
-            acquire1 tm u_store
-              ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2)))
-          in
-          mnt_store tm addr ~bytes start;
-          retire tm (start +. 1.0) ))
+    let nt = match ins with Instr.Fstnt _ -> Instr.fsize_bytes sz | _ -> 0 in
+    let[@inline] sem_d st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_bounds st addr 8;
+      setd st.memm addr (getd st.xmm so)
+    in
+    let[@inline] sem_s st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_bounds st addr 4;
+      sets st.memm addr (gets st.xmm so)
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        let st = tm.tstate in
+        let addr = ea st.gpr mb mx msc mdp in
+        (match sz with Instr.D -> sem_d st | Instr.S -> sem_s st);
+        charge_store tm addr ~nt
+          ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2))) )
   | Instr.Fmov (_, d, s) | Instr.Vmov (_, d, s) ->
     let doff = xoff d and soff = xoff s in
     let di = slot d and dc = d.Reg.cls and si = slot s and sc = s.Reg.cls in
-    ( (fun st -> copy16 st.xmm doff st.xmm soff),
-      fun tm -> let st = tm.tstate in
-        copy16 st.xmm doff st.xmm soff;
-        let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-        wr tm dc di (start +. 1.0) )
+    let[@inline] sem st = copy16 st.xmm doff st.xmm soff in
+    ( sem,
+      fun tm ->
+        sem tm.tstate;
+        charge_op tm u_fpadd ~srcs:(rd tm sc si) ~lat:1.0 dc di )
   | Instr.Fldi (sz, d, c) ->
     let xo = xoff d and di = slot d and dc = d.Reg.cls in
-    let sem =
-      (* the lane image of the constant is computed at decode time *)
-      match sz with
-      | Instr.D ->
-        let bits = Int64.bits_of_float c in
-        fun st ->
-          zero16 st.xmm xo;
-          uset64 st.xmm xo bits
-      | Instr.S ->
-        let bits = Int32.bits_of_float c in
-        fun st ->
-          zero16 st.xmm xo;
-          uset32 st.xmm xo bits
+    (* the lane image of the constant is computed at decode time *)
+    let bits_d = Int64.bits_of_float c and bits_s = Int32.bits_of_float c in
+    let[@inline] sem_d st =
+      zero16 st.xmm xo;
+      uset64 st.xmm xo bits_d
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start = acquire1 tm u_load ~srcs:0.0 in
-        wr tm dc di (start +. tm.l1_l) )
+    let[@inline] sem_s st =
+      zero16 st.xmm xo;
+      uset32 st.xmm xo bits_s
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm u_load ~srcs:0.0 ~lat:tm.l1_l dc di )
   | Instr.Fop (sz, op, d, a, b) ->
     let ao = xoff a and bo = xoff b and dxo = xoff d in
     let ai = slot a and ac = a.Reg.cls in
     let bi = slot b and bc = b.Reg.cls in
     let di = slot d and dc = d.Reg.cls in
     let unit_ = fp_unit op in
-    (match sz with
-    | Instr.D ->
-      ( (fun st -> setd st.xmm dxo (fop_x op (getd st.xmm ao) (getd st.xmm bo))),
-        fun tm -> let st = tm.tstate in
-          setd st.xmm dxo (fop_x op (getd st.xmm ao) (getd st.xmm bo));
-          let start =
-            acquire1 tm unit_ ~srcs:(fmax (rd tm ac ai) (rd tm bc bi))
-          in
-          wr tm dc di (start +. flat tm op) )
-    | Instr.S ->
-      ( (fun st -> sets st.xmm dxo (fop_x op (gets st.xmm ao) (gets st.xmm bo))),
-        fun tm -> let st = tm.tstate in
-          sets st.xmm dxo (fop_x op (gets st.xmm ao) (gets st.xmm bo));
-          let start =
-            acquire1 tm unit_ ~srcs:(fmax (rd tm ac ai) (rd tm bc bi))
-          in
-          wr tm dc di (start +. flat tm op) ))
+    let[@inline] sem_d st = setd st.xmm dxo (fop_x op (getd st.xmm ao) (getd st.xmm bo)) in
+    let[@inline] sem_s st = sets st.xmm dxo (fop_x op (gets st.xmm ao) (gets st.xmm bo)) in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm unit_ dc di ~lat:(flat tm op)
+          ~srcs:(fmax (rd tm ac ai) (rd tm bc bi)) )
   | Instr.Fopm (sz, op, d, a, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
@@ -645,211 +601,143 @@ let decode_instr (ins : Instr.t) : (state -> unit) * (timing -> unit) =
     let ai = slot a and ac = a.Reg.cls in
     let di = slot d and dc = d.Reg.cls in
     let unit_ = fp_unit op in
-    (match sz with
-    | Instr.D ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 8;
-          setd st.xmm dxo (fop_x op (getd st.xmm ao) (getd st.memm addr))),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 8;
-          setd st.xmm dxo (fop_x op (getd st.xmm ao) (getd st.memm addr));
-          let lstart =
-            acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-          in
-          let data = mload tm addr lstart in
-          let start = acquire1 tm unit_ ~srcs:(fmax data (rd tm ac ai)) in
-          wr tm dc di (start +. flat tm op) )
-    | Instr.S ->
-      ( (fun st ->
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 4;
-          sets st.xmm dxo (fop_x op (gets st.xmm ao) (gets st.memm addr))),
-        fun tm -> let st = tm.tstate in
-          let addr = ea st.gpr mb mx msc mdp in
-          check_bounds st addr 4;
-          sets st.xmm dxo (fop_x op (gets st.xmm ao) (gets st.memm addr));
-          let lstart =
-            acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-          in
-          let data = mload tm addr lstart in
-          let start = acquire1 tm unit_ ~srcs:(fmax data (rd tm ac ai)) in
-          wr tm dc di (start +. flat tm op) ))
+    let[@inline] sem_d st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_bounds st addr 8;
+      setd st.xmm dxo (fop_x op (getd st.xmm ao) (getd st.memm addr))
+    in
+    let[@inline] sem_s st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_bounds st addr 4;
+      sets st.xmm dxo (fop_x op (gets st.xmm ao) (gets st.memm addr))
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        let st = tm.tstate in
+        let addr = ea st.gpr mb mx msc mdp in
+        (match sz with Instr.D -> sem_d st | Instr.S -> sem_s st);
+        let lstart = acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) in
+        let data = mload tm addr lstart in
+        charge_op tm unit_ ~srcs:(fmax data (rd tm ac ai)) ~lat:(flat tm op) dc di )
   | Instr.Fabs (sz, d, s) ->
     let so = xoff s and dxo = xoff d in
     let si = slot s and sc = s.Reg.cls and di = slot d and dc = d.Reg.cls in
-    (match sz with
-    | Instr.D ->
-      ( (fun st -> setd st.xmm dxo (Float.abs (getd st.xmm so))),
-        fun tm -> let st = tm.tstate in
-          setd st.xmm dxo (Float.abs (getd st.xmm so));
-          let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-          wr tm dc di (start +. 1.0) )
-    | Instr.S ->
-      ( (fun st -> sets st.xmm dxo (Float.abs (gets st.xmm so))),
-        fun tm -> let st = tm.tstate in
-          sets st.xmm dxo (Float.abs (gets st.xmm so));
-          let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-          wr tm dc di (start +. 1.0) ))
+    let[@inline] sem_d st = setd st.xmm dxo (Float.abs (getd st.xmm so)) in
+    let[@inline] sem_s st = sets st.xmm dxo (Float.abs (gets st.xmm so)) in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm u_fpadd ~srcs:(rd tm sc si) ~lat:1.0 dc di )
   | Instr.Fsqrt (sz, d, s) ->
     let so = xoff s and dxo = xoff d in
     let si = slot s and sc = s.Reg.cls and di = slot d and dc = d.Reg.cls in
-    (match sz with
-    | Instr.D ->
-      ( (fun st -> setd st.xmm dxo (Float.sqrt (getd st.xmm so))),
-        fun tm -> let st = tm.tstate in
-          setd st.xmm dxo (Float.sqrt (getd st.xmm so));
-          (* square root shares the unpipelined divider *)
-          let start = acquire1 tm u_fpdiv ~srcs:(rd tm sc si) in
-          wr tm dc di (start +. tm.fdiv_l) )
-    | Instr.S ->
-      ( (fun st -> sets st.xmm dxo (Float.sqrt (gets st.xmm so))),
-        fun tm -> let st = tm.tstate in
-          sets st.xmm dxo (Float.sqrt (gets st.xmm so));
-          let start = acquire1 tm u_fpdiv ~srcs:(rd tm sc si) in
-          wr tm dc di (start +. tm.fdiv_l) ))
+    let[@inline] sem_d st = setd st.xmm dxo (Float.sqrt (getd st.xmm so)) in
+    let[@inline] sem_s st = sets st.xmm dxo (Float.sqrt (gets st.xmm so)) in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        (* square root shares the unpipelined divider *)
+        charge_op tm u_fpdiv ~srcs:(rd tm sc si) ~lat:tm.fdiv_l dc di )
   | Instr.Fneg (sz, d, s) ->
     let so = xoff s and dxo = xoff d in
     let si = slot s and sc = s.Reg.cls and di = slot d and dc = d.Reg.cls in
-    (match sz with
-    | Instr.D ->
-      ( (fun st -> setd st.xmm dxo (-.getd st.xmm so)),
-        fun tm -> let st = tm.tstate in
-          setd st.xmm dxo (-.getd st.xmm so);
-          let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-          wr tm dc di (start +. 1.0) )
-    | Instr.S ->
-      ( (fun st -> sets st.xmm dxo (-.gets st.xmm so)),
-        fun tm -> let st = tm.tstate in
-          sets st.xmm dxo (-.gets st.xmm so);
-          let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-          wr tm dc di (start +. 1.0) ))
+    let[@inline] sem_d st = setd st.xmm dxo (-.getd st.xmm so) in
+    let[@inline] sem_s st = sets st.xmm dxo (-.gets st.xmm so) in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm u_fpadd ~srcs:(rd tm sc si) ~lat:1.0 dc di )
   | Instr.Vld (_, d, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let doff = xoff d and di = slot d and dc = d.Reg.cls in
-    ( (fun st ->
+    let[@inline] sem st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_vec_access st ~what:"load" addr;
+      copy16 st.xmm doff st.memm addr
+    in
+    ( sem,
+      fun tm ->
+        let st = tm.tstate in
         let addr = ea st.gpr mb mx msc mdp in
-        check_vec_access st ~what:"load" addr;
-        copy16 st.xmm doff st.memm addr),
-      fun tm -> let st = tm.tstate in
-        let addr = ea st.gpr mb mx msc mdp in
-        check_vec_access st ~what:"load" addr;
-        copy16 st.xmm doff st.memm addr;
-        let start =
-          acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-        in
-        wr tm dc di (mload tm addr start) )
-  | Instr.Vst (_, m, s) ->
+        sem st;
+        charge_load tm ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) addr dc di )
+  | Instr.Vst (_, m, s) | Instr.Vstnt (_, m, s) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let soff = xoff s and si = slot s and sc = s.Reg.cls in
-    ( (fun st ->
+    let nt = match ins with Instr.Vstnt _ -> 16 | _ -> 0 in
+    let[@inline] sem st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_vec_access st ~what:"store" addr;
+      copy16 st.memm addr st.xmm soff
+    in
+    ( sem,
+      fun tm ->
+        let st = tm.tstate in
         let addr = ea st.gpr mb mx msc mdp in
-        check_vec_access st ~what:"store" addr;
-        copy16 st.memm addr st.xmm soff),
-      fun tm -> let st = tm.tstate in
-        let addr = ea st.gpr mb mx msc mdp in
-        check_vec_access st ~what:"store" addr;
-        copy16 st.memm addr st.xmm soff;
-        let start =
-          acquire1 tm u_store
-            ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2)))
-        in
-        mstore tm addr start;
-        retire tm (start +. 1.0) )
-  | Instr.Vstnt (_, m, s) ->
-    let mb, mx, msc, mdp = maddr m in
-    let c1, s1, c2, s2 = mready m in
-    let soff = xoff s and si = slot s and sc = s.Reg.cls in
-    ( (fun st ->
-        let addr = ea st.gpr mb mx msc mdp in
-        check_vec_access st ~what:"store" addr;
-        copy16 st.memm addr st.xmm soff),
-      fun tm -> let st = tm.tstate in
-        let addr = ea st.gpr mb mx msc mdp in
-        check_vec_access st ~what:"store" addr;
-        copy16 st.memm addr st.xmm soff;
-        let start =
-          acquire1 tm u_store
-            ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2)))
-        in
-        mnt_store tm addr ~bytes:16 start;
-        retire tm (start +. 1.0) )
+        sem st;
+        charge_store tm addr ~nt
+          ~srcs:(fmax (rd tm sc si) (fmax (rd tm c1 s1) (rd tm c2 s2))) )
   | Instr.Vbcast (sz, d, s) ->
     let so = xoff s and dxo = xoff d in
     let si = slot s and sc = s.Reg.cls and di = slot d and dc = d.Reg.cls in
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st ->
-          let bits = uget64 st.xmm so in
-          uset64 st.xmm dxo bits;
-          uset64 st.xmm (dxo + 8) bits
-      | Instr.S ->
-        fun st ->
-          let bits = uget32 st.xmm so in
-          uset32 st.xmm dxo bits;
-          uset32 st.xmm (dxo + 4) bits;
-          uset32 st.xmm (dxo + 8) bits;
-          uset32 st.xmm (dxo + 12) bits
+    let[@inline] sem_d st =
+      let bits = uget64 st.xmm so in
+      uset64 st.xmm dxo bits;
+      uset64 st.xmm (dxo + 8) bits
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-        wr tm dc di (start +. 2.0) )
+    let[@inline] sem_s st =
+      let bits = uget32 st.xmm so in
+      uset32 st.xmm dxo bits;
+      uset32 st.xmm (dxo + 4) bits;
+      uset32 st.xmm (dxo + 8) bits;
+      uset32 st.xmm (dxo + 12) bits
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm u_fpadd ~srcs:(rd tm sc si) ~lat:2.0 dc di )
   | Instr.Vldi (sz, d, c) ->
     let dxo = xoff d and di = slot d and dc = d.Reg.cls in
-    let sem =
-      match sz with
-      | Instr.D ->
-        let bits = Int64.bits_of_float c in
-        fun st ->
-          uset64 st.xmm dxo bits;
-          uset64 st.xmm (dxo + 8) bits
-      | Instr.S ->
-        let bits = Int32.bits_of_float c in
-        fun st ->
-          uset32 st.xmm dxo bits;
-          uset32 st.xmm (dxo + 4) bits;
-          uset32 st.xmm (dxo + 8) bits;
-          uset32 st.xmm (dxo + 12) bits
+    let bits_d = Int64.bits_of_float c and bits_s = Int32.bits_of_float c in
+    let[@inline] sem_d st =
+      uset64 st.xmm dxo bits_d;
+      uset64 st.xmm (dxo + 8) bits_d
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start = acquire1 tm u_load ~srcs:0.0 in
-        wr tm dc di (start +. tm.l1_l) )
+    let[@inline] sem_s st =
+      uset32 st.xmm dxo bits_s;
+      uset32 st.xmm (dxo + 4) bits_s;
+      uset32 st.xmm (dxo + 8) bits_s;
+      uset32 st.xmm (dxo + 12) bits_s
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm u_load ~srcs:0.0 ~lat:tm.l1_l dc di )
   | Instr.Vop (sz, op, d, a, b) ->
     let ao = xoff a and bo = xoff b and dxo = xoff d in
     let ai = slot a and ac = a.Reg.cls in
     let bi = slot b and bc = b.Reg.cls in
     let di = slot d and dc = d.Reg.cls in
     let unit_ = fp_unit op in
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st ->
-          let x = st.xmm in
-          setd x dxo (fop_x op (getd x ao) (getd x bo));
-          setd x (dxo + 8) (fop_x op (getd x (ao + 8)) (getd x (bo + 8)))
-      | Instr.S ->
-        fun st ->
-          let x = st.xmm in
-          sets x dxo (fop_x op (gets x ao) (gets x bo));
-          sets x (dxo + 4) (fop_x op (gets x (ao + 4)) (gets x (bo + 4)));
-          sets x (dxo + 8) (fop_x op (gets x (ao + 8)) (gets x (bo + 8)));
-          sets x (dxo + 12) (fop_x op (gets x (ao + 12)) (gets x (bo + 12)))
+    let[@inline] sem_d st =
+      let x = st.xmm in
+      setd x dxo (fop_x op (getd x ao) (getd x bo));
+      setd x (dxo + 8) (fop_x op (getd x (ao + 8)) (getd x (bo + 8)))
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start =
-          acquire tm unit_ ~srcs:(fmax (rd tm ac ai) (rd tm bc bi)) ~uops:tm.vuops
-        in
-        wr tm dc di (start +. flat tm op) )
+    let[@inline] sem_s st =
+      let x = st.xmm in
+      sets x dxo (fop_x op (gets x ao) (gets x bo));
+      sets x (dxo + 4) (fop_x op (gets x (ao + 4)) (gets x (bo + 4)));
+      sets x (dxo + 8) (fop_x op (gets x (ao + 8)) (gets x (bo + 8)));
+      sets x (dxo + 12) (fop_x op (gets x (ao + 12)) (gets x (bo + 12)))
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_vop tm unit_ dc di ~lat:(flat tm op)
+          ~srcs:(fmax (rd tm ac ai) (rd tm bc bi)) )
   | Instr.Vopm (sz, op, d, a, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
@@ -859,224 +747,184 @@ let decode_instr (ins : Instr.t) : (state -> unit) * (timing -> unit) =
     let unit_ = fp_unit op in
     (* [check_vec_access] proves the whole 16-byte operand in range, so
        the lanes need no bounds checks of their own. *)
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st addr ->
-          check_vec_access st ~what:"operand" addr;
-          let x = st.xmm and mm = st.memm in
-          setd x dxo (fop_x op (getd x ao) (getd mm addr));
-          setd x (dxo + 8) (fop_x op (getd x (ao + 8)) (getd mm (addr + 8)))
-      | Instr.S ->
-        fun st addr ->
-          check_vec_access st ~what:"operand" addr;
-          let x = st.xmm and mm = st.memm in
-          sets x dxo (fop_x op (gets x ao) (gets mm addr));
-          sets x (dxo + 4) (fop_x op (gets x (ao + 4)) (gets mm (addr + 4)));
-          sets x (dxo + 8) (fop_x op (gets x (ao + 8)) (gets mm (addr + 8)));
-          sets x (dxo + 12) (fop_x op (gets x (ao + 12)) (gets mm (addr + 12)))
+    let[@inline] sem_d st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_vec_access st ~what:"operand" addr;
+      let x = st.xmm and mm = st.memm in
+      setd x dxo (fop_x op (getd x ao) (getd mm addr));
+      setd x (dxo + 8) (fop_x op (getd x (ao + 8)) (getd mm (addr + 8)))
     in
-    ( (fun st -> sem st (ea st.gpr mb mx msc mdp)),
-      fun tm -> let st = tm.tstate in
+    let[@inline] sem_s st =
+      let addr = ea st.gpr mb mx msc mdp in
+      check_vec_access st ~what:"operand" addr;
+      let x = st.xmm and mm = st.memm in
+      sets x dxo (fop_x op (gets x ao) (gets mm addr));
+      sets x (dxo + 4) (fop_x op (gets x (ao + 4)) (gets mm (addr + 4)));
+      sets x (dxo + 8) (fop_x op (gets x (ao + 8)) (gets mm (addr + 8)));
+      sets x (dxo + 12) (fop_x op (gets x (ao + 12)) (gets mm (addr + 12)))
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        let st = tm.tstate in
         let addr = ea st.gpr mb mx msc mdp in
-        sem st addr;
-        let lstart =
-          acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-        in
+        (match sz with Instr.D -> sem_d st | Instr.S -> sem_s st);
+        let lstart = acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) in
         let data = mload tm addr lstart in
-        let start =
-          acquire tm unit_ ~srcs:(fmax data (rd tm ac ai)) ~uops:tm.vuops
-        in
-        wr tm dc di (start +. flat tm op) )
+        charge_vop tm unit_ ~srcs:(fmax data (rd tm ac ai)) ~lat:(flat tm op) dc di )
   | Instr.Vabs (sz, d, s) ->
     let so = xoff s and dxo = xoff d in
     let si = slot s and sc = s.Reg.cls and di = slot d and dc = d.Reg.cls in
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st ->
-          let x = st.xmm in
-          setd x dxo (Float.abs (getd x so));
-          setd x (dxo + 8) (Float.abs (getd x (so + 8)))
-      | Instr.S ->
-        fun st ->
-          let x = st.xmm in
-          sets x dxo (Float.abs (gets x so));
-          sets x (dxo + 4) (Float.abs (gets x (so + 4)));
-          sets x (dxo + 8) (Float.abs (gets x (so + 8)));
-          sets x (dxo + 12) (Float.abs (gets x (so + 12)))
+    let[@inline] sem_d st =
+      let x = st.xmm in
+      setd x dxo (Float.abs (getd x so));
+      setd x (dxo + 8) (Float.abs (getd x (so + 8)))
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start = acquire tm u_fpadd ~srcs:(rd tm sc si) ~uops:tm.vuops in
-        wr tm dc di (start +. 1.0) )
+    let[@inline] sem_s st =
+      let x = st.xmm in
+      sets x dxo (Float.abs (gets x so));
+      sets x (dxo + 4) (Float.abs (gets x (so + 4)));
+      sets x (dxo + 8) (Float.abs (gets x (so + 8)));
+      sets x (dxo + 12) (Float.abs (gets x (so + 12)))
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_vop tm u_fpadd ~srcs:(rd tm sc si) ~lat:1.0 dc di )
   | Instr.Vsqrt (sz, d, s) ->
     let so = xoff s and dxo = xoff d in
     let si = slot s and sc = s.Reg.cls and di = slot d and dc = d.Reg.cls in
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st ->
-          let x = st.xmm in
-          setd x dxo (Float.sqrt (getd x so));
-          setd x (dxo + 8) (Float.sqrt (getd x (so + 8)))
-      | Instr.S ->
-        fun st ->
-          let x = st.xmm in
-          sets x dxo (Float.sqrt (gets x so));
-          sets x (dxo + 4) (Float.sqrt (gets x (so + 4)));
-          sets x (dxo + 8) (Float.sqrt (gets x (so + 8)));
-          sets x (dxo + 12) (Float.sqrt (gets x (so + 12)))
+    let[@inline] sem_d st =
+      let x = st.xmm in
+      setd x dxo (Float.sqrt (getd x so));
+      setd x (dxo + 8) (Float.sqrt (getd x (so + 8)))
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start = acquire tm u_fpdiv ~srcs:(rd tm sc si) ~uops:tm.vuops in
-        wr tm dc di (start +. tm.fdiv_l) )
+    let[@inline] sem_s st =
+      let x = st.xmm in
+      sets x dxo (Float.sqrt (gets x so));
+      sets x (dxo + 4) (Float.sqrt (gets x (so + 4)));
+      sets x (dxo + 8) (Float.sqrt (gets x (so + 8)));
+      sets x (dxo + 12) (Float.sqrt (gets x (so + 12)))
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_vop tm u_fpdiv ~srcs:(rd tm sc si) ~lat:tm.fdiv_l dc di )
   | Instr.Vcmp (sz, cmp, d, a, b) ->
     let ao = xoff a and bo = xoff b and doff = xoff d in
     let ai = slot a and ac = a.Reg.cls in
     let bi = slot b and bc = b.Reg.cls in
     let di = slot d and dc = d.Reg.cls in
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st ->
-          let x = st.xmm in
-          let t0 = cmpf_x cmp (getd x ao) (getd x bo) in
-          uset64 x doff (if t0 then Int64.minus_one else 0L);
-          let t1 = cmpf_x cmp (getd x (ao + 8)) (getd x (bo + 8)) in
-          uset64 x (doff + 8) (if t1 then Int64.minus_one else 0L)
-      | Instr.S ->
-        fun st ->
-          let x = st.xmm in
-          for lane = 0 to 3 do
-            let o = lane * 4 in
-            let t = cmpf_x cmp (gets x (ao + o)) (gets x (bo + o)) in
-            uset32 x (doff + o) (if t then Int32.minus_one else 0l)
-          done
+    let[@inline] sem_d st =
+      let x = st.xmm in
+      let t0 = cmpf_x cmp (getd x ao) (getd x bo) in
+      uset64 x doff (if t0 then Int64.minus_one else 0L);
+      let t1 = cmpf_x cmp (getd x (ao + 8)) (getd x (bo + 8)) in
+      uset64 x (doff + 8) (if t1 then Int64.minus_one else 0L)
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start =
-          acquire tm u_fpadd ~srcs:(fmax (rd tm ac ai) (rd tm bc bi)) ~uops:tm.vuops
-        in
-        wr tm dc di (start +. 3.0) )
+    let[@inline] sem_s st =
+      let x = st.xmm in
+      for lane = 0 to 3 do
+        let o = lane * 4 in
+        let t = cmpf_x cmp (gets x (ao + o)) (gets x (bo + o)) in
+        uset32 x (doff + o) (if t then Int32.minus_one else 0l)
+      done
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_vop tm u_fpadd ~srcs:(fmax (rd tm ac ai) (rd tm bc bi)) ~lat:3.0 dc di )
   | Instr.Vmovmsk (sz, d, s) ->
     let di = slot d and dc = d.Reg.cls in
     let soff = xoff s and si = slot s and sc = s.Reg.cls in
-    let n = Instr.lanes sz in
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st ->
-          let mask = ref 0 in
-          for lane = 0 to n - 1 do
-            let top =
-              Int64.to_int
-                (Int64.shift_right_logical
-                   (uget64 st.xmm (soff + (lane * 8)))
-                   63)
-            in
-            if top land 1 = 1 then mask := !mask lor (1 lsl lane)
-          done;
-          gput st di @@ !mask
-      | Instr.S ->
-        fun st ->
-          let mask = ref 0 in
-          for lane = 0 to n - 1 do
-            let top =
-              Int32.to_int
-                (Int32.shift_right_logical
-                   (uget32 st.xmm (soff + (lane * 4)))
-                   31)
-            in
-            if top land 1 = 1 then mask := !mask lor (1 lsl lane)
-          done;
-          gput st di @@ !mask
+    let[@inline] sem_d st =
+      let mask = ref 0 in
+      for lane = 0 to 1 do
+        let top =
+          Int64.to_int (Int64.shift_right_logical (uget64 st.xmm (soff + (lane * 8))) 63)
+        in
+        if top land 1 = 1 then mask := !mask lor (1 lsl lane)
+      done;
+      gput st di @@ !mask
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-        wr tm dc di (start +. 2.0) )
+    let[@inline] sem_s st =
+      let mask = ref 0 in
+      for lane = 0 to 3 do
+        let top =
+          Int32.to_int (Int32.shift_right_logical (uget32 st.xmm (soff + (lane * 4))) 31)
+        in
+        if top land 1 = 1 then mask := !mask lor (1 lsl lane)
+      done;
+      gput st di @@ !mask
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm u_fpadd ~srcs:(rd tm sc si) ~lat:2.0 dc di )
   | Instr.Vextract (sz, d, s, lane) ->
     (* pure bit move: float_of_bits/bits_of_float round-trips are the
        identity, so the lane is copied without decoding it *)
     let doff = xoff d and di = slot d and dc = d.Reg.cls in
     let si = slot s and sc = s.Reg.cls in
-    let sem =
-      match sz with
-      | Instr.D ->
-        let so = xoff s + (lane * 8) in
-        fun st ->
-          let bits = uget64 st.xmm so in
-          zero16 st.xmm doff;
-          uset64 st.xmm doff bits
-      | Instr.S ->
-        let so = xoff s + (lane * 4) in
-        fun st ->
-          let bits = uget32 st.xmm so in
-          zero16 st.xmm doff;
-          uset32 st.xmm doff bits
+    let so_d = xoff s + (lane * 8) and so_s = xoff s + (lane * 4) in
+    let[@inline] sem_d st =
+      let bits = uget64 st.xmm so_d in
+      zero16 st.xmm doff;
+      uset64 st.xmm doff bits
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
-        let start = acquire1 tm u_fpadd ~srcs:(rd tm sc si) in
-        wr tm dc di (start +. 2.0) )
+    let[@inline] sem_s st =
+      let bits = uget32 st.xmm so_s in
+      zero16 st.xmm doff;
+      uset32 st.xmm doff bits
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
+        charge_op tm u_fpadd ~srcs:(rd tm sc si) ~lat:2.0 dc di )
   | Instr.Vreduce (sz, op, d, s) ->
     let so = xoff s and doff = xoff d in
     let si = slot s and sc = s.Reg.cls and di = slot d and dc = d.Reg.cls in
     let unit_ = fp_unit op in
-    let sem =
-      match sz with
-      | Instr.D ->
-        fun st ->
-          let x = st.xmm in
-          let acc = fop_x op (getd x so) (getd x (so + 8)) in
-          zero16 x doff;
-          setd x doff acc
-      | Instr.S ->
-        (* single precision rounds after every fold step *)
-        fun st ->
-          let x = st.xmm in
-          let acc = round32 (fop_x op (gets x so) (gets x (so + 4))) in
-          let acc = round32 (fop_x op acc (gets x (so + 8))) in
-          let acc = round32 (fop_x op acc (gets x (so + 12))) in
-          zero16 x doff;
-          sets x doff acc
+    let[@inline] sem_d st =
+      let x = st.xmm in
+      let acc = fop_x op (getd x so) (getd x (so + 8)) in
+      zero16 x doff;
+      setd x doff acc
     in
-    ( sem,
-      fun tm -> let st = tm.tstate in
-        sem st;
+    (* single precision rounds after every fold step *)
+    let[@inline] sem_s st =
+      let x = st.xmm in
+      let acc = round32 (fop_x op (gets x so) (gets x (so + 4))) in
+      let acc = round32 (fop_x op acc (gets x (so + 8))) in
+      let acc = round32 (fop_x op acc (gets x (so + 12))) in
+      zero16 x doff;
+      sets x doff acc
+    in
+    ( by_size sz sem_d sem_s,
+      fun tm ->
+        (match sz with Instr.D -> sem_d tm.tstate | Instr.S -> sem_s tm.tstate);
         let start = acquire tm unit_ ~srcs:(rd tm sc si) ~uops:2 in
         wr tm dc di (start +. (2.0 *. flat tm op)) )
   | Instr.Touch (sz, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     let bytes = Instr.fsize_bytes sz in
-    ( (fun st -> check_bounds st (ea st.gpr mb mx msc mdp) bytes),
-      fun tm -> let st = tm.tstate in
+    let[@inline] sem st = check_bounds st (ea st.gpr mb mx msc mdp) bytes in
+    ( sem,
+      fun tm ->
+        let st = tm.tstate in
         let addr = ea st.gpr mb mx msc mdp in
-        check_bounds st addr bytes;
-        let start =
-          acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-        in
+        sem st;
+        let start = acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) in
         retire tm (mload tm addr start) )
   | Instr.Prefetch (kind, m) ->
     let mb, mx, msc, mdp = maddr m in
     let c1, s1, c2, s2 = mready m in
     ( (fun _ -> ()),
-      fun tm -> let st = tm.tstate in
+      fun tm ->
+        let st = tm.tstate in
         let addr = ea st.gpr mb mx msc mdp in
-        let start =
-          acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2))
-        in
-        if addr >= 0 && addr < Bytes.length st.memm then
-          mprefetch tm addr ~kind start;
+        let start = acquire1 tm u_load ~srcs:(fmax (rd tm c1 s1) (rd tm c2 s2)) in
+        if addr >= 0 && addr < Bytes.length st.memm then mprefetch tm addr ~kind start;
         retire tm (start +. 1.0) )
   | Instr.Nop -> ((fun _ -> ()), fun _ -> ())
 
@@ -1089,11 +937,20 @@ let goto_fn lmap l : state -> int =
   | Some i -> fun _ -> i
   | None -> fun _ -> trap "jump to unknown block %S" l
 
+(* The one-bit branch predictor: [pred.(bi)] is block [bi]'s last
+   outcome, or [-1] before its first, predicted [unseen].  A
+   misprediction holds the front end until the branch resolves plus
+   the penalty. *)
+let[@inline] predict tm pred bi ~unseen taken resolve =
+  let predicted = match pred.(bi) with -1 -> unseen | p -> p = 1 in
+  if predicted <> taken then tm.clk.(k_front) <- fmax tm.clk.(k_front) (resolve +. tm.misp);
+  pred.(bi) <- Bool.to_int taken
+
 (* Terminator closures return the next block index, or [-1 - k] for
-   the [k]-th Ret site.  The branch predictor is an int array indexed
-   by block ([-1] = never seen, predicted taken for [Br] and not taken
-   for [Fbr]); one bit per block, the last outcome (the "predictor"
-   execution golden). *)
+   the [k]-th Ret site.  A conditional branch's compare (with [Br]'s
+   fused decrement) is written once, as [test], which both closures
+   expand.  [Br] predicts taken before its first outcome and [Fbr] not
+   taken (the "predictor" execution golden). *)
 let decode_term ~bi ~lmap ~ret (t : Block.term) :
     (state -> int) * (state -> timing -> int array -> int) =
   match t with
@@ -1107,62 +964,42 @@ let decode_term ~bi ~lmap ~ret (t : Block.term) :
   | Block.Br { cmp; lhs; rhs; ifso; ifnot; dec } ->
     let li = slot lhs and lc = lhs.Reg.cls in
     let g_so = goto_fn lmap ifso and g_not = goto_fn lmap ifnot in
-    (match rhs with
-    | Instr.Oreg r ->
-      let ri = slot r and rc = r.Reg.cls in
-      ( (fun st ->
-          if dec > 0 then gput st li @@ (gu st li) - dec;
-          if cmpi_x cmp (gu st li) (gu st ri) then g_so st else g_not st),
-        fun st tm pred ->
-          if dec > 0 then gput st li @@ (gu st li) - dec;
-          let taken = cmpi_x cmp (gu st li) (gu st ri) in
-          let start =
-            acquire1 tm u_branch ~srcs:(fmax (rd tm lc li) (rd tm rc ri))
-          in
-          let resolve = start +. 1.0 in
-          if dec > 0 then wr tm lc li resolve else retire tm resolve;
-          let predicted = match pred.(bi) with -1 -> true | p -> p = 1 in
-          if predicted <> taken then
-            tm.clk.(k_front) <- fmax tm.clk.(k_front) (resolve +. tm.misp);
-          pred.(bi) <- Bool.to_int taken;
-          if taken then g_so st else g_not st )
-    | Instr.Oimm k ->
-      ( (fun st ->
-          if dec > 0 then gput st li @@ (gu st li) - dec;
-          if cmpi_x cmp (gu st li) k then g_so st else g_not st),
-        fun st tm pred ->
-          if dec > 0 then gput st li @@ (gu st li) - dec;
-          let taken = cmpi_x cmp (gu st li) k in
-          let start = acquire1 tm u_branch ~srcs:(rd tm lc li) in
-          let resolve = start +. 1.0 in
-          if dec > 0 then wr tm lc li resolve else retire tm resolve;
-          let predicted = match pred.(bi) with -1 -> true | p -> p = 1 in
-          if predicted <> taken then
-            tm.clk.(k_front) <- fmax tm.clk.(k_front) (resolve +. tm.misp);
-          pred.(bi) <- Bool.to_int taken;
-          if taken then g_so st else g_not st ))
+    (* an immediate right-hand side reads [lhs]'s slot for readiness:
+       the maximum of one readiness with itself is that readiness *)
+    let imm, k, ri, rc =
+      match rhs with
+      | Instr.Oreg r -> (false, 0, slot r, r.Reg.cls)
+      | Instr.Oimm k -> (true, k, li, lc)
+    in
+    let[@inline] test st =
+      if dec > 0 then gput st li @@ (gu st li - dec);
+      cmpi_x cmp (gu st li) (if imm then k else gu st ri)
+    in
+    ( (fun st -> if test st then g_so st else g_not st),
+      fun st tm pred ->
+        let taken = test st in
+        let start = acquire1 tm u_branch ~srcs:(fmax (rd tm lc li) (rd tm rc ri)) in
+        let resolve = start +. 1.0 in
+        if dec > 0 then wr tm lc li resolve else retire tm resolve;
+        predict tm pred bi ~unseen:true taken resolve;
+        if taken then g_so st else g_not st )
   | Block.Fbr { fsize; cmp; lhs; rhs; ifso; ifnot } ->
     let lo = xoff lhs and ro = xoff rhs in
     let li = slot lhs and lc = lhs.Reg.cls in
     let ri = slot rhs and rc = rhs.Reg.cls in
     let g_so = goto_fn lmap ifso and g_not = goto_fn lmap ifnot in
-    let test =
+    let[@inline] test st =
       match fsize with
-      | Instr.D -> fun st -> cmpf_x cmp (getd st.xmm lo) (getd st.xmm ro)
-      | Instr.S -> fun st -> cmpf_x cmp (gets st.xmm lo) (gets st.xmm ro)
+      | Instr.D -> cmpf_x cmp (getd st.xmm lo) (getd st.xmm ro)
+      | Instr.S -> cmpf_x cmp (gets st.xmm lo) (gets st.xmm ro)
     in
     ( (fun st -> if test st then g_so st else g_not st),
       fun st tm pred ->
         let taken = test st in
-        let start =
-          acquire tm u_branch ~srcs:(fmax (rd tm lc li) (rd tm rc ri)) ~uops:2
-        in
+        let start = acquire tm u_branch ~srcs:(fmax (rd tm lc li) (rd tm rc ri)) ~uops:2 in
         let resolve = start +. 3.0 in
         retire tm resolve;
-        let predicted = match pred.(bi) with -1 -> false | p -> p = 1 in
-        if predicted <> taken then
-          tm.clk.(k_front) <- fmax tm.clk.(k_front) (resolve +. tm.misp);
-        pred.(bi) <- Bool.to_int taken;
+        predict tm pred bi ~unseen:false taken resolve;
         if taken then g_so st else g_not st )
   | Block.Ret r ->
     let code = -1 - ret r in
@@ -1183,83 +1020,58 @@ let decode_term ~bi ~lmap ~ret (t : Block.term) :
    propagates after instructions [0..i-1] ran, same as before.  Lists
    longer than eight are split into at most eight near-equal chunks
    and fused recursively (arity-8 trees), so dispatch overhead is
-   O(n/8 + log n) calls per block instead of n.
+   O(n/8 + log n) calls per block instead of n.  One [fuse] serves
+   both engines: it is polymorphic in the closures' argument.
 
    The per-instruction arrays are kept alongside: the budget slow path
    needs to count and trap at instruction granularity. *)
 
-let[@inline] pseq2 a b = fun st -> a st; b st
-let[@inline] pseq3 a b c = fun st -> a st; b st; c st
-let[@inline] pseq4 a b c d = fun st -> a st; b st; c st; d st
-let[@inline] pseq5 a b c d e = fun st -> a st; b st; c st; d st; e st
-let[@inline] pseq6 a b c d e f = fun st -> a st; b st; c st; d st; e st; f st
-let[@inline] pseq7 a b c d e f g =
- fun st ->
-  a st;
-  b st;
-  c st;
-  d st;
-  e st;
-  f st;
-  g st
+let[@inline] seq2 a b = fun x -> a x; b x
+let[@inline] seq3 a b c = fun x -> a x; b x; c x
+let[@inline] seq4 a b c d = fun x -> a x; b x; c x; d x
+let[@inline] seq5 a b c d e = fun x -> a x; b x; c x; d x; e x
+let[@inline] seq6 a b c d e f = fun x -> a x; b x; c x; d x; e x; f x
 
-let[@inline] pseq8 a b c d e f g h =
- fun st ->
-  a st;
-  b st;
-  c st;
-  d st;
-  e st;
-  f st;
-  g st;
-  h st
+let[@inline] seq7 a b c d e f g =
+ fun x ->
+  a x;
+  b x;
+  c x;
+  d x;
+  e x;
+  f x;
+  g x
 
-let[@inline] tseq2 a b = fun tm -> a tm; b tm
-let[@inline] tseq3 a b c = fun tm -> a tm; b tm; c tm
-let[@inline] tseq4 a b c d = fun tm -> a tm; b tm; c tm; d tm
-let[@inline] tseq5 a b c d e = fun tm -> a tm; b tm; c tm; d tm; e tm
-let[@inline] tseq6 a b c d e f = fun tm -> a tm; b tm; c tm; d tm; e tm; f tm
+let[@inline] seq8 a b c d e f g h =
+ fun x ->
+  a x;
+  b x;
+  c x;
+  d x;
+  e x;
+  f x;
+  g x;
+  h x
 
-let[@inline] tseq7 a b c d e f g =
- fun tm ->
-  a tm;
-  b tm;
-  c tm;
-  d tm;
-  e tm;
-  f tm;
-  g tm
-
-let[@inline] tseq8 a b c d e f g h =
- fun tm ->
-  a tm;
-  b tm;
-  c tm;
-  d tm;
-  e tm;
-  f tm;
-  g tm;
-  h tm
-
-let rec fuse_pure (code : (state -> unit) array) lo hi =
+let rec fuse (code : ('a -> unit) array) lo hi : 'a -> unit =
   let n = hi - lo in
   if n <= 8 then
     match n with
     | 0 -> fun _ -> ()
     | 1 -> Array.unsafe_get code lo
-    | 2 -> pseq2 code.(lo) code.(lo + 1)
-    | 3 -> pseq3 code.(lo) code.(lo + 1) code.(lo + 2)
-    | 4 -> pseq4 code.(lo) code.(lo + 1) code.(lo + 2) code.(lo + 3)
-    | 5 -> pseq5 code.(lo) code.(lo + 1) code.(lo + 2) code.(lo + 3) code.(lo + 4)
+    | 2 -> seq2 code.(lo) code.(lo + 1)
+    | 3 -> seq3 code.(lo) code.(lo + 1) code.(lo + 2)
+    | 4 -> seq4 code.(lo) code.(lo + 1) code.(lo + 2) code.(lo + 3)
+    | 5 -> seq5 code.(lo) code.(lo + 1) code.(lo + 2) code.(lo + 3) code.(lo + 4)
     | 6 ->
-      pseq6 code.(lo)
+      seq6 code.(lo)
         code.(lo + 1)
         code.(lo + 2)
         code.(lo + 3)
         code.(lo + 4)
         code.(lo + 5)
     | 7 ->
-      pseq7 code.(lo)
+      seq7 code.(lo)
         code.(lo + 1)
         code.(lo + 2)
         code.(lo + 3)
@@ -1267,7 +1079,7 @@ let rec fuse_pure (code : (state -> unit) array) lo hi =
         code.(lo + 5)
         code.(lo + 6)
     | _ ->
-      pseq8 code.(lo)
+      seq8 code.(lo)
         code.(lo + 1)
         code.(lo + 2)
         code.(lo + 3)
@@ -1280,52 +1092,9 @@ let rec fuse_pure (code : (state -> unit) array) lo hi =
     let k = (n + 7) / 8 in
     let parts =
       Array.init ((n + k - 1) / k) (fun i ->
-          fuse_pure code (lo + (i * k)) (min hi (lo + ((i + 1) * k))))
+          fuse code (lo + (i * k)) (min hi (lo + ((i + 1) * k))))
     in
-    fuse_pure parts 0 (Array.length parts)
-  end
-
-let rec fuse_timed (code : (timing -> unit) array) lo hi =
-  let n = hi - lo in
-  if n <= 8 then
-    match n with
-    | 0 -> fun _ -> ()
-    | 1 -> Array.unsafe_get code lo
-    | 2 -> tseq2 code.(lo) code.(lo + 1)
-    | 3 -> tseq3 code.(lo) code.(lo + 1) code.(lo + 2)
-    | 4 -> tseq4 code.(lo) code.(lo + 1) code.(lo + 2) code.(lo + 3)
-    | 5 -> tseq5 code.(lo) code.(lo + 1) code.(lo + 2) code.(lo + 3) code.(lo + 4)
-    | 6 ->
-      tseq6 code.(lo)
-        code.(lo + 1)
-        code.(lo + 2)
-        code.(lo + 3)
-        code.(lo + 4)
-        code.(lo + 5)
-    | 7 ->
-      tseq7 code.(lo)
-        code.(lo + 1)
-        code.(lo + 2)
-        code.(lo + 3)
-        code.(lo + 4)
-        code.(lo + 5)
-        code.(lo + 6)
-    | _ ->
-      tseq8 code.(lo)
-        code.(lo + 1)
-        code.(lo + 2)
-        code.(lo + 3)
-        code.(lo + 4)
-        code.(lo + 5)
-        code.(lo + 6)
-        code.(lo + 7)
-  else begin
-    let k = (n + 7) / 8 in
-    let parts =
-      Array.init ((n + k - 1) / k) (fun i ->
-          fuse_timed code (lo + (i * k)) (min hi (lo + ((i + 1) * k))))
-    in
-    fuse_timed parts 0 (Array.length parts)
+    fuse parts 0 (Array.length parts)
   end
 
 let compile (f : Cfg.func) : compiled =
@@ -1364,8 +1133,8 @@ let compile (f : Cfg.func) : compiled =
         {
           c_pure;
           c_timed;
-          c_pure_all = fuse_pure c_pure 0 n;
-          c_timed_all = fuse_timed c_timed 0 n;
+          c_pure_all = fuse c_pure 0 n;
+          c_timed_all = fuse c_timed 0 n;
           c_len = n;
           c_pterm = pterm;
           c_tterm = tterm;

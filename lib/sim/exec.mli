@@ -5,9 +5,11 @@
     instruction is specialized into a closure (operand slots, memory
     shapes, comparison/arithmetic functions all resolved once), labels
     become integer block indices, and the register files are pre-sized
-    from a decode-time scan.  One decode yields separate pure-semantics
-    and semantics+timing closure arrays, so untimed runs pay nothing for
-    the timing model.  {!exec} replays them.  What a run observably does
+    from a decode-time scan.  Each instruction's effect is decoded once,
+    into a semantic closure: untimed runs call it directly, and timed
+    runs call a closure that runs it and then charges the timing model,
+    so untimed runs pay nothing for timing and both share one
+    semantics.  {!exec} replays them.  What a run observably does
     — return-value bits, trap messages and the points they are raised
     at, [cycles]/[instr_count]/[uop_count], the final memory image — is
     pinned by the execution goldens in test/test_exec_compiled.ml,
