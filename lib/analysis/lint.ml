@@ -35,61 +35,12 @@ open Ifko_codegen
 
 (* ---------- CFG and instruction well-formedness (IFK001/IFK002) ---------- *)
 
-let class_name = function Reg.Gpr -> "a GPR" | Reg.Xmm -> "an XMM register"
-
+(* Validate's own instruction rules, every broken one an IFK002. *)
 let check_instr_classes ?pass ~block ~instr i =
   let diags = ref [] in
-  let bad fmt =
-    Printf.ksprintf
-      (fun msg ->
-        diags :=
-          Diag.error ?pass ~block ~instr "IFK002" "%s: %s" (Instr.to_string i) msg :: !diags)
-      fmt
-  in
-  let want cls (r : Reg.t) =
-    if r.Reg.cls <> cls then bad "register %s should be %s" (Reg.to_string r) (class_name cls)
-  in
-  let gpr = want Reg.Gpr and xmm = want Reg.Xmm in
-  let mem (m : Instr.mem) =
-    gpr m.Instr.base;
-    Option.iter gpr m.Instr.index;
-    match m.Instr.scale with
-    | 1 | 2 | 4 | 8 -> ()
-    | s -> bad "invalid scale %d" s
-  in
-  (match i with
-  | Instr.Ild (d, m) -> gpr d; mem m
-  | Ist (m, s) -> gpr s; mem m
-  | Imov (d, s) -> gpr d; gpr s
-  | Ildi (d, _) -> gpr d
-  | Iop (_, d, a, b) ->
-    gpr d;
-    gpr a;
-    (match b with Instr.Oreg r -> gpr r | Instr.Oimm _ -> ())
-  | Lea (d, m) -> gpr d; mem m
-  | Fld (_, d, m) | Vld (_, d, m) -> xmm d; mem m
-  | Fst (_, m, s) | Fstnt (_, m, s) | Vst (_, m, s) | Vstnt (_, m, s) -> xmm s; mem m
-  | Fmov (_, d, s)
-  | Vmov (_, d, s)
-  | Vbcast (_, d, s)
-  | Fabs (_, d, s)
-  | Fsqrt (_, d, s)
-  | Fneg (_, d, s)
-  | Vabs (_, d, s)
-  | Vsqrt (_, d, s)
-  | Vreduce (_, _, d, s) -> xmm d; xmm s
-  | Fldi (_, d, _) | Vldi (_, d, _) -> xmm d
-  | Fop (_, _, d, a, b) | Vop (_, _, d, a, b) | Vcmp (_, _, d, a, b) ->
-    xmm d; xmm a; xmm b
-  | Fopm (_, _, d, a, m) | Vopm (_, _, d, a, m) -> xmm d; xmm a; mem m
-  | Vmovmsk (_, d, s) -> gpr d; xmm s
-  | Vextract (sz, d, s, lane) ->
-    xmm d;
-    xmm s;
-    if lane < 0 || lane >= Instr.lanes sz then
-      bad "lane %d out of range for precision" lane
-  | Touch (_, m) | Prefetch (_, m) -> mem m
-  | Nop -> ());
+  Validate.instr_rules i ~bad:(fun msg ->
+      let d = Diag.error ?pass ~block ~instr "IFK002" "%s: %s" (Instr.to_string i) msg in
+      diags := d :: !diags);
   List.rev !diags
 
 let check_structure ?pass (f : Cfg.func) =

@@ -2,29 +2,26 @@ exception Invalid of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
-(* [what] names the checked item for the error message.  It is a thunk
-   because the message is almost never built: rendering every
-   instruction with [Instr.to_string] up front cost more than all the
-   checks together.  The text is the same either way. *)
-let check_class what (r : Reg.t) cls =
+let class_name = function Reg.Gpr -> "a GPR" | Reg.Xmm -> "an XMM register"
+
+(* Every rule reports a broken check by calling [bad] with its text,
+   and the text is built only then: rendering every instruction with
+   [Instr.to_string] up front cost more than all the checks together.
+   [check] raises on the first; the linter collects them all. *)
+let want ~bad cls (r : Reg.t) =
   match (r.Reg.cls, cls) with
   | Reg.Gpr, Reg.Gpr | Reg.Xmm, Reg.Xmm -> ()
-  | _ ->
-    fail "%s: register %s should be %s" (what ()) (Reg.to_string r)
-      (match cls with Reg.Gpr -> "a GPR" | Reg.Xmm -> "an XMM register")
+  | _ -> bad (Printf.sprintf "register %s should be %s" (Reg.to_string r) (class_name cls))
 
-let check_mem what (m : Instr.mem) =
-  check_class what m.Instr.base Reg.Gpr;
-  Option.iter (fun idx -> check_class what idx Reg.Gpr) m.Instr.index;
-  (match m.Instr.scale with
-  | 1 | 2 | 4 | 8 -> ()
-  | s -> fail "%s: invalid scale %d" (what ()) s)
-
-let check_instr instr =
-  let what () = Instr.to_string instr in
-  let gpr r = check_class what r Reg.Gpr in
-  let xmm r = check_class what r Reg.Xmm in
-  let mem m = check_mem what m in
+let instr_rules ~bad instr =
+  let gpr = want ~bad Reg.Gpr and xmm = want ~bad Reg.Xmm in
+  let mem (m : Instr.mem) =
+    gpr m.Instr.base;
+    Option.iter gpr m.Instr.index;
+    match m.Instr.scale with
+    | 1 | 2 | 4 | 8 -> ()
+    | s -> bad (Printf.sprintf "invalid scale %d" s)
+  in
   match instr with
   | Instr.Ild (d, m) ->
     gpr d;
@@ -56,7 +53,8 @@ let check_instr instr =
   | Fsqrt (_, d, s)
   | Fneg (_, d, s)
   | Vabs (_, d, s)
-  | Vsqrt (_, d, s) ->
+  | Vsqrt (_, d, s)
+  | Vreduce (_, _, d, s) ->
     xmm d;
     xmm s
   | Fldi (_, d, _) | Vldi (_, d, _) -> xmm d
@@ -75,26 +73,26 @@ let check_instr instr =
     xmm d;
     xmm s;
     if lane < 0 || lane >= Instr.lanes sz then
-      fail "%s: lane %d out of range for precision" (what ()) lane
-  | Vreduce (_, _, d, s) ->
-    xmm d;
-    xmm s
+      bad (Printf.sprintf "lane %d out of range for precision" lane)
   | Touch (_, m) | Prefetch (_, m) -> mem m
   | Nop -> ()
 
+let check_instr instr =
+  instr_rules instr ~bad:(fun msg -> fail "%s: %s" (Instr.to_string instr) msg)
+
 let check_term labels b =
-  let what () = Printf.sprintf "block %s terminator" b.Block.label in
+  let bad msg = fail "block %s terminator: %s" b.Block.label msg in
   List.iter
-    (fun l -> if not (Hashtbl.mem labels l) then fail "%s: unknown target %S" (what ()) l)
+    (fun l -> if not (Hashtbl.mem labels l) then bad (Printf.sprintf "unknown target %S" l))
     (Block.successors b.Block.term);
   match b.Block.term with
   | Block.Br { lhs; rhs; dec; _ } ->
-    check_class what lhs Reg.Gpr;
-    (match rhs with Instr.Oreg r -> check_class what r Reg.Gpr | Instr.Oimm _ -> ());
-    if dec < 0 then fail "%s: negative fused decrement" (what ())
+    want ~bad Reg.Gpr lhs;
+    (match rhs with Instr.Oreg r -> want ~bad Reg.Gpr r | Instr.Oimm _ -> ());
+    if dec < 0 then bad "negative fused decrement"
   | Block.Fbr { lhs; rhs; _ } ->
-    check_class what lhs Reg.Xmm;
-    check_class what rhs Reg.Xmm
+    want ~bad Reg.Xmm lhs;
+    want ~bad Reg.Xmm rhs
   | Block.Jmp _ | Block.Ret _ -> ()
 
 let check (f : Cfg.func) =

@@ -16,6 +16,14 @@ val check : Cfg.func -> unit
     - at least one block ends in [Ret].
     @raise Invalid with a diagnostic on the first violation. *)
 
+val instr_rules : bad:(string -> unit) -> Instr.t -> unit
+(** The per-instruction rules {!check} applies: register classes,
+    memory scales and vector lanes.  [bad] is called with each broken
+    rule's text, in rule order ("register r3 should be a GPR"); the
+    text is built only for a broken rule.  {!check} raises {!Invalid}
+    on the first, prefixed with the rendered instruction; the linter
+    collects them all. *)
+
 val check_physical : Cfg.func -> unit
 (** After register allocation: additionally checks that every register
     is physical and within the architectural file (6 allocatable GPRs

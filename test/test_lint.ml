@@ -66,6 +66,28 @@ let test_wrong_register_class () =
   in
   check_one "XMM operand to integer move" "IFK002" (Lint.check_structure f)
 
+(* IFK002 collects every broken instruction rule, in rule order, with
+   the text Validate raises for the first of them. *)
+let test_every_instruction_rule () =
+  let m = Instr.mk_mem ~index:(x 2) ~scale:3 ~disp:0 (x 3) in
+  let bad = Instr.Fopm (Instr.D, Instr.Fadd, g 0, g 1, m) in
+  let f = mk_func [ Block.make ~instrs:[ bad ] ~term:(Block.Ret None) "entry" ] in
+  let texts =
+    List.map (fun r -> Instr.to_string bad ^ ": " ^ r)
+      [ "register g0 should be an XMM register";
+        "register g1 should be an XMM register";
+        "register x3 should be a GPR";
+        "register x2 should be a GPR";
+        "invalid scale 3"
+      ]
+  in
+  Alcotest.(check (list string)) "IFK002 messages" texts
+    (List.map (fun d -> d.Diag.message) (with_code "IFK002" (Lint.check_structure f)));
+  match Validate.check f with
+  | exception Validate.Invalid msg ->
+    Alcotest.(check string) "Validate's first" (List.hd texts) msg
+  | () -> Alcotest.fail "expected Validate.Invalid"
+
 let test_structural_errors_mute_dataflow () =
   (* A broken CFG must not also drown the user in meaningless dataflow
      diagnostics: check_func reports the IFK001 and stops. *)
@@ -303,6 +325,7 @@ let suite =
     Alcotest.test_case "IFK001: unknown branch target" `Quick test_unknown_target;
     Alcotest.test_case "IFK001: function never returns" `Quick test_never_returns;
     Alcotest.test_case "IFK002: wrong register class" `Quick test_wrong_register_class;
+    Alcotest.test_case "IFK002: every instruction rule" `Quick test_every_instruction_rule;
     Alcotest.test_case "broken structure mutes dataflow checkers" `Quick
       test_structural_errors_mute_dataflow;
     Alcotest.test_case "IFK003: use before any def" `Quick test_use_before_def;
