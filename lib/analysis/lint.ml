@@ -35,71 +35,21 @@ open Ifko_codegen
 
 (* ---------- CFG and instruction well-formedness (IFK001/IFK002) ---------- *)
 
-(* Validate's own instruction rules, every broken one an IFK002. *)
-let check_instr_classes ?pass ~block ~instr i =
-  let diags = ref [] in
-  Validate.instr_rules i ~bad:(fun msg ->
-      let d = Diag.error ?pass ~block ~instr "IFK002" "%s: %s" (Instr.to_string i) msg in
-      diags := d :: !diags);
-  List.rev !diags
-
+(* Validate's own structure rules: broken labels, targets and returns
+   are IFK001, broken operands IFK002. *)
 let check_structure ?pass (f : Cfg.func) =
   let diags = ref [] in
-  let add d = diags := d :: !diags in
-  if f.Cfg.blocks = [] then
-    add (Diag.error ?pass "IFK001" "function %s has no blocks" f.Cfg.fname)
-  else begin
-    let labels = Hashtbl.create (List.length f.Cfg.blocks) in
-    List.iter
-      (fun b ->
-        let l = b.Block.label in
-        if Hashtbl.mem labels l then
-          add (Diag.error ?pass ~block:l "IFK001" "duplicate block label %S" l)
-        else Hashtbl.add labels l ())
-      f.Cfg.blocks;
-    List.iter
-      (fun b ->
-        let block = b.Block.label in
-        List.iteri
-          (fun instr i -> List.iter add (check_instr_classes ?pass ~block ~instr i))
-          b.Block.instrs;
-        List.iter
-          (fun l ->
-            if not (Hashtbl.mem labels l) then
-              add (Diag.error ?pass ~block "IFK001" "terminator targets unknown block %S" l))
-          (Block.successors b.Block.term);
-        match b.Block.term with
-        | Block.Br { lhs; rhs; dec; _ } ->
-          if lhs.Reg.cls <> Reg.Gpr then
-            add
-              (Diag.error ?pass ~block "IFK002" "branch compares %s which is not a GPR"
-                 (Reg.to_string lhs));
-          (match rhs with
-          | Instr.Oreg r when r.Reg.cls <> Reg.Gpr ->
-            add
-              (Diag.error ?pass ~block "IFK002" "branch compares %s which is not a GPR"
-                 (Reg.to_string r))
-          | Instr.Oreg _ | Instr.Oimm _ -> ());
-          if dec < 0 then
-            add (Diag.error ?pass ~block "IFK002" "negative fused decrement %d" dec)
-        | Block.Fbr { lhs; rhs; _ } ->
-          List.iter
-            (fun (r : Reg.t) ->
-              if r.Reg.cls <> Reg.Xmm then
-                add
-                  (Diag.error ?pass ~block "IFK002" "FP branch compares %s which is not XMM"
-                     (Reg.to_string r)))
-            [ lhs; rhs ]
-        | Block.Jmp _ | Block.Ret _ -> ())
-      f.Cfg.blocks;
-    let has_ret =
-      List.exists
-        (fun b -> match b.Block.term with Block.Ret _ -> true | _ -> false)
-        f.Cfg.blocks
-    in
-    if not has_ret then
-      add (Diag.error ?pass "IFK001" "function %s never returns" f.Cfg.fname)
-  end;
+  Validate.rules f ~bad:(fun site msg ->
+      let d =
+        match site with
+        | Validate.Func -> Diag.error ?pass "IFK001" "%s" msg
+        | Validate.Label block -> Diag.error ?pass ~block "IFK001" "%s" msg
+        | Validate.Target block -> Diag.error ?pass ~block "IFK001" "terminator: %s" msg
+        | Validate.Term block -> Diag.error ?pass ~block "IFK002" "terminator: %s" msg
+        | Validate.Instr (block, instr, i) ->
+          Diag.error ?pass ~block ~instr "IFK002" "%s: %s" (Instr.to_string i) msg
+      in
+      diags := d :: !diags);
   List.rev !diags
 
 (* ---------- def-before-use of virtual registers (IFK003) ---------- *)

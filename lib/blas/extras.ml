@@ -100,9 +100,7 @@ END
 |}
       n p p p p
 
-let compile id =
-  source id |> Ifko_hil.Parser.parse_kernel |> Ifko_hil.Typecheck.check
-  |> Ifko_codegen.Lower.lower
+let compile id = Ifko_codegen.Lower.of_source (source id)
 
 (* rotation coefficients: a normalized (c, s) pair *)
 let rot_c = 0.8

@@ -181,14 +181,6 @@ let speculative_iamax id =
   (* the mark-up goes on the OPTLOOP header *)
   Str_replace.first src "OPTLOOP i = 0, N" "OPTLOOP i = 0, N SPECULATE"
 
-let compile id =
-  source id |> Ifko_hil.Parser.parse_kernel |> Ifko_hil.Typecheck.check
-  |> Ifko_codegen.Lower.lower
-
-let compile_straightforward id =
-  straightforward_iamax id |> Ifko_hil.Parser.parse_kernel |> Ifko_hil.Typecheck.check
-  |> Ifko_codegen.Lower.lower
-
-let compile_speculative id =
-  speculative_iamax id |> Ifko_hil.Parser.parse_kernel |> Ifko_hil.Typecheck.check
-  |> Ifko_codegen.Lower.lower
+let compile id = Ifko_codegen.Lower.of_source (source id)
+let compile_straightforward id = Ifko_codegen.Lower.of_source (straightforward_iamax id)
+let compile_speculative id = Ifko_codegen.Lower.of_source (speculative_iamax id)

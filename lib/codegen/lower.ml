@@ -449,3 +449,5 @@ let lower (checked : Typecheck.checked) =
       k.Ast.k_params
   in
   { func; loopnest = env.loopnest; arrays; ret_ty = k.Ast.k_ret; source = k }
+
+let of_source src = src |> Parser.parse_kernel |> Typecheck.check |> lower

@@ -35,3 +35,7 @@ exception Error of string
 val lower : Ifko_hil.Typecheck.checked -> compiled
 (** Lower a checked kernel.  @raise Error on constructs the backend
     does not support (e.g. integer division). *)
+
+val of_source : string -> compiled
+(** The front end: parse, typecheck and lower HIL source text.  Raises
+    whatever the stage that rejects the kernel raises. *)

@@ -87,8 +87,7 @@ module Baselines = struct
 end
 
 (** [compile_source src] parses, checks and lowers a HIL kernel. *)
-let compile_source src =
-  src |> Ifko_hil.Parser.parse_kernel |> Ifko_hil.Typecheck.check |> Lower.lower
+let compile_source = Lower.of_source
 
 (** [analyze compiled] runs FKO's analysis phase — what the compiler
     reports back to the search. *)

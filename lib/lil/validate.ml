@@ -77,46 +77,65 @@ let instr_rules ~bad instr =
   | Touch (_, m) | Prefetch (_, m) -> mem m
   | Nop -> ()
 
-let check_instr instr =
-  instr_rules instr ~bad:(fun msg -> fail "%s: %s" (Instr.to_string instr) msg)
+type site =
+  | Func
+  | Label of string
+  | Target of string
+  | Term of string
+  | Instr of string * int * Instr.t
 
-let check_term labels b =
-  let bad msg = fail "block %s terminator: %s" b.Block.label msg in
-  List.iter
-    (fun l -> if not (Hashtbl.mem labels l) then bad (Printf.sprintf "unknown target %S" l))
-    (Block.successors b.Block.term);
+let term_rules ~bad b =
+  let label = b.Block.label in
+  let bad_term msg = bad (Term label) msg in
   match b.Block.term with
   | Block.Br { lhs; rhs; dec; _ } ->
-    want ~bad Reg.Gpr lhs;
-    (match rhs with Instr.Oreg r -> want ~bad Reg.Gpr r | Instr.Oimm _ -> ());
-    if dec < 0 then bad "negative fused decrement"
+    want ~bad:bad_term Reg.Gpr lhs;
+    (match rhs with Instr.Oreg r -> want ~bad:bad_term Reg.Gpr r | Instr.Oimm _ -> ());
+    if dec < 0 then bad_term "negative fused decrement"
   | Block.Fbr { lhs; rhs; _ } ->
-    want ~bad Reg.Xmm lhs;
-    want ~bad Reg.Xmm rhs
+    want ~bad:bad_term Reg.Xmm lhs;
+    want ~bad:bad_term Reg.Xmm rhs
   | Block.Jmp _ | Block.Ret _ -> ()
 
+let rules ~bad (f : Cfg.func) =
+  if f.Cfg.blocks = [] then bad Func (Printf.sprintf "function %s has no blocks" f.Cfg.fname)
+  else begin
+    (* Label set as a hash table: the duplicate scan and the successor
+       checks are O(1) per lookup instead of O(blocks). *)
+    let labels = Hashtbl.create (List.length f.Cfg.blocks) in
+    List.iter
+      (fun b ->
+        let l = b.Block.label in
+        if Hashtbl.mem labels l then bad (Label l) (Printf.sprintf "duplicate block label %S" l)
+        else Hashtbl.add labels l ())
+      f.Cfg.blocks;
+    List.iter
+      (fun b ->
+        let label = b.Block.label in
+        List.iteri
+          (fun k i -> instr_rules i ~bad:(bad (Instr (label, k, i))))
+          b.Block.instrs;
+        List.iter
+          (fun l ->
+            if not (Hashtbl.mem labels l) then
+              bad (Target label) (Printf.sprintf "unknown target %S" l))
+          (Block.successors b.Block.term);
+        term_rules ~bad b)
+      f.Cfg.blocks;
+    let has_ret =
+      List.exists
+        (fun b -> match b.Block.term with Block.Ret _ -> true | _ -> false)
+        f.Cfg.blocks
+    in
+    if not has_ret then bad Func (Printf.sprintf "function %s never returns" f.Cfg.fname)
+  end
+
 let check (f : Cfg.func) =
-  if f.Cfg.blocks = [] then fail "function %s has no blocks" f.Cfg.fname;
-  (* Label set as a hash table: the duplicate scan and the successor
-     checks in [check_term] are O(1) per lookup instead of O(blocks). *)
-  let labels = Hashtbl.create (List.length f.Cfg.blocks) in
-  List.iter
-    (fun b ->
-      let l = b.Block.label in
-      if Hashtbl.mem labels l then fail "duplicate block label %S" l;
-      Hashtbl.add labels l ())
-    f.Cfg.blocks;
-  List.iter
-    (fun b ->
-      List.iter check_instr b.Block.instrs;
-      check_term labels b)
-    f.Cfg.blocks;
-  let has_ret =
-    List.exists
-      (fun b -> match b.Block.term with Block.Ret _ -> true | _ -> false)
-      f.Cfg.blocks
-  in
-  if not has_ret then fail "function %s never returns" f.Cfg.fname
+  rules f ~bad:(fun site msg ->
+      match site with
+      | Func | Label _ -> raise (Invalid msg)
+      | Target l | Term l -> fail "block %s terminator: %s" l msg
+      | Instr (_, _, i) -> fail "%s: %s" (Instr.to_string i) msg)
 
 let check_physical (f : Cfg.func) =
   check f;

@@ -24,6 +24,26 @@ val instr_rules : bad:(string -> unit) -> Instr.t -> unit
     on the first, prefixed with the rendered instruction; the linter
     collects them all. *)
 
+(** Where a structure rule broke, for {!rules}: the function as a
+    whole (no blocks, never returns), a duplicated block [Label], a
+    terminator naming an unknown [Target] block, a terminator operand
+    ([Term]: branch register classes, negative fused decrement), or an
+    instruction (block, index, instruction) breaking an
+    {!instr_rules} rule. *)
+type site =
+  | Func
+  | Label of string
+  | Target of string
+  | Term of string
+  | Instr of string * int * Instr.t
+
+val rules : bad:(site -> string -> unit) -> Cfg.func -> unit
+(** Every rule {!check} applies, in the order it applies them, calling
+    [bad] with the site and the rule's text for each one broken.  A
+    function without blocks reports only that.  {!check} raises on the
+    first, adding the instruction or ["block L terminator: "] in front;
+    the linter collects them all. *)
+
 val check_physical : Cfg.func -> unit
 (** After register allocation: additionally checks that every register
     is physical and within the architectural file (6 allocatable GPRs

@@ -34,19 +34,21 @@ type t = {
   tbl : (string, result) Hashtbl.t;  (* finished compilations *)
   mutex : Mutex.t;
   flight : result Ifko_par.Flight.t;
-  max_entries : int;
   mutable n_hit : int;
   mutable n_miss : int;
 }
 
 type stats = { hits : int; misses : int }
 
-let create ?(max_entries = 4096) () =
+(* The table's bound: a backstop for daemon lifetimes, far above any
+   one tune's candidate count. *)
+let max_entries = 4096
+
+let create () =
   {
     tbl = Hashtbl.create 64;
     mutex = Mutex.create ();
     flight = Ifko_par.Flight.create ();
-    max_entries;
     n_hit = 0;
     n_miss = 0;
   }
@@ -73,9 +75,7 @@ let lookup t key =
       r)
 
 (* Every call counts exactly one hit or miss.  In-flight keys live in
-   the flight table, so the cap (a backstop for daemon lifetimes, far
-   above any one tune's candidate count) only ever drops finished
-   entries. *)
+   the flight table, so the cap only ever drops finished entries. *)
 let find_or_compile t ~key f =
   match lookup t key with
   | Some r -> r
@@ -89,7 +89,7 @@ let find_or_compile t ~key f =
             locked t (fun () -> t.n_miss <- t.n_miss + 1);
             let r = f () in
             locked t (fun () ->
-                if Hashtbl.length t.tbl >= t.max_entries then Hashtbl.reset t.tbl;
+                if Hashtbl.length t.tbl >= max_entries then Hashtbl.reset t.tbl;
                 Hashtbl.replace t.tbl key r);
             r)
     in

@@ -25,10 +25,10 @@ type t
 
 type stats = { hits : int; misses : int }
 
-val create : ?max_entries:int -> unit -> t
-(** [max_entries] bounds the table (default 4096 — a daemon backstop,
-    far above one tune's candidate count); completed entries are
-    evicted wholesale when it fills, in-flight ones never. *)
+val create : unit -> t
+(** An empty cache of at most 4096 entries (a daemon backstop, far
+    above one tune's candidate count); completed entries are evicted
+    wholesale when it fills, in-flight ones never. *)
 
 val key : kernel:string -> machine:string -> params:string -> check:bool -> seed:int -> string
 (** Digest of everything a candidate's compilation outcome depends

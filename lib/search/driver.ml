@@ -50,13 +50,23 @@ let kernel_fingerprint (compiled : Ifko_codegen.Lower.compiled) =
     compiled.Ifko_codegen.Lower.source.Ifko_hil.Ast.k_name arrays
     (Cfg.to_string compiled.Ifko_codegen.Lower.func)
 
+let record t =
+  {
+    Tune_record.best = Ifko_transform.Params.canonical t.best_params;
+    mflops = t.ifko_mflops;
+    fko_mflops = t.fko_mflops;
+    evaluations = t.evaluations;
+    kernel = Some t.report.Ifko_analysis.Report.kernel_name;
+    feat = Some (Tune_record.feat_json (Ifko_analysis.Report.features t.report));
+  }
+
 let score = function
   | Ifko_store.Store.Timed { mflops; _ } -> mflops
   | Ifko_store.Store.Test_failed | Ifko_store.Store.Illegal -> neg_infinity
 
 let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearch)
     ?(warm_start = false) ?donors ?store ?cache ?pool ?(jobs = 1) ?(seed = 0)
-    ?(fidelity = Ifko_sim.Timer.Full) ?ckpt ?codecache ~cfg ~context ~spec ~n ~flops_per_n
+    ?(fidelity = Ifko_sim.Timer.Full) ?codecache ~cfg ~context ~spec ~n ~flops_per_n
     ~test compiled =
   if n <= 0 then invalid_arg "n must be positive";
   let report = Ifko_analysis.Report.analyze compiled in
@@ -74,16 +84,13 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
       compiled.Ifko_codegen.Lower.source.Ifko_hil.Ast.k_name cfg.Config.name
       (Ifko_sim.Timer.context_name context) n
   in
-  (* One warm-state checkpoint cache per tune unless the caller shares
-     a longer-lived one: every probe point of this tune re-derives the
-     same post-warm-up memory state, so the in-L2 warm loop runs once
-     and every later probe restores the snapshot.  The checkpoint tag
-     carries the workload seed on top of the kernel fingerprint: warm
-     states (and the environment masters cached with them) embed the
-     seeded workload data, so a shared or persisted cache must never
-     serve one seed's state to another. *)
-  let ckpt = match ckpt with Some c -> c | None -> Ifko_sim.Ckpt.create ~cfg () in
-  let tckpt = (ckpt, Printf.sprintf "%s|seed=%d" kernel seed) in
+  (* One warm-state checkpoint cache per tune: every probe point of
+     this tune re-derives the same post-warm-up memory state, so the
+     in-L2 warm loop runs once and every later probe restores the
+     snapshot.  The checkpoint tag carries the workload seed on top of
+     the kernel fingerprint: warm states (and the environment masters
+     cached with them) embed the seeded workload data. *)
+  let tckpt = (Ifko_sim.Ckpt.create ~cfg (), Printf.sprintf "%s|seed=%d" kernel seed) in
   (* Compiled candidates are produced (and their semantic test run)
      exactly once per (kernel, machine, params, check, seed) through
      the single-flight codecache: the calibration point is not
@@ -172,7 +179,6 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
      this kernel's space.  Donors come from the caller or, by default,
      from the store's tune-level entries; no store, no donors — a clean
      cold start, not an error. *)
-  let feat = Ifko_analysis.Report.features report in
   let warm =
     if not warm_start then []
     else
@@ -182,7 +188,8 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
         | None -> (
           match store with Some st -> Warmstart.donors_of_store st | None -> [])
       in
-      Warmstart.seeds ~extensions ~cfg ~report ~init:default_params ~feat donors
+      Warmstart.seeds ~extensions ~cfg ~report ~init:default_params
+        ~feat:(Ifko_analysis.Report.features report) donors
   in
   let make ~init_perf =
     match strategy with
@@ -208,41 +215,6 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
             search (Some (fun f xs -> Ifko_par.Par.Pool.map pool f xs)))
   in
   let best = result.Strategy.best in
-  (* Journal the tune-level result (winner + analysis fingerprint) so
-     later tunes of similar kernels can warm-start from it and the serve
-     daemon can answer the same request from it.  Guarded by
-     find_entry/add, which leave the hit/miss counters alone: those
-     count probe traffic only. *)
-  (match store with
-  | None -> ()
-  | Some st ->
-    let tkey =
-      Ifko_store.Store.tune_key
-        ?strategy:
-          (match strategy with
-          | Linesearch -> None
-          | s -> Some (strategy_to_string s))
-        ~kernel ~machine:cfg.Config.name
-        ~context:(Ifko_sim.Timer.context_name context) ~n ~seed ~check:check_each_pass
-        ~flops_per_n ()
-    in
-    if Ifko_store.Store.find_entry st ~key:tkey = None then begin
-      let params_json =
-        Ifko_store.Store.Json.render
-          [ ("best", Ifko_store.Store.Json.S (Ifko_transform.Params.canonical best));
-            ("fko", Ifko_store.Store.Json.N result.Strategy.start_perf);
-            ( "evals",
-              Ifko_store.Store.Json.N (float_of_int result.Strategy.evaluations) );
-            ( "kernel",
-              Ifko_store.Store.Json.S
-                compiled.Ifko_codegen.Lower.source.Ifko_hil.Ast.k_name );
-            ("feat", Warmstart.feat_json feat);
-          ]
-      in
-      Ifko_store.Store.add st ~key:tkey ~params:params_json ~prov:("tune " ^ prov)
-        (Ifko_store.Store.Timed
-           { mflops = result.Strategy.best_perf; cycles = 0.0 })
-    end);
   let best_func =
     (* cache hit when any probe of this run compiled the winner; a
        store-answered run compiles it here once, under the same
@@ -251,16 +223,30 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
     | Codecache.Compiled (func, _) -> func
     | Codecache.Illegal | Codecache.Test_failed -> compile_point ?check ~cfg compiled best
   in
-  {
-    report;
-    default_params;
-    best_params = best;
-    fko_mflops = result.Strategy.start_perf;
-    ifko_mflops = result.Strategy.best_perf;
-    best_func;
-    contributions = result.Strategy.contributions;
-    evaluations = result.Strategy.evaluations;
-    probes_to_best = result.Strategy.probes_to_best;
-    fidelity_used;
-    calibration_error;
-  }
+  let tuned =
+    {
+      report;
+      default_params;
+      best_params = best;
+      fko_mflops = result.Strategy.start_perf;
+      ifko_mflops = result.Strategy.best_perf;
+      best_func;
+      contributions = result.Strategy.contributions;
+      evaluations = result.Strategy.evaluations;
+      probes_to_best = result.Strategy.probes_to_best;
+      fidelity_used;
+      calibration_error;
+    }
+  in
+  (* Journal the tune record so later tunes of similar kernels can
+     warm-start from it and the serve daemon can answer the same
+     request from it. *)
+  Option.iter
+    (fun st ->
+      Tune_record.add st ~prov (record tuned)
+        ~key:
+          (Tune_record.key ~strategy:(strategy_to_string strategy) ~kernel
+             ~machine:cfg.Config.name ~context:(Ifko_sim.Timer.context_name context) ~n
+             ~seed ~check:check_each_pass ~flops_per_n))
+    store;
+  tuned

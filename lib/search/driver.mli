@@ -54,6 +54,10 @@ val kernel_fingerprint : Ifko_codegen.Lower.compiled -> string
     LIL text) that probe store keys digest: any source edit that could
     change a probe outcome changes this string. *)
 
+val record : tuned -> Tune_record.t
+(** The tune record of a finished tune: what {!tune} journals, and what
+    the serve daemon replies with. *)
+
 val tune :
   ?extensions:bool ->
   ?check_each_pass:bool ->
@@ -71,7 +75,6 @@ val tune :
   ?jobs:int ->
   ?seed:int ->
   ?fidelity:Ifko_sim.Timer.fidelity ->
-  ?ckpt:Ifko_sim.Ckpt.t ->
   ?codecache:Codecache.t ->
   cfg:Ifko_machine.Config.t ->
   context:Ifko_sim.Timer.context ->
@@ -99,9 +102,9 @@ val tune :
     nearest past tunes ({!Warmstart.seeds}): donors come from
     [?donors] when given, otherwise from [store]'s tune-level entries;
     with neither, the tune cold-starts cleanly.  A completed tune with
-    a [store] journals its own tune-level entry (winner + analysis
-    fingerprint) under {!Ifko_store.Store.tune_key}: it feeds future
-    warm starts, and the serve daemon answers repeat requests from it.
+    a [store] journals its {!record} ({!Tune_record.add}, unless the
+    key already holds one): it feeds future warm starts, and the serve
+    daemon answers repeat requests from it.
 
     [store] journals every probe outcome in a persistent
     content-addressed store and answers repeat probes from it, so a
@@ -138,13 +141,10 @@ val tune :
     and sampled probe outcomes are stored under fidelity-tagged keys so
     they never answer full-fidelity lookups.
 
-    [ckpt] shares a warm-state checkpoint cache across tunes (the
-    serve daemon passes a persistent per-machine one); by default each
-    tune gets its own in-memory cache, so the in-L2 warm-up runs once
-    per (kernel, context, N) and every later probe restores the
-    snapshot — observably identical, just cheaper.  Checkpoint entries
-    are tagged with [seed] on top of the kernel fingerprint, so a
-    shared cache never serves one workload's warm state to another.
+    Each tune keeps its own in-memory warm-state checkpoint cache
+    ({!Ifko_sim.Ckpt}), so the in-L2 warm-up runs once per tune and
+    every later probe restores the snapshot — observably identical,
+    just cheaper.
 
     [codecache] shares compiled candidates (transform + semantic test
     + decode, keyed by kernel/machine/params/check/seed) across tunes

@@ -1,17 +1,5 @@
 open Ifko_transform
 
-type probe = Params.t -> float
-
-type result = {
-  best : Params.t;
-  best_perf : float;
-  start_perf : float;
-  contributions : (string * float) list;
-  evaluations : int;
-}
-
-type batch_map = (Params.t -> float) -> Params.t list -> float list
-
 (* The search as data: a plan of per-dimension groups, each a sequence
    of sweeps.  A sweep receives the current incumbent and yields the
    variant batch to measure — the incumbent advances between sweeps, so
@@ -159,18 +147,4 @@ let strategy ?(extensions = false) ?(warm = []) ~cfg ~report ~init ~init_perf ()
     observe;
     best = (fun () -> (!cur, !cur_perf));
     contributions = (fun () -> List.rev !contributions);
-  }
-
-let run ?(extensions = false) ?(map_batch = Strategy.seq_map) ~cfg ~report ~init probe =
-  let r =
-    Strategy.run ~map_batch ~init
-      ~make:(fun ~init_perf -> strategy ~extensions ~cfg ~report ~init ~init_perf ())
-      probe
-  in
-  {
-    best = r.Strategy.best;
-    best_perf = r.Strategy.best_perf;
-    start_perf = r.Strategy.start_perf;
-    contributions = r.Strategy.contributions;
-    evaluations = r.Strategy.evaluations;
   }

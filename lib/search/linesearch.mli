@@ -18,28 +18,6 @@
     transformations (block fetch, CISC two-array indexing); off by
     default so the reproduction matches FKO as published. *)
 
-type probe = Ifko_transform.Params.t -> float
-(** Performance of one parameter point (higher is better); the driver
-    wires compilation, testing and timing into this. *)
-
-type batch_map = (Ifko_transform.Params.t -> float) -> Ifko_transform.Params.t list -> float list
-(** How to evaluate one sweep's worth of fresh candidates.  The default
-    is a sequential left-to-right map; the driver substitutes a domain
-    pool's order-preserving map to parallelize.  Candidates within a
-    batch are mutually independent, and the winner is always selected
-    by a sequential first-wins fold over the returned values, so any
-    order-preserving [batch_map] yields bit-identical search results. *)
-
-type result = {
-  best : Ifko_transform.Params.t;
-  best_perf : float;
-  start_perf : float;  (** performance of the starting (default) point *)
-  contributions : (string * float) list;
-      (** per-dimension speedup factor, in tuned order: e.g.
-          [("PF DST", 1.26)] means distance tuning alone bought 26% *)
-  evaluations : int;  (** distinct parameter points compiled and timed *)
-}
-
 val strategy :
   ?extensions:bool ->
   ?warm:Ifko_transform.Params.t list ->
@@ -53,14 +31,3 @@ val strategy :
     empty (the default) its probe sequence is bit-identical to the
     pre-strategy sweep; warm points are probed first as an extra
     opening batch and can only advance the incumbent. *)
-
-val run :
-  ?extensions:bool ->
-  ?map_batch:batch_map ->
-  cfg:Ifko_machine.Config.t ->
-  report:Ifko_analysis.Report.t ->
-  init:Ifko_transform.Params.t ->
-  probe ->
-  result
-(** Convenience wrapper: {!Strategy.run} with the linesearch strategy,
-    projected onto the historical result record. *)

@@ -5,9 +5,9 @@ module Rng = Ifko_util.Rng
    worker count: the proposal sequence must be bit-identical at any
    --jobs, and 8 keeps a typical domain pool saturated without
    over-committing probes to one model generation. *)
-let default_batch = 8
-let default_rounds = 16
-let default_patience = 2
+let batch = 8
+let rounds = 16
+let patience = 2
 
 (* ---- the model: distance-weighted k-NN regression over the
    axis-encoded, per-axis-normalized parameter vectors ---- *)
@@ -66,9 +66,7 @@ let ei ~best (mu, sigma) =
 
 (* ---- the strategy ---- *)
 
-let strategy ?(extensions = false) ?(warm = []) ?(batch = default_batch)
-    ?(rounds = default_rounds) ?(patience = default_patience) ~seed ~cfg ~report ~init
-    ~init_perf () =
+let strategy ?(extensions = false) ?(warm = []) ~seed ~cfg ~report ~init ~init_perf () =
   let axes = Space.axes ~extensions ~cfg ~report () in
   let live = List.filter (fun ax -> not ax.Space.ax_pruned) axes in
   let encode p =

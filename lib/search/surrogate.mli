@@ -6,7 +6,7 @@
     k-nearest-neighbor regressor predicts the performance (mean and
     spread) of unprobed points; an expected-improvement acquisition
     ranks a candidate pool — one-axis neighbors of the incumbent, the
-    UR x AE cross, and uniform random exploration — and the top [batch]
+    UR x AE cross, and uniform random exploration — and the top eight
     points are proposed together, keeping a domain pool saturated.
 
     Determinism: the batch width is a fixed constant (never derived
@@ -15,21 +15,12 @@
     string — so the probe sequence and the winner are a pure function
     of the seed and the kernel, at any parallelism degree.
 
-    The search stops after [rounds] model generations, or once
-    [patience] consecutive generations fail to improve the incumbent. *)
-
-val default_batch : int  (** 8 *)
-
-val default_rounds : int  (** 16 *)
-
-val default_patience : int  (** 2 *)
+    The search stops after 16 model generations, or once 2 consecutive
+    generations fail to improve the incumbent. *)
 
 val strategy :
   ?extensions:bool ->
   ?warm:Ifko_transform.Params.t list ->
-  ?batch:int ->
-  ?rounds:int ->
-  ?patience:int ->
   seed:int ->
   cfg:Ifko_machine.Config.t ->
   report:Ifko_analysis.Report.t ->

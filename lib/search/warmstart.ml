@@ -1,6 +1,4 @@
 open Ifko_transform
-module Store = Ifko_store.Store
-module Json = Store.Json
 
 type donor = {
   d_kernel : string;
@@ -9,42 +7,23 @@ type donor = {
   d_mflops : float;
 }
 
-let feat_json feat = Json.O (List.map (fun (k, v) -> (k, Json.N v)) feat)
-
-let feat_of_json = function
-  | Json.O kvs ->
-    Some (List.filter_map (function k, Json.N v -> Some (k, v) | _ -> None) kvs)
+(* A tune record becomes a donor only if it carries the full learned
+   payload: a parseable winning point, the kernel name and the analysis
+   fingerprint.  Records journaled before the fingerprint existed (or
+   corrupted ones) simply yield [None] — the natural invalidation rule:
+   no fingerprint, no warm start. *)
+let donor_of_record (r : Tune_record.t) =
+  match (r.Tune_record.kernel, Tune_record.features r) with
+  | Some kernel, Some feat -> (
+    match Params.of_canonical r.Tune_record.best with
+    | exception Failure _ -> None
+    | p -> Some { d_kernel = kernel; d_feat = feat; d_params = p; d_mflops = r.Tune_record.mflops })
   | _ -> None
-
-(* A tune-level journal entry becomes a donor only if it carries the
-   full learned payload: a parseable winning point, the kernel name and
-   the analysis fingerprint.  Entries journaled before the fingerprint
-   existed (or corrupted ones) simply yield [None] — the natural
-   invalidation rule: no fingerprint, no warm start. *)
-let donor_of_entry ~params ~prov (outcome : Store.outcome) =
-  match outcome with
-  | Store.Timed { mflops; _ } when Store.is_tune_prov prov -> (
-    match Json.parse params with
-    | exception Json.Bad -> None
-    | fields -> (
-      match
-        ( Json.str fields "best",
-          Json.str fields "kernel",
-          Option.bind (List.assoc_opt "feat" fields) feat_of_json )
-      with
-      | Some best, Some kernel, Some feat -> (
-        match Params.of_canonical best with
-        | exception Failure _ -> None
-        | p -> Some { d_kernel = kernel; d_feat = feat; d_params = p; d_mflops = mflops })
-      | _ -> None))
-  | Store.Timed _ | Store.Test_failed | Store.Illegal -> None
 
 let donors_of_store st =
   List.rev
-    (Store.fold_entries st ~init:[] ~f:(fun acc ~key:_ ~params ~prov outcome ->
-         match donor_of_entry ~params ~prov outcome with
-         | Some d -> d :: acc
-         | None -> acc))
+    (Tune_record.fold st ~init:[] ~f:(fun acc r ->
+         match donor_of_record r with Some d -> d :: acc | None -> acc))
 
 (* Scale-free squared distance over the union of feature names: each
    dimension's difference is normalized by its own magnitude, so

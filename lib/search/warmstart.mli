@@ -24,21 +24,14 @@ type donor = {
   d_mflops : float;  (** performance it reached *)
 }
 
-val feat_json : (string * float) list -> Ifko_store.Store.Json.value
-(** Render a fingerprint as the JSON object tune entries embed. *)
-
-val feat_of_json : Ifko_store.Store.Json.value -> (string * float) list option
-
-val donor_of_entry :
-  params:string -> prov:string -> Ifko_store.Store.outcome -> donor option
-(** Parse one journal entry into a donor: requires a [Timed] tune-level
-    entry ({!Ifko_store.Store.is_tune_prov}) whose params JSON carries
-    ["best"], ["kernel"] and ["feat"].  Anything else — probe entries,
-    pre-fingerprint tunes, corrupt JSON — yields [None]. *)
+val donor_of_record : Tune_record.t -> donor option
+(** A tune record as a donor: requires its kernel name, its fingerprint
+    and a parseable winning point.  Anything else — pre-fingerprint
+    tunes, corrupt points — yields [None]. *)
 
 val donors_of_store : Ifko_store.Store.t -> donor list
-(** All donors in the journal, in the store's deterministic
-    sorted-key order. *)
+(** All donors among the store's tune records ({!Tune_record.fold}), in
+    its deterministic sorted-key order. *)
 
 val distance : (string * float) list -> (string * float) list -> float
 (** Scale-free squared distance over the union of feature names

@@ -5,10 +5,10 @@
    sharded probe store (single-flight per probe key) and one domain
    pool, so concurrent clients' probe compilations batch onto the same
    workers and identical cold tunes coalesce into one search.  Each
-   tune is an ordinary Driver.tune ~store, which journals the result
-   under Store.tune_key as a CLI tune does; the daemon answers warm
-   tunes and lookups from that entry (O(hash lookup), persistent across
-   restarts).
+   tune is an ordinary Driver.tune ~store, which journals its
+   Tune_record as a CLI tune does; the daemon answers warm tunes and
+   lookups from that record (O(hash lookup), persistent across
+   restarts).  Each tune keeps its own warm-state checkpoint cache.
 
    The determinism contract: any reply computed here is bit-identical
    to a sequential, storeless Driver.tune of the same request — probes
@@ -20,9 +20,9 @@ module Json = Store.Json
 module Driver = Ifko_search.Driver
 module Generic = Ifko_search.Generic
 module Codecache = Ifko_search.Codecache
+module Tune_record = Ifko_search.Tune_record
 module Config = Ifko_machine.Config
 module Timer = Ifko_sim.Timer
-module Ckpt = Ifko_sim.Ckpt
 
 type listen = [ `Unix of string | `Tcp of string * int ]
 
@@ -63,7 +63,7 @@ type t = {
   mutable stopping : bool;
   mutable active : int;  (* live connection threads *)
   conns : (Unix.file_descr, unit) Hashtbl.t;
-  tune_flight : (Proto.tune_reply, string) result Ifko_par.Flight.t;
+  tune_flight : (Tune_record.t * bool, string) result Ifko_par.Flight.t;
       (* whole-tune single flight: concurrent cold tunes of the same
          request run the search once (probe-level single flight alone
          would dedup the probes but still replay the line-search
@@ -71,13 +71,11 @@ type t = {
   codecache : Codecache.t;
       (* daemon-wide: distinct in-flight tunes (same kernel, different
          N / context / fidelity) compile each candidate once *)
-  ckpts : (string, Ckpt.t) Hashtbl.t;
-      (* per machine name, created on first use; in memory only *)
-  mutable n_requests : int;
-  mutable n_tunes : int;  (* tune ops that ran the search *)
-  mutable n_tune_hits : int;  (* tune ops answered from the result cache *)
-  mutable n_lookups : int;
-  mutable n_errors : int;
+  n_requests : int Atomic.t;
+  n_tunes : int Atomic.t;  (* tune ops that ran the search *)
+  n_tune_hits : int Atomic.t;  (* tune ops answered from the result cache *)
+  n_lookups : int Atomic.t;
+  n_errors : int Atomic.t;
 }
 
 let logf t fmt = Printf.ksprintf t.cfg.log fmt
@@ -85,34 +83,21 @@ let logf t fmt = Printf.ksprintf t.cfg.log fmt
 (* ---------------- tune / lookup ---------------- *)
 
 let compile_kernel src =
-  match
-    src |> Ifko_hil.Parser.parse_kernel |> Ifko_hil.Typecheck.check
-    |> Ifko_codegen.Lower.lower
-  with
+  match Ifko_codegen.Lower.of_source src with
   | compiled -> Ok compiled
   | exception Failure msg -> Error msg
   | exception e -> Error (Printexc.to_string e)
 
 let ( let* ) = Result.bind
 
-(* A tune result is the driver's tune-level store entry: the outcome
-   carries the tuned MFLOPS, params a small JSON object with the rest of
-   the reply. *)
-let decode_result (outcome, params, _prov) =
-  match outcome with
-  | Store.Timed { mflops; _ } -> (
-    match Json.parse params with
-    | exception Json.Bad -> None
-    | fields -> (
-      match
-        (Json.str fields "best", Json.num fields "fko", Json.num fields "evals")
-      with
-      | Some best, Some fko, Some evals ->
-        Some
-          { Proto.best; mflops; fko_mflops = fko;
-            evaluations = int_of_float evals; hit = true }
-      | _ -> None))
-  | _ -> None
+(* Computed and cached replies alike. *)
+let reply_of_record ~hit (r : Tune_record.t) =
+  { Proto.best = r.Tune_record.best;
+    mflops = r.Tune_record.mflops;
+    fko_mflops = r.Tune_record.fko_mflops;
+    evaluations = r.Tune_record.evaluations;
+    hit;
+  }
 
 (* Resolve a request's kernel text down to the result-cache key.  Any
    source edit changes the lowered fingerprint, hence the key. *)
@@ -121,35 +106,11 @@ let resolve (a : Proto.tune_args) =
   let* context = Timer.context_of_name a.context in
   let* compiled = compile_kernel a.kernel in
   let key =
-    Store.tune_key
-      ?strategy:(if a.strategy = "linesearch" then None else Some a.strategy)
-      ~kernel:(Driver.kernel_fingerprint compiled)
+    Tune_record.key ~strategy:a.strategy ~kernel:(Driver.kernel_fingerprint compiled)
       ~machine:cfgm.Config.name ~context:(Timer.context_name context) ~n:a.n
-      ~seed:a.seed ~check:a.check ~flops_per_n:a.flops_per_n ()
+      ~seed:a.seed ~check:a.check ~flops_per_n:a.flops_per_n
   in
   Ok (cfgm, context, compiled, key)
-
-let lookup_result t key =
-  match Store.find_entry t.store ~key with
-  | None -> None
-  | Some entry -> decode_result entry
-
-(* One in-memory checkpoint cache per machine: warm states are keyed by
-   (kernel|seed, context, N) inside, so every tune of a machine shares
-   the same cache safely. *)
-let ckpt_for t cfgm =
-  let name = cfgm.Config.name in
-  Mutex.lock t.mu;
-  let c =
-    match Hashtbl.find_opt t.ckpts name with
-    | Some c -> c
-    | None ->
-      let c = Ckpt.create ~cfg:cfgm () in
-      Hashtbl.add t.ckpts name c;
-      c
-  in
-  Mutex.unlock t.mu;
-  c
 
 let compute_tune t (a : Proto.tune_args) cfgm context compiled =
   match
@@ -160,22 +121,14 @@ let compute_tune t (a : Proto.tune_args) cfgm context compiled =
       | Error msg -> failwith msg (* parse_args validated; belt and braces *)
     in
     Driver.tune ~check_each_pass:a.check ~strategy ~warm_start:a.warm_start ~store:t.store
-      ?pool:t.pool ~seed:a.seed ~ckpt:(ckpt_for t cfgm) ~codecache:t.codecache
-      ~cfg:cfgm ~context ~spec ~n:a.n
+      ?pool:t.pool ~seed:a.seed ~codecache:t.codecache ~cfg:cfgm ~context ~spec ~n:a.n
       ~flops_per_n:a.flops_per_n
       ~test:(Generic.test compiled spec)
       compiled
   with
   | exception Failure msg -> Error msg
   | exception e -> Error (Printexc.to_string e)
-  | tuned ->
-    Ok
-      { Proto.best = Ifko_transform.Params.canonical tuned.Driver.best_params;
-        mflops = tuned.Driver.ifko_mflops;
-        fko_mflops = tuned.Driver.fko_mflops;
-        evaluations = tuned.Driver.evaluations;
-        hit = false;
-      }
+  | tuned -> Ok (Driver.record tuned)
 
 (* Opportunistic maintenance: after every computed tune, apply the
    configured bounds (age first, then size) — shards compact themselves
@@ -190,36 +143,26 @@ let apply_bounds t =
     in
     if dropped > 0 then logf t "evicted %d entries" dropped
 
-let count_tune_hit t =
-  Mutex.lock t.mu;
-  t.n_tune_hits <- t.n_tune_hits + 1;
-  Mutex.unlock t.mu
-
 let tune_shared t (a : Proto.tune_args) cfgm context compiled key =
-  match lookup_result t key with
+  match Tune_record.find t.store ~key with
   | Some r ->
-    count_tune_hit t;
-    Ok r
+    Atomic.incr t.n_tune_hits;
+    Ok (reply_of_record ~hit:true r)
   | None ->
     let r, joined =
       Ifko_par.Flight.run t.tune_flight ~key (fun () ->
-          match lookup_result t key with
+          match Tune_record.find t.store ~key with
           | Some r ->
-            count_tune_hit t;
-            Ok r
+            Atomic.incr t.n_tune_hits;
+            Ok (r, true)
           | None ->
-            Mutex.lock t.mu;
-            t.n_tunes <- t.n_tunes + 1;
-            Mutex.unlock t.mu;
+            Atomic.incr t.n_tunes;
             let r = compute_tune t a cfgm context compiled in
             if Result.is_ok r then apply_bounds t;
-            r)
+            Result.map (fun r -> (r, false)) r)
     in
-    if not joined then r
-    else begin
-      if Result.is_ok r then count_tune_hit t;
-      Result.map (fun (r : Proto.tune_reply) -> { r with Proto.hit = true }) r
-    end
+    if joined && Result.is_ok r then Atomic.incr t.n_tune_hits;
+    Result.map (fun (r, hit) -> reply_of_record ~hit:(hit || joined) r) r
 
 let do_tune t a =
   let* cfgm, context, compiled, key = resolve a in
@@ -227,24 +170,22 @@ let do_tune t a =
 
 let do_lookup t a =
   let* _, _, _, key = resolve a in
-  Mutex.lock t.mu;
-  t.n_lookups <- t.n_lookups + 1;
-  Mutex.unlock t.mu;
-  Ok (lookup_result t key)
+  Atomic.incr t.n_lookups;
+  Ok (Option.map (reply_of_record ~hit:true) (Tune_record.find t.store ~key))
 
 (* ---------------- stat ---------------- *)
 
 let stat_fields t =
   let s = Store.stat t.store in
+  let count c = Json.N (float_of_int (Atomic.get c)) in
   Mutex.lock t.mu;
-  let ckpt_stats = Hashtbl.fold (fun _ c acc -> Ckpt.stats c :: acc) t.ckpts [] in
   let server =
     [ ("uptime_s", Json.N (Float.max 0.0 (t.clock () -. t.started)));
-      ("requests", Json.N (float_of_int t.n_requests));
-      ("tunes", Json.N (float_of_int t.n_tunes));
-      ("tune_hits", Json.N (float_of_int t.n_tune_hits));
-      ("lookups", Json.N (float_of_int t.n_lookups));
-      ("errors", Json.N (float_of_int t.n_errors));
+      ("requests", count t.n_requests);
+      ("tunes", count t.n_tunes);
+      ("tune_hits", count t.n_tune_hits);
+      ("lookups", count t.n_lookups);
+      ("errors", count t.n_errors);
       ("inflight_tunes", Json.N (float_of_int (Ifko_par.Flight.inflight t.tune_flight)));
       ("connections", Json.N (float_of_int t.active));
       ("jobs", Json.N (float_of_int t.cfg.jobs));
@@ -253,14 +194,8 @@ let stat_fields t =
     ]
   in
   Mutex.unlock t.mu;
-  (* warm-state checkpoint + compiled-candidate cache effectiveness,
-     summed over machines: how much per-probe setup the daemon skipped *)
-  let sum f = float_of_int (List.fold_left (fun a st -> a + f st) 0 ckpt_stats) in
-  let ckpt =
-    [ ("hits", Json.N (sum (fun (st : Ckpt.stats) -> st.Ckpt.hits)));
-      ("misses", Json.N (sum (fun st -> st.Ckpt.misses)));
-    ]
-  in
+  (* compiled-candidate cache effectiveness: how much per-probe
+     compilation the daemon skipped *)
   let cc = Codecache.stats t.codecache in
   let code =
     [ ("hits", Json.N (float_of_int cc.Codecache.hits));
@@ -269,7 +204,6 @@ let stat_fields t =
   in
   [ ("store", Json.O (Store.stat_fields s));
     ("server", Json.O server);
-    ("ckpt", Json.O ckpt);
     ("codecache", Json.O code);
   ]
 
@@ -366,32 +300,21 @@ let serve_conn t fd =
     | exception Sys_error _ -> ()
     | `Eof -> ()
     | `Too_long ->
-      Mutex.lock t.mu;
-      t.n_errors <- t.n_errors + 1;
-      Mutex.unlock t.mu;
+      Atomic.incr t.n_errors;
       reply oc
         { Proto.resp_id = "";
           reply = Proto.Failed (Printf.sprintf "request line exceeds %d bytes" max_line) }
     | `Line line when String.trim line = "" -> loop ()
     | `Line line ->
-      Mutex.lock t.mu;
-      t.n_requests <- t.n_requests + 1;
-      Mutex.unlock t.mu;
+      Atomic.incr t.n_requests;
       let resp, stop =
         match Proto.parse_request line with
         | Error (id, msg) ->
-          Mutex.lock t.mu;
-          t.n_errors <- t.n_errors + 1;
-          Mutex.unlock t.mu;
+          Atomic.incr t.n_errors;
           ({ Proto.resp_id = id; reply = Proto.Failed msg }, false)
         | Ok req ->
           let reply = handle t ~fd req in
-          (match reply with
-          | Proto.Failed _ ->
-            Mutex.lock t.mu;
-            t.n_errors <- t.n_errors + 1;
-            Mutex.unlock t.mu
-          | _ -> ());
+          (match reply with Proto.Failed _ -> Atomic.incr t.n_errors | _ -> ());
           ( { Proto.resp_id = req.Proto.req_id; reply },
             req.Proto.request = Proto.Shutdown )
       in
@@ -461,12 +384,11 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
       conns = Hashtbl.create 16;
       tune_flight = Ifko_par.Flight.create ();
       codecache = Codecache.create ();
-      ckpts = Hashtbl.create 4;
-      n_requests = 0;
-      n_tunes = 0;
-      n_tune_hits = 0;
-      n_lookups = 0;
-      n_errors = 0;
+      n_requests = Atomic.make 0;
+      n_tunes = Atomic.make 0;
+      n_tune_hits = Atomic.make 0;
+      n_lookups = Atomic.make 0;
+      n_errors = Atomic.make 0;
     }
   in
   let listen_fd = bind_listen config.listen in

@@ -3,10 +3,18 @@
     A socket server (Unix-domain or TCP) speaking the newline-delimited
     JSON protocol of {!Proto}: one systhread per connection, all
     in-flight tunes multiplexed onto one sharded probe store
-    ({!Ifko_store.Store}) and one shared domain pool.  Each tune is a
+    ({!Ifko_store.Store}), one shared domain pool and one shared
+    compiled-candidate cache ({!Ifko_search.Codecache}).  Each tune is a
     {!Ifko_search.Driver.tune} with [~store], exactly as [ifko tune
-    --store] runs it; the driver's tune-level entry under
-    {!Ifko_store.Store.tune_key} answers repeat requests.
+    --store] runs it, with its own warm-state checkpoint cache; the
+    {!Ifko_search.Tune_record} it journals answers repeat [tune] and
+    [lookup] requests.  Computed and cached replies are built from a
+    tune record alike.
+
+    The [stat] reply holds three objects: ["store"]
+    ({!Ifko_store.Store.stat_fields}), ["server"] (request counters,
+    in-flight tunes, connections, pool geometry) and ["codecache"]
+    (its hits and misses).
 
     A request line may be at most 1 MiB.  A longer one gets a [Failed]
     reply naming the limit, counts as one error in [stat], and closes

@@ -354,7 +354,9 @@ let find_entry t ~key = Option.map (fun e -> (e.outcome, e.params, e.prov)) (loo
 (* Tune-level entries (whole-search results journaled by the driver)
    are distinguished from per-probe entries purely by their provenance
    prefix — the journal format is unchanged. *)
-let is_tune_prov prov = String.length prov >= 5 && String.sub prov 0 5 = "tune "
+let tune_prefix = "tune "
+let tune_prov prov = tune_prefix ^ prov
+let is_tune_prov prov = String.starts_with ~prefix:tune_prefix prov
 
 (* Journals in shard order, each snapshotted under its mutex and folded
    outside it, so [f] is free to use the store itself (journaling a

@@ -77,13 +77,17 @@ val find : t -> key:string -> outcome option
 
 val find_entry : t -> key:string -> (outcome * string * string) option
 (** Like {!find} but returns [(outcome, params, prov)] and does {e not}
-    touch the hit/miss counters — for callers (the serve layer) that
-    keep their own service-level counters. *)
+    touch the hit/miss counters, which count probe traffic only — for
+    tune-level records ({!Ifko_search.Tune_record}). *)
+
+val tune_prov : string -> string
+(** The provenance of a {e tune-level} entry (a whole search's result,
+    journaled by {!Ifko_search.Tune_record}) for a tune whose probes
+    carry [prov]: the same text behind a ["tune "] prefix. *)
 
 val is_tune_prov : string -> bool
-(** Whether a provenance string marks a {e tune-level} entry (a whole
-    search's result, journaled with a ["tune "] prefix by the driver
-    and the serve daemon) rather than a single probe. *)
+(** Whether a provenance string marks a tune-level entry
+    ({!tune_prov}) rather than a single probe. *)
 
 val fold_entries :
   t ->
@@ -100,7 +104,8 @@ val iter_tunes :
   f:(key:string -> params:string -> prov:string -> mflops:float -> unit) ->
   unit
 (** Visit the timed tune-level entries only ({!is_tune_prov} plus a
-    [Timed] outcome) — the warm-start seeder's donor scan. *)
+    [Timed] outcome), in {!fold_entries} order — the scan behind
+    {!Ifko_search.Tune_record.fold}. *)
 
 val add : t -> key:string -> params:string -> prov:string -> outcome -> unit
 (** Thread-safe insert + journal append (one flushed line).  [params]

@@ -5,9 +5,11 @@
 # store.meta and the shard journals behind, then treat its store
 # directory as the CLI's store: stat and compact it, and re-run
 # the same tune through `ifko tune --store`, which must compute no
-# probe.  Every step is timeout-bounded so a wedged daemon fails the
-# gate instead of hanging it.  Run from the repository root after
-# `dune build`.
+# probe.  Then the reverse direction: a surrogate tune by the CLI
+# writes the store, and a second daemon started on it answers the same
+# lookup as a cache hit with the MFLOPS the CLI printed.  Every step is
+# timeout-bounded so a wedged daemon fails the gate instead of hanging
+# it.  Run from the repository root after `dune build`.
 set -eu
 
 IFKO="${IFKO:-dune exec --no-build bin/ifko_cli.exe --}"
@@ -17,18 +19,21 @@ KERNEL=examples/kernels/ddot.hil
 mkdir -p "$TMP"
 trap 'kill $DAEMON_PID 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
-timeout 300 $IFKO serve --socket "$SOCK" --store-dir "$TMP/store" --shards 4 -j 2 &
-DAEMON_PID=$!
+start_daemon() {
+  timeout 300 $IFKO serve --socket "$SOCK" --store-dir "$TMP/store" --shards 4 -j 2 &
+  DAEMON_PID=$!
+  i=0
+  while [ ! -S "$SOCK" ]; do
+    i=$((i + 1))
+    if [ $i -gt 300 ]; then
+      echo "serve_smoke: daemon never bound $SOCK" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+}
 
-i=0
-while [ ! -S "$SOCK" ]; do
-  i=$((i + 1))
-  if [ $i -gt 300 ]; then
-    echo "serve_smoke: daemon never bound $SOCK" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
+start_daemon
 
 timeout 240 $IFKO query tune "$KERNEL" --socket "$SOCK" -n 2000 | tee "$TMP/tune.out"
 grep -q "computed" "$TMP/tune.out"
@@ -57,4 +62,20 @@ timeout 60 $IFKO store compact "$TMP/store"
 # the daemon's default workload seed is 0
 timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 2000 --seed 0 | tee "$TMP/cli.out"
 grep -q ' 0 computed' "$TMP/cli.out"
+
+# The reverse direction: the CLI's surrogate tune is a daemon cache hit.
+timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 2000 --seed 0 --strategy surrogate \
+  | tee "$TMP/cli_surrogate.out"
+start_daemon
+timeout 60 $IFKO query lookup "$KERNEL" --socket "$SOCK" -n 2000 --strategy surrogate \
+  | tee "$TMP/lookup_surrogate.out"
+grep -q "cache hit" "$TMP/lookup_surrogate.out"
+CLI_MFLOPS=$(sed -n 's/^ifko tuned point *: *\([0-9.]*\) MFLOPS.*/\1/p' "$TMP/cli_surrogate.out")
+LOOKUP_MFLOPS=$(sed -n 's/^lookup: *\([0-9.]*\) MFLOPS.*/\1/p' "$TMP/lookup_surrogate.out")
+if [ -z "$CLI_MFLOPS" ] || [ "$CLI_MFLOPS" != "$LOOKUP_MFLOPS" ]; then
+  echo "serve_smoke: lookup printed '$LOOKUP_MFLOPS' MFLOPS, the CLI '$CLI_MFLOPS'" >&2
+  exit 1
+fi
+timeout 60 $IFKO query shutdown --socket "$SOCK"
+wait $DAEMON_PID
 echo "serve_smoke: ok"

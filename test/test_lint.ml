@@ -88,6 +88,47 @@ let test_every_instruction_rule () =
     Alcotest.(check string) "Validate's first" (List.hd texts) msg
   | () -> Alcotest.fail "expected Validate.Invalid"
 
+(* IFK001/IFK002 apply Validate's structure rules: every broken one,
+   in Validate's order, with Lint's code and text; Validate raises the
+   first, and its terminator text names the block. *)
+let test_every_structure_rule () =
+  let f =
+    mk_func
+      [ Block.make
+          ~term:
+            (Block.Br
+               { cmp = Instr.Eq; lhs = x 0; rhs = Instr.Oreg (x 1); ifso = "missing";
+                 ifnot = "f"; dec = -2 })
+          "entry";
+        Block.make
+          ~term:
+            (Block.Fbr
+               { fsize = Instr.D; cmp = Instr.Eq; lhs = g 2; rhs = x 3; ifso = "entry";
+                 ifnot = "f" })
+          "f";
+        Block.make ~term:(Block.Jmp "entry") "f"
+      ]
+  in
+  Alcotest.(check (list (pair string string))) "Lint's codes and texts"
+    [ ("IFK001", "duplicate block label \"f\"");
+      ("IFK001", "terminator: unknown target \"missing\"");
+      ("IFK002", "terminator: register x0 should be a GPR");
+      ("IFK002", "terminator: register x1 should be a GPR");
+      ("IFK002", "terminator: negative fused decrement");
+      ("IFK002", "terminator: register g2 should be an XMM register");
+      ("IFK001", "function t never returns")
+    ]
+    (List.map (fun d -> (d.Diag.code, d.Diag.message)) (Lint.check_structure f));
+  let validate f =
+    match Validate.check f with
+    | exception Validate.Invalid msg -> msg
+    | () -> Alcotest.fail "expected Validate.Invalid"
+  in
+  Alcotest.(check string) "Validate's first" "duplicate block label \"f\"" (validate f);
+  Alcotest.(check string) "Validate's terminator text"
+    "block entry terminator: unknown target \"missing\""
+    (validate (mk_func (List.filteri (fun i _ -> i < 2) f.Cfg.blocks)))
+
 let test_structural_errors_mute_dataflow () =
   (* A broken CFG must not also drown the user in meaningless dataflow
      diagnostics: check_func reports the IFK001 and stops. *)
@@ -326,6 +367,7 @@ let suite =
     Alcotest.test_case "IFK001: function never returns" `Quick test_never_returns;
     Alcotest.test_case "IFK002: wrong register class" `Quick test_wrong_register_class;
     Alcotest.test_case "IFK002: every instruction rule" `Quick test_every_instruction_rule;
+    Alcotest.test_case "IFK001/IFK002: every structure rule" `Quick test_every_structure_rule;
     Alcotest.test_case "broken structure mutes dataflow checkers" `Quick
       test_structural_errors_mute_dataflow;
     Alcotest.test_case "IFK003: use before any def" `Quick test_use_before_def;

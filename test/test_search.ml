@@ -5,6 +5,14 @@ open Ifko_transform
 
 let report_for id = Ifko_analysis.Report.analyze (Hil_sources.compile id)
 
+(* The line search the way a tune runs it: its strategy under
+   Strategy.run. *)
+let linesearch ?map_batch ~cfg ~report ~init probe =
+  Ifko_search.Strategy.run ?map_batch ~init
+    ~make:(fun ~init_perf ->
+      Ifko_search.Linesearch.strategy ~cfg ~report ~init ~init_perf ())
+    probe
+
 let test_space_gates () =
   let dot = report_for { Defs.routine = Defs.Dot; prec = Instr.D } in
   let iamax = report_for { Defs.routine = Defs.Iamax; prec = Instr.D } in
@@ -41,14 +49,14 @@ let test_linesearch_finds_optimum () =
     if not p.Params.wnt then score := !score +. 5.0;
     !score
   in
-  let r = Ifko_search.Linesearch.run ~cfg ~report ~init probe in
-  Alcotest.(check int) "finds UR" 8 r.Ifko_search.Linesearch.best.Params.unroll;
-  Alcotest.(check int) "finds AE" 3 r.Ifko_search.Linesearch.best.Params.ae;
-  (match List.assoc "X" r.Ifko_search.Linesearch.best.Params.prefetch with
+  let r = linesearch ~cfg ~report ~init probe in
+  Alcotest.(check int) "finds UR" 8 r.Ifko_search.Strategy.best.Params.unroll;
+  Alcotest.(check int) "finds AE" 3 r.Ifko_search.Strategy.best.Params.ae;
+  (match List.assoc "X" r.Ifko_search.Strategy.best.Params.prefetch with
   | { Params.pf_ins = Some Instr.T0; pf_dist = 1280 } -> ()
   | _ -> Alcotest.fail "prefetch optimum missed");
-  Alcotest.(check (float 1e-9)) "best score" 260.0 r.Ifko_search.Linesearch.best_perf;
-  Alcotest.(check int) "eval accounting" !evals r.Ifko_search.Linesearch.evaluations
+  Alcotest.(check (float 1e-9)) "best score" 260.0 r.Ifko_search.Strategy.best_perf;
+  Alcotest.(check int) "eval accounting" !evals r.Ifko_search.Strategy.evaluations
 
 let test_linesearch_memoizes () =
   let id = { Defs.routine = Defs.Asum; prec = Instr.S } in
@@ -60,9 +68,9 @@ let test_linesearch_memoizes () =
     if Hashtbl.mem seen p then incr dup else Hashtbl.replace seen p ();
     1.0
   in
-  let r = Ifko_search.Linesearch.run ~cfg:Ifko_machine.Config.p4e ~report ~init probe in
+  let r = linesearch ~cfg:Ifko_machine.Config.p4e ~report ~init probe in
   Alcotest.(check int) "no duplicate probes" 0 !dup;
-  Alcotest.(check bool) "a real search happened" true (r.Ifko_search.Linesearch.evaluations > 20)
+  Alcotest.(check bool) "a real search happened" true (r.Ifko_search.Strategy.evaluations > 20)
 
 let test_linesearch_contributions_multiply () =
   let id = { Defs.routine = Defs.Dot; prec = Instr.D } in
@@ -71,13 +79,13 @@ let test_linesearch_contributions_multiply () =
   let probe (p : Params.t) =
     1.0 +. (0.1 *. float_of_int p.Params.unroll) +. if p.Params.wnt then -0.5 else 0.0
   in
-  let r = Ifko_search.Linesearch.run ~cfg:Ifko_machine.Config.p4e ~report ~init probe in
+  let r = linesearch ~cfg:Ifko_machine.Config.p4e ~report ~init probe in
   let product =
     List.fold_left (fun acc (_, ratio) -> acc *. ratio) 1.0
-      r.Ifko_search.Linesearch.contributions
+      r.Ifko_search.Strategy.contributions
   in
   Alcotest.(check (float 1e-6)) "contributions compose to the total"
-    (r.Ifko_search.Linesearch.best_perf /. r.Ifko_search.Linesearch.start_perf)
+    (r.Ifko_search.Strategy.best_perf /. r.Ifko_search.Strategy.start_perf)
     product
 
 let test_driver_improves_and_verifies () =
@@ -168,19 +176,19 @@ let test_linesearch_parallel_matches_sequential () =
   let report = report_for id in
   let cfg = Ifko_machine.Config.p4e in
   let init = Params.default ~line_bytes:128 report in
-  let seq = Ifko_search.Linesearch.run ~cfg ~report ~init synthetic_probe in
+  let seq = linesearch ~cfg ~report ~init synthetic_probe in
   let par =
     Ifko_par.Par.Pool.with_pool ~jobs:4 (fun pool ->
-        Ifko_search.Linesearch.run
+        linesearch
           ~map_batch:(fun f xs -> Ifko_par.Par.Pool.map pool f xs)
           ~cfg ~report ~init synthetic_probe)
   in
-  Alcotest.check params_t "same best point" seq.Ifko_search.Linesearch.best
-    par.Ifko_search.Linesearch.best;
-  Alcotest.(check (float 0.0)) "same best perf" seq.Ifko_search.Linesearch.best_perf
-    par.Ifko_search.Linesearch.best_perf;
-  Alcotest.(check int) "same evaluation count" seq.Ifko_search.Linesearch.evaluations
-    par.Ifko_search.Linesearch.evaluations
+  Alcotest.check params_t "same best point" seq.Ifko_search.Strategy.best
+    par.Ifko_search.Strategy.best;
+  Alcotest.(check (float 0.0)) "same best perf" seq.Ifko_search.Strategy.best_perf
+    par.Ifko_search.Strategy.best_perf;
+  Alcotest.(check int) "same evaluation count" seq.Ifko_search.Strategy.evaluations
+    par.Ifko_search.Strategy.evaluations
 
 (* A real end-to-end tune, sequential vs. 4 worker domains: the paper's
    whole search must come out bit-identical. *)
@@ -483,16 +491,16 @@ let test_linesearch_matches_legacy_sweep () =
       let best, best_perf, start_perf, contributions, evals =
         legacy_sweep ~cfg ~report ~init synthetic_probe
       in
-      let r = Ifko_search.Linesearch.run ~cfg ~report ~init synthetic_probe in
-      Alcotest.check params_t "same best point" best r.Ifko_search.Linesearch.best;
+      let r = linesearch ~cfg ~report ~init synthetic_probe in
+      Alcotest.check params_t "same best point" best r.Ifko_search.Strategy.best;
       Alcotest.(check (float 0.0)) "same best perf" best_perf
-        r.Ifko_search.Linesearch.best_perf;
+        r.Ifko_search.Strategy.best_perf;
       Alcotest.(check (float 0.0)) "same start perf" start_perf
-        r.Ifko_search.Linesearch.start_perf;
+        r.Ifko_search.Strategy.start_perf;
       Alcotest.(check int) "same evaluation count" evals
-        r.Ifko_search.Linesearch.evaluations;
+        r.Ifko_search.Strategy.evaluations;
       Alcotest.(check (list (pair string (float 0.0)))) "same contributions" contributions
-        r.Ifko_search.Linesearch.contributions)
+        r.Ifko_search.Strategy.contributions)
     [ { Defs.routine = Defs.Dot; prec = Instr.D };
       { Defs.routine = Defs.Asum; prec = Instr.S };
       { Defs.routine = Defs.Iamax; prec = Instr.D };
@@ -532,51 +540,47 @@ let test_surrogate_jobs_deterministic () =
         seq.Ifko_search.Strategy.probes_to_best par.Ifko_search.Strategy.probes_to_best)
     [ 4; 8 ]
 
-(* Warm-start plumbing at the unit level: journal entries parse into
+(* Warm-start plumbing at the unit level: journal entries become
    donors only when they are well-formed tune entries, and seeding
    ranks by fingerprint distance. *)
 let test_warmstart_donors () =
   let module W = Ifko_search.Warmstart in
+  let module Json = Ifko_store.Store.Json in
   let dot = report_for { Defs.routine = Defs.Dot; prec = Instr.D } in
   let asum = report_for { Defs.routine = Defs.Asum; prec = Instr.D } in
   let init = Params.default ~line_bytes:128 dot in
   let feat r = Ifko_analysis.Report.features r in
   let entry best =
-    Ifko_store.Store.Json.render
-      [ ("best", Ifko_store.Store.Json.S (Params.canonical best));
-        ("fko", Ifko_store.Store.Json.N 100.0);
-        ("evals", Ifko_store.Store.Json.N 50.0);
-        ("kernel", Ifko_store.Store.Json.S "dasum");
-        ("feat", W.feat_json (feat asum));
+    Json.render
+      [ ("best", Json.S best);
+        ("fko", Json.N 100.0);
+        ("evals", Json.N 50.0);
+        ("kernel", Json.S "dasum");
+        ("feat", Ifko_search.Tune_record.feat_json (feat asum));
       ]
   in
   let timed = Ifko_store.Store.Timed { mflops = 500.0; cycles = 0.0 } in
   let donor_params = { init with Params.unroll = 8; ae = 4 } in
-  (* well-formed tune entry parses *)
-  (match W.donor_of_entry ~params:(entry donor_params) ~prov:"tune dasum@P4E" timed with
-  | Some d ->
-    Alcotest.(check string) "donor kernel" "dasum" d.W.d_kernel;
-    Alcotest.check params_t "donor point" donor_params d.W.d_params;
-    Alcotest.(check (float 0.0)) "donor mflops" 500.0 d.W.d_mflops
-  | None -> Alcotest.fail "well-formed tune entry must parse");
-  (* probe entries, corrupt JSON, and failures never become donors *)
-  Alcotest.(check bool) "probe prov skipped" true
-    (W.donor_of_entry ~params:(entry donor_params) ~prov:"dasum@P4E" timed = None);
-  Alcotest.(check bool) "corrupt JSON skipped" true
-    (W.donor_of_entry ~params:"{not json" ~prov:"tune x" timed = None);
-  Alcotest.(check bool) "unparseable point skipped" true
-    (W.donor_of_entry
-       ~params:
-         (Ifko_store.Store.Json.render
-            [ ("best", Ifko_store.Store.Json.S "garbage");
-              ("kernel", Ifko_store.Store.Json.S "x");
-              ("feat", W.feat_json []);
-            ])
-       ~prov:"tune x" timed
-    = None);
-  Alcotest.(check bool) "failed tune skipped" true
-    (W.donor_of_entry ~params:(entry donor_params) ~prov:"tune x" Ifko_store.Store.Test_failed
-    = None);
+  let good = entry (Params.canonical donor_params) in
+  with_tmp_store_path (fun path ->
+      let st = Ifko_store.Store.open_ path in
+      let add ?(prov = "tune x") ?(outcome = timed) key params =
+        Ifko_store.Store.add st ~key ~params ~prov outcome
+      in
+      add ~prov:"tune dasum@P4E" "a-good" good;
+      (* probe entries, corrupt JSON, unparseable points and failures
+         never become donors *)
+      add ~prov:"dasum@P4E" "b-probe-prov" good;
+      add "c-corrupt-json" "{not json";
+      add "d-unparseable-point" (entry "garbage");
+      add ~outcome:Ifko_store.Store.Test_failed "e-failed-tune" good;
+      (match W.donors_of_store st with
+      | [ d ] ->
+        Alcotest.(check string) "donor kernel" "dasum" d.W.d_kernel;
+        Alcotest.check params_t "donor point" donor_params d.W.d_params;
+        Alcotest.(check (float 0.0)) "donor mflops" 500.0 d.W.d_mflops
+      | ds -> Alcotest.failf "expected the one well-formed donor, got %d" (List.length ds));
+      Ifko_store.Store.close st);
   (* seeding ranks by fingerprint distance: a donor with the target's
      own fingerprint outranks a far one *)
   let near = { W.d_kernel = "twin"; d_feat = feat dot; d_params = donor_params; d_mflops = 1.0 } in

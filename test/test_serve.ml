@@ -476,10 +476,7 @@ let test_daemon_shared_compile_batch () =
       let num = stat_num listen in
       Alcotest.(check bool) "candidates were compiled" true (num "codecache" "misses" > 0);
       Alcotest.(check bool) "the sibling tune reused the batch" true
-        (num "codecache" "hits" > 0);
-      (* the warm-state checkpoint counters ride the same reply *)
-      Alcotest.(check bool) "ckpt counters surfaced" true
-        (num "ckpt" "misses" >= 0 && num "ckpt" "hits" >= 0))
+        (num "codecache" "hits" > 0))
 
 let test_daemon_protocol_errors () =
   with_daemon ~jobs:1 (fun listen ->
@@ -730,16 +727,16 @@ let test_daemon_dir_serves_cli () =
            = Int64.bits_of_float warm_ref.Ifko_search.Driver.ifko_mflops))
 
 (* Daemon tunes run at full fidelity and keep their warm states in
-   memory, so the store directory they leave is an ordinary store:
-   store.meta and the shard journals, nothing else.  The stat reply
-   still shows the one in-memory snapshot cache shared across tunes. *)
+   memory, each tune its own, so the store directory they leave is an
+   ordinary store: store.meta and the shard journals, nothing else.
+   The stat reply keeps no checkpoint object. *)
 let test_daemon_dir_is_a_store () =
   let dir = tmp_dir "ifko_plain_store" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let args = { (Proto.default_args ~kernel:ddot_src) with Proto.n = 600; seed = 3 } in
-      let ckpt =
+      let stat =
         serve_dir dir (fun listen ->
             Client.with_client listen (fun c ->
                 List.iter
@@ -754,18 +751,95 @@ let test_daemon_dir_is_a_store () =
                       warm_start = true;
                     };
                   ]);
-            stat_object listen "ckpt")
+            Client.with_client listen Client.stat)
       in
-      Alcotest.(check (list string)) "ckpt counters" [ "hits"; "misses" ]
-        (List.sort compare (List.map fst ckpt));
-      Alcotest.(check bool) "warm states shared across probes" true
-        (match List.assoc_opt "hits" ckpt with
-        | Some (Proto.Json.N h) -> h > 0.0
-        | _ -> false);
+      Alcotest.(check (list string)) "stat objects" [ "codecache"; "server"; "store" ]
+        (match stat with
+        | Ok fields -> List.sort compare (List.map fst fields)
+        | Error e -> Alcotest.failf "stat failed: %s" e);
       Alcotest.(check (list string)) "only the store's own files"
         [ "shard-00.jsonl"; "shard-01.jsonl"; "shard-02.jsonl"; "shard-03.jsonl";
           "store.meta" ]
         (List.sort compare (Array.to_list (Sys.readdir dir))))
+
+(* Tune records as earlier builds journaled them, byte for byte: one
+   with the analysis fingerprint (a linesearch tune, keyed without a
+   strategy) and one without (a surrogate tune).  The daemon answers
+   both from the store, bit-identical to the stored values, and never
+   recomputes; only the one with a fingerprint is a warm-start donor;
+   and journaling the first record again renders the same bytes. *)
+let test_daemon_reads_stored_records () =
+  let best = "sv=1;ur=24;lc=1;ae=0;wnt=0;bf=0;cisc=0;pf=X:nta:512,Y:nta:768" in
+  let feat =
+    {|{"vectorizable":1,"elt_bytes":8,"max_unroll":128,"accumulators":1,"arrays":2,"loads":2,"stores":0,"outputs":0,"stride_unit":2,"stride_neg":0,"gpr_pressure":4,"xmm_pressure":3,"legal_sv":1,"legal_unroll":1,"legal_wnt":1,"dep_pairs":0,"dep_blocking":0}|}
+  in
+  let with_feat =
+    Printf.sprintf {|{"best":"%s","fko":555.57233008242963,"evals":100,"kernel":"ddot","feat":%s}|}
+      best feat
+  in
+  let without_feat =
+    Printf.sprintf {|{"best":"%s","fko":555.57233008242963,"evals":18,"kernel":"ddot"}|} best
+  in
+  let mflops = float_of_string "751.56527472783864" in
+  let fko = float_of_string "555.57233008242963" in
+  let prov = "ddot@P4E/out-of-cache/n=2000" in
+  let args = { (Proto.default_args ~kernel:ddot_src) with Proto.n = 2000; seed = 7 } in
+  let key ?strategy () =
+    Store.tune_key ?strategy
+      ~kernel:(Ifko_search.Driver.kernel_fingerprint (Ifko_codegen.Lower.of_source ddot_src))
+      ~machine:"P4E" ~context:"out-of-cache" ~n:2000 ~seed:7 ~check:false ~flops_per_n:2.0 ()
+  in
+  let dir = tmp_dir "ifko_records" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let st = Store.open_ ~shards:4 dir in
+      let timed = Store.Timed { mflops; cycles = 0.0 } in
+      Store.add st ~key:(key ()) ~params:with_feat ~prov:("tune " ^ prov) timed;
+      Store.add st ~key:(key ~strategy:"surrogate" ()) ~params:without_feat
+        ~prov:("tune " ^ prov) timed;
+      Store.close st;
+      serve_dir dir (fun listen ->
+          Client.with_client listen (fun c ->
+              List.iter
+                (fun (a, evals) ->
+                  let check what (r : Proto.tune_reply) =
+                    Alcotest.(check string) (what ^ ": best") best r.Proto.best;
+                    Alcotest.(check bool) (what ^ ": mflops bits") true
+                      (Int64.bits_of_float r.Proto.mflops = Int64.bits_of_float mflops);
+                    Alcotest.(check bool) (what ^ ": fko bits") true
+                      (Int64.bits_of_float r.Proto.fko_mflops = Int64.bits_of_float fko);
+                    Alcotest.(check int) (what ^ ": evaluations") evals r.Proto.evaluations;
+                    Alcotest.(check bool) (what ^ ": hit") true r.Proto.hit
+                  in
+                  (match Client.lookup c a with
+                  | Ok (Some r) -> check (a.Proto.strategy ^ " lookup") r
+                  | Ok None -> Alcotest.failf "%s lookup missed" a.Proto.strategy
+                  | Error e -> Alcotest.failf "lookup failed: %s" e);
+                  match Client.tune c a with
+                  | Ok r -> check (a.Proto.strategy ^ " tune") r
+                  | Error e -> Alcotest.failf "tune failed: %s" e)
+                [ (args, 100); ({ args with Proto.strategy = "surrogate" }, 18) ]);
+          Alcotest.(check int) "no tune recomputed" 0 (stat_num listen "server" "tunes"));
+      let st = Store.open_ dir in
+      (match Ifko_search.Warmstart.donors_of_store st with
+      | [ d ] ->
+        Alcotest.(check string) "donor point" best
+          (Ifko_transform.Params.canonical d.Ifko_search.Warmstart.d_params);
+        Alcotest.(check bool) "donor mflops bits" true
+          (Int64.bits_of_float d.Ifko_search.Warmstart.d_mflops = Int64.bits_of_float mflops)
+      | ds -> Alcotest.failf "expected one donor, got %d" (List.length ds));
+      let record = Ifko_search.Tune_record.find st ~key:(key ()) in
+      Store.close st;
+      let fresh = Filename.concat dir "fresh.jsonl" in
+      let st = Store.open_ fresh in
+      Option.iter (Ifko_search.Tune_record.add st ~key:"k" ~prov) record;
+      (match Store.find_entry st ~key:"k" with
+      | Some (_, params, p) ->
+        Alcotest.(check string) "journaled params bytes" with_feat params;
+        Alcotest.(check string) "journaled prov" ("tune " ^ prov) p
+      | None -> Alcotest.fail "record not journaled");
+      Store.close st)
 
 let contains s sub =
   let n = String.length sub in
@@ -845,6 +919,8 @@ let suite =
       test_daemon_dir_serves_cli;
     Alcotest.test_case "daemon: its directory is an ordinary store" `Quick
       test_daemon_dir_is_a_store;
+    Alcotest.test_case "daemon: stored tune records answered" `Quick
+      test_daemon_reads_stored_records;
     Alcotest.test_case "daemon: leftover checkpoint state never read" `Quick
       test_daemon_ignores_leftover_state;
   ]
