@@ -9,6 +9,8 @@
    Tune_record as a CLI tune does; the daemon answers warm tunes and
    lookups from that record (O(hash lookup), persistent across
    restarts).  Each tune keeps its own warm-state checkpoint cache.
+   A bounded per-daemon table memoizes each kernel source's lowering
+   and fingerprint, so warm requests skip the front end.
 
    The determinism contract: any reply computed here is bit-identical
    to a sequential, storeless Driver.tune of the same request — probes
@@ -71,6 +73,14 @@ type t = {
   codecache : Codecache.t;
       (* daemon-wide: distinct in-flight tunes (same kernel, different
          N / context / fidelity) compile each candidate once *)
+  lowerings : (string, Ifko_codegen.Lower.compiled * string) Hashtbl.t;
+      (* source text -> its lowering and kernel fingerprint, successful
+         lowerings only; guarded by [lowerings_mu], dropped whole when
+         [lowering_bytes] would pass [max_lowering_bytes] *)
+  lowerings_mu : Mutex.t;
+  lowering_bytes : int Atomic.t;  (* source bytes held as keys; set under the lock *)
+  n_lowering_hits : int Atomic.t;
+  n_lowering_misses : int Atomic.t;
   n_requests : int Atomic.t;
   n_tunes : int Atomic.t;  (* tune ops that ran the search *)
   n_tune_hits : int Atomic.t;  (* tune ops answered from the result cache *)
@@ -82,11 +92,40 @@ let logf t fmt = Printf.ksprintf t.cfg.log fmt
 
 (* ---------------- tune / lookup ---------------- *)
 
-let compile_kernel src =
-  match Ifko_codegen.Lower.of_source src with
-  | compiled -> Ok compiled
-  | exception Failure msg -> Error msg
-  | exception e -> Error (Printexc.to_string e)
+(* Four request lines' worth ([max_line] below): one source always fits. *)
+let max_lowering_bytes = 4 lsl 20
+
+(* The front end, memoized per daemon: a warm request sends the same
+   source text every time, so its lowering and fingerprint come from
+   the table.  The lowering runs outside the lock; two racing misses on
+   one source both lower it, and the first insert wins.  Rejected
+   kernels are not stored, so they are lowered (and fail the same way)
+   again. *)
+let lower_kernel t src =
+  match Mutex.protect t.lowerings_mu (fun () -> Hashtbl.find_opt t.lowerings src) with
+  | Some lowered ->
+    Atomic.incr t.n_lowering_hits;
+    Ok lowered
+  | None -> (
+    Atomic.incr t.n_lowering_misses;
+    match Ifko_codegen.Lower.of_source src with
+    | exception Failure msg -> Error msg
+    | exception e -> Error (Printexc.to_string e)
+    | compiled ->
+      let lowered = (compiled, Driver.kernel_fingerprint compiled) in
+      Ok
+        (Mutex.protect t.lowerings_mu (fun () ->
+             match Hashtbl.find_opt t.lowerings src with
+             | Some first -> first
+             | None ->
+               let bytes = String.length src in
+               if Atomic.get t.lowering_bytes + bytes > max_lowering_bytes then begin
+                 Hashtbl.reset t.lowerings;
+                 Atomic.set t.lowering_bytes 0
+               end;
+               Hashtbl.replace t.lowerings src lowered;
+               Atomic.set t.lowering_bytes (Atomic.get t.lowering_bytes + bytes);
+               lowered)))
 
 let ( let* ) = Result.bind
 
@@ -100,13 +139,14 @@ let reply_of_record ~hit (r : Tune_record.t) =
   }
 
 (* Resolve a request's kernel text down to the result-cache key.  Any
-   source edit changes the lowered fingerprint, hence the key. *)
-let resolve (a : Proto.tune_args) =
+   lowering-relevant source edit changes the fingerprint, hence the
+   key. *)
+let resolve t (a : Proto.tune_args) =
   let* cfgm = Config.of_name a.machine in
   let* context = Timer.context_of_name a.context in
-  let* compiled = compile_kernel a.kernel in
+  let* compiled, kernel = lower_kernel t a.kernel in
   let key =
-    Tune_record.key ~strategy:a.strategy ~kernel:(Driver.kernel_fingerprint compiled)
+    Tune_record.key ~strategy:a.strategy ~kernel
       ~machine:cfgm.Config.name ~context:(Timer.context_name context) ~n:a.n
       ~seed:a.seed ~check:a.check ~flops_per_n:a.flops_per_n
   in
@@ -165,11 +205,11 @@ let tune_shared t (a : Proto.tune_args) cfgm context compiled key =
     Result.map (fun (r, hit) -> reply_of_record ~hit:(hit || joined) r) r
 
 let do_tune t a =
-  let* cfgm, context, compiled, key = resolve a in
+  let* cfgm, context, compiled, key = resolve t a in
   tune_shared t a cfgm context compiled key
 
 let do_lookup t a =
-  let* _, _, _, key = resolve a in
+  let* _, _, _, key = resolve t a in
   Atomic.incr t.n_lookups;
   Ok (Option.map (reply_of_record ~hit:true) (Tune_record.find t.store ~key))
 
@@ -186,6 +226,9 @@ let stat_fields t =
       ("tune_hits", count t.n_tune_hits);
       ("lookups", count t.n_lookups);
       ("errors", count t.n_errors);
+      ("lowering_hits", count t.n_lowering_hits);
+      ("lowering_misses", count t.n_lowering_misses);
+      ("lowering_bytes", count t.lowering_bytes);
       ("inflight_tunes", Json.N (float_of_int (Ifko_par.Flight.inflight t.tune_flight)));
       ("connections", Json.N (float_of_int t.active));
       ("jobs", Json.N (float_of_int t.cfg.jobs));
@@ -287,7 +330,10 @@ let read_line r =
   go ()
 
 let reply oc resp =
-  match output_string oc (Proto.render_response resp ^ "\n") with
+  match
+    output_string oc (Proto.render_response resp);
+    output_char oc '\n'
+  with
   | exception Sys_error _ -> ()
   | () -> ( try flush oc with Sys_error _ -> ())
 
@@ -384,6 +430,11 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
       conns = Hashtbl.create 16;
       tune_flight = Ifko_par.Flight.create ();
       codecache = Codecache.create ();
+      lowerings = Hashtbl.create 16;
+      lowerings_mu = Mutex.create ();
+      lowering_bytes = Atomic.make 0;
+      n_lowering_hits = Atomic.make 0;
+      n_lowering_misses = Atomic.make 0;
       n_requests = Atomic.make 0;
       n_tunes = Atomic.make 0;
       n_tune_hits = Atomic.make 0;

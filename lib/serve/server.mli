@@ -11,9 +11,27 @@
     [lookup] requests.  Computed and cached replies are built from a
     tune record alike.
 
+    Each daemon memoizes its front end: a table maps a request's kernel
+    source text to its {!Ifko_codegen.Lower.compiled} lowering and
+    {!Ifko_search.Driver.kernel_fingerprint}, so a warm [tune] or
+    [lookup] goes from the table straight to the
+    {!Ifko_search.Tune_record} key and lookup without parsing, type
+    checking or lowering.  Only successful lowerings are kept: a
+    rejected kernel is lowered again on every request and gets the same
+    [Failed] text.  The table holds at most {!max_lowering_bytes} bytes
+    of source text; an insert that would pass the bound drops the whole
+    table first.  Cold tunes run on the shared lowering, which nothing
+    mutates: {!Ifko_transform.Pipeline.apply} transforms a
+    {!Ifko_transform.Pipeline.snapshot} (whose [Cfg.copy] starts fresh
+    register and label counters), and {!Ifko_analysis.Report.analyze},
+    {!Ifko_search.Generic.spec} and {!Ifko_search.Generic.test} only
+    read it.
+
     The [stat] reply holds three objects: ["store"]
     ({!Ifko_store.Store.stat_fields}), ["server"] (request counters,
-    in-flight tunes, connections, pool geometry) and ["codecache"]
+    in-flight tunes, connections, pool geometry, and the lowering
+    table's ["lowering_hits"], ["lowering_misses"] and
+    ["lowering_bytes"], the source bytes it holds) and ["codecache"]
     (its hits and misses).
 
     A request line may be at most 1 MiB.  A longer one gets a [Failed]
@@ -41,6 +59,10 @@ type config = {
 
 val default_config : store_dir:string -> listen -> config
 (** 8 shards, jobs 1, no replica, no bounds, silent. *)
+
+val max_lowering_bytes : int
+(** 4 MiB: the most kernel source text one daemon's lowering table
+    holds. *)
 
 val run : ?clock:(unit -> float) -> ?ready:(unit -> unit) -> config -> unit
 (** Bind, listen, and serve until a [shutdown] request (or a fatal

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Serve smoke: boot the tuning daemon on a Unix socket, run a cold
-# tune, assert the warm lookup is answered from the result cache, pull
-# the JSON stats, and shut down gracefully.  Check the daemon left only
+# tune, assert the warm lookup is answered from the result cache and
+# from the tune's memoized lowering, pull the JSON stats, and shut down
+# gracefully.  Check the daemon left only
 # store.meta and the shard journals behind, then treat its store
 # directory as the CLI's store: stat and compact it, and re-run
 # the same tune through `ifko tune --store`, which must compute no
@@ -44,6 +45,12 @@ grep -q "cache hit" "$TMP/lookup.out"
 timeout 60 $IFKO query stat --socket "$SOCK" | tee "$TMP/stat.out"
 grep -q '"server"' "$TMP/stat.out"
 grep -q '"per_shard"' "$TMP/stat.out"
+# the tune lowered ddot once; the lookup reused that lowering
+grep -q '"lowering_misses":1[,}]' "$TMP/stat.out"
+if grep -q '"lowering_hits":0[,}]' "$TMP/stat.out" || ! grep -q '"lowering_hits":' "$TMP/stat.out"; then
+  echo "serve_smoke: the lookup did not reuse the tune's lowering" >&2
+  exit 1
+fi
 
 timeout 60 $IFKO query shutdown --socket "$SOCK"
 wait $DAEMON_PID

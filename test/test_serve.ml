@@ -478,6 +478,62 @@ let test_daemon_shared_compile_batch () =
       Alcotest.(check bool) "the sibling tune reused the batch" true
         (num "codecache" "hits" > 0))
 
+(* The daemon lowers each kernel source once: a tune then a lookup of
+   ddot lower it once, and a later cold tune at another N runs on that
+   same shared lowering yet matches a storeless tune of a freshly
+   lowered kernel (a pass that mutated the shared lowering would show
+   here).  A rejected kernel is never stored and fails the same way
+   twice, and sources past the byte bound drop the table instead of
+   growing it. *)
+let test_daemon_lowering_memo () =
+  let seed = 3 and flops_per_n = 2.0 in
+  let args n = { (Proto.default_args ~kernel:ddot_src) with Proto.n; seed } in
+  with_daemon (fun listen ->
+      let num = stat_num listen "server" in
+      let tune n =
+        match Client.with_client listen (fun c -> Client.tune c (args n)) with
+        | Ok r -> check_against_reference ddot_src r ~n ~seed ~flops_per_n
+        | Error e -> Alcotest.failf "tune at n=%d failed: %s" n e
+      in
+      tune 600;
+      (match Client.with_client listen (fun c -> Client.lookup c (args 600)) with
+      | Ok (Some r) -> Alcotest.(check bool) "lookup hits the store" true r.Proto.hit
+      | Ok None -> Alcotest.fail "lookup missed"
+      | Error e -> Alcotest.failf "lookup failed: %s" e);
+      Alcotest.(check int) "one lowering" 1 (num "lowering_misses");
+      Alcotest.(check bool) "the lookup reused it" true (num "lowering_hits" >= 1);
+      tune 800;
+      Alcotest.(check int) "the second cold tune reused it" 1 (num "lowering_misses");
+      let held = num "lowering_bytes" in
+      Alcotest.(check int) "ddot's source held" (String.length ddot_src) held;
+      let bad = { (args 600) with Proto.kernel = "KERNEL broken(" } in
+      let failure () =
+        match Client.with_client listen (fun c -> Client.lookup c bad) with
+        | Error msg -> msg
+        | Ok _ -> Alcotest.fail "a syntax error was answered"
+      in
+      let first = failure () in
+      Alcotest.(check string) "same failure twice" first (failure ());
+      Alcotest.(check int) "rejected kernel lowered each time" 3 (num "lowering_misses");
+      Alcotest.(check int) "rejected kernel never held" held (num "lowering_bytes");
+      let pad = 900_000 in
+      let count = (Server.max_lowering_bytes / pad) + 2 in
+      for i = 1 to count do
+        let kernel = Printf.sprintf "# %d %s\n%s" i (String.make pad 'x') ddot_src in
+        (match
+           Client.with_client listen (fun c -> Client.lookup c { (args 600) with Proto.kernel })
+         with
+        | Ok (Some _) -> ()
+        | Ok None -> Alcotest.failf "padded ddot %d missed the store" i
+        | Error e -> Alcotest.failf "padded lookup %d failed: %s" i e);
+        Alcotest.(check bool)
+          (Printf.sprintf "bytes bounded after %d padded sources" i)
+          true
+          (num "lowering_bytes" <= Server.max_lowering_bytes)
+      done;
+      Alcotest.(check int) "each padded source lowered once" (3 + count)
+        (num "lowering_misses"))
+
 let test_daemon_protocol_errors () =
   with_daemon ~jobs:1 (fun listen ->
       match listen with
@@ -908,6 +964,8 @@ let suite =
       test_daemon_tune_deterministic;
     Alcotest.test_case "daemon: shared compile batch" `Quick
       test_daemon_shared_compile_batch;
+    Alcotest.test_case "daemon: lowered kernels memoized and bounded" `Quick
+      test_daemon_lowering_memo;
     Alcotest.test_case "daemon: protocol errors answered" `Quick
       test_daemon_protocol_errors;
     Alcotest.test_case "daemon: request line bounded" `Quick test_daemon_line_bound;
