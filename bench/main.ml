@@ -357,8 +357,9 @@ let engine_rows = ([ "kernels" ], "kernel")
 let fidelity_rows = ([ "fidelity"; "kernels" ], "fid_kernel")
 (* Host-normalised engine throughput: interpreted MIPS over the same
    process's rate, in million elements per second, of the kernel's
-   native OCaml reference ([Workload.expectation], which every tester
-   runs).  A faster or slower host moves both alike. *)
+   native OCaml reference ([Workload.reference_expectation], the
+   computation behind every tester's expectation, timed uncached).  A
+   faster or slower host moves both alike. *)
 let untimed_norm r = num r [ "untimed_mips" ] /. num r [ "native_melems" ]
 let timed_norm r = num r [ "timed_mips" ] /. num r [ "native_melems" ]
 
@@ -445,7 +446,7 @@ let exp_simbench () =
         let blocks, fused_instrs = Ifko_sim.Exec.fusion cf in
         let native =
           rate (fun () ->
-              ignore (Workload.expectation id ~seed n : Ifko_sim.Verify.expectation);
+              ignore (Workload.reference_expectation id ~seed n : Ifko_sim.Verify.expectation);
               n)
         in
         let untimed =
@@ -471,7 +472,7 @@ let exp_simbench () =
         end;
         Json.O
           [ ("kernel", Json.S (Defs.name id));
-            (* Workload.expectation, million elements per second *)
+            (* Workload.reference_expectation, million elements per second *)
             ("native_melems", Json.N native);
             ("untimed_mips", Json.N untimed);
             ("timed_mips", Json.N timed);

@@ -5,9 +5,56 @@
     [Backward] (exit -> entry).  The engine is worklist-based: a block
     is re-transferred only when the value on its incoming side changed,
     so sparse CFG updates converge without re-sweeping the whole
-    function.  {!Liveness} and the {!Lint} checkers are built on it. *)
+    function.  The {!Lint} checkers are built on it; {!Liveness}
+    shares its {!graph} and solves over bit sets in place. *)
 
 type direction = Forward | Backward
+
+(** A function's control-flow graph as integer slots: labels resolved
+    once, so a visit costs array reads instead of string-keyed table
+    lookups.  A block is a slot; with duplicate labels the last block of
+    a label owns it (the others are never transferred).  Neighbours are
+    listed in [Cfg.predecessors]'s and [Block.successors]'s order:
+    Absint's join widens, so its result depends on visit order. *)
+type graph = {
+  blocks : Block.t array;
+  index : (string, int) Hashtbl.t;  (** block label -> slot *)
+  preds : int list array;
+  succs : int list array;
+  terms : Block.term array;  (** each block's terminator when the graph was built *)
+}
+
+let graph (f : Cfg.func) =
+  let blocks = Array.of_list f.Cfg.blocks in
+  let n = Array.length blocks in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i b -> Hashtbl.replace index b.Block.label i) blocks;
+  let slots labels = List.filter_map (Hashtbl.find_opt index) labels in
+  let preds =
+    let by_label = Cfg.predecessors f in
+    Array.map
+      (fun b -> slots (Option.value ~default:[] (Hashtbl.find_opt by_label b.Block.label)))
+      blocks
+  in
+  let succs = Array.map (fun b -> slots (Block.successors b.Block.term)) blocks in
+  { blocks; index; preds; succs; terms = Array.map (fun b -> b.Block.term) blocks }
+
+(** [graph_fits g f] holds when [g] is still [f]'s graph: the same
+    blocks, in order, with the same successor labels.  Passes that
+    rewrite instructions or terminator registers keep it; merging,
+    dropping or retargeting blocks does not. *)
+let graph_fits g (f : Cfg.func) =
+  let n = Array.length g.blocks in
+  let rec go i = function
+    | [] -> i = n
+    | b :: rest ->
+      i < n
+      && b == g.blocks.(i)
+      && (b.Block.term == g.terms.(i)
+         || Block.successors b.Block.term = Block.successors g.terms.(i))
+      && go (i + 1) rest
+  in
+  go 0 f.Cfg.blocks
 
 module type DOMAIN = sig
   type t
@@ -38,29 +85,11 @@ module Make (D : DOMAIN) = struct
       (entry when forward, exit when backward) to the outgoing side.
       [boundary] is the value entering the CFG: joined into the entry
       block's input when forward, into every [Ret] block's output when
-      backward.
-
-      Labels are resolved to integer slots once, up front, so a visit
-      costs array reads instead of string-keyed table lookups; a block
-      is a slot, and with duplicate labels the last block of a label
-      owns it (the others are never transferred). *)
+      backward. *)
   let run ~direction ?(boundary = D.bottom) ~transfer (f : Cfg.func) =
-    let blocks = Array.of_list f.Cfg.blocks in
+    let { blocks; index; preds; succs; _ } = graph f in
     let n = Array.length blocks in
-    let index = Hashtbl.create n in
-    Array.iteri (fun i b -> Hashtbl.replace index b.Block.label i) blocks;
     let slot (b : Block.t) = Hashtbl.find index b.Block.label in
-    let slots labels = List.filter_map (Hashtbl.find_opt index) labels in
-    (* Absint's join widens, so its result depends on visit order:
-       neighbours are visited in [Cfg.predecessors]'s and
-       [Block.successors]'s order. *)
-    let preds =
-      let by_label = Cfg.predecessors f in
-      Array.map
-        (fun b -> slots (Option.value ~default:[] (Hashtbl.find_opt by_label b.Block.label)))
-        blocks
-    in
-    let succs = Array.map (fun b -> slots (Block.successors b.Block.term)) blocks in
     let at_entry = Array.make n D.bottom and at_exit = Array.make n D.bottom in
     (* Worklist: a queue plus a membership flag so a block is enqueued
        at most once between visits.  Seeded with every block in an
@@ -113,16 +142,6 @@ module Make (D : DOMAIN) = struct
         end
     done;
     { index; at_entry; at_exit }
-end
-
-(** The workhorse domain: sets of registers under union (liveness,
-    reaching definitions as a may-analysis, ...). *)
-module Reg_set_domain = struct
-  type t = Reg.Set.t
-
-  let bottom = Reg.Set.empty
-  let equal = Reg.Set.equal
-  let join = Reg.Set.union
 end
 
 (** A must-analysis domain over register sets: the join is

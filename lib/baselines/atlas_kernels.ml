@@ -51,16 +51,7 @@ let pipeline_candidate ~name ~sv ~unroll ~ae ~two_array id =
     let f = c.Ifko_codegen.Lower.func in
     ignore
       (Ifko_transform.Pipeline.repeatable
-         ~protect:
-           (match c.Ifko_codegen.Lower.loopnest with
-           | Some ln ->
-             [ ln.Ifko_codegen.Loopnest.preheader; ln.Ifko_codegen.Loopnest.header;
-               ln.Ifko_codegen.Loopnest.latch; ln.Ifko_codegen.Loopnest.mid;
-               ln.Ifko_codegen.Loopnest.exit ]
-             @ (match ln.Ifko_codegen.Loopnest.cleanup with
-               | Some (h, l) -> [ h; l ]
-               | None -> [])
-           | None -> [])
+         ~protect:(Ifko_transform.Pipeline.protected_labels c)
          f
         : int);
     ignore (Ifko_transform.Branchopt.run f : bool);

@@ -11,8 +11,8 @@ let vector ~seed ~which ~prec n =
    vectors afresh dominated environment construction.  The draws are a
    pure function of (seed, which, prec, n), so memoize them.  Entries
    are handed out read-only: [make_env] copies them into the simulated
-   memory and [expectation] (which mutates its vectors in place) keeps
-   calling [vector] directly. *)
+   memory and [reference_expectation] (which mutates its vectors in
+   place) keeps calling [vector] directly. *)
 let vector_cache : (int * int * Instr.fsize * int, float array) Hashtbl.t =
   Hashtbl.create 32
 
@@ -64,7 +64,7 @@ let timer_spec id ~seed =
     ret_fsize = id.prec;
   }
 
-let expectation ({ routine; prec } as id) ~seed n =
+let reference_expectation ({ routine; prec } as id) ~seed n =
   ignore id;
   let x = vector ~seed ~which:1 ~prec n in
   let y = if has_y routine then vector ~seed ~which:2 ~prec n else [||] in
@@ -90,6 +90,32 @@ let expectation ({ routine; prec } as id) ~seed n =
   | Iamax ->
     let i = Ref_impl.iamax ~x in
     { Ifko_sim.Verify.arrays = [ ("X", x) ]; ret = Some (Ifko_sim.Exec.Rint i) }
+
+(* Testers ask for the same few expectations on every probe (the BLAS
+   tester checks six sizes per candidate), and each is a pure function
+   of (kernel, seed, n): memoize them like the vectors, dropping the
+   whole table when it fills.  The bound is two tunes' six sizes: each
+   tune draws its own seed, so older entries are dead weight, and
+   keeping them costs memory out of proportion to their size (with 64
+   entries, the benchmark's 20 s tune_par run peaked about a fifth
+   higher in resident memory; with 12, within its run-to-run spread;
+   2 vCPUs, OCaml 5.1).  Entries are shared, so they are handed out
+   read-only: every tester only compares against them. *)
+let expectation_cache : (kernel_id * int * int, Ifko_sim.Verify.expectation) Hashtbl.t =
+  Hashtbl.create 32
+
+let expectation_mutex = Mutex.create ()
+
+let expectation id ~seed n =
+  let key = (id, seed, n) in
+  Mutex.protect expectation_mutex (fun () ->
+      match Hashtbl.find_opt expectation_cache key with
+      | Some e -> e
+      | None ->
+        let e = reference_expectation id ~seed n in
+        if Hashtbl.length expectation_cache >= 12 then Hashtbl.reset expectation_cache;
+        Hashtbl.replace expectation_cache key e;
+        e)
 
 let tolerance { routine; prec } ~n =
   let base = match prec with Instr.S -> 2e-6 | Instr.D -> 1e-12 in

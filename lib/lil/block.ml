@@ -54,6 +54,17 @@ let term_defs = function
   | Br { lhs; dec; _ } when dec > 0 -> [ lhs ]
   | Jmp _ | Br _ | Fbr _ | Ret _ -> []
 
+(** {!term_uses} without the list. *)
+let iter_term_uses g = function
+  | Jmp _ | Ret None -> ()
+  | Br { lhs; rhs; _ } -> (
+    g lhs;
+    match rhs with Instr.Oreg r -> g r | Instr.Oimm _ -> ())
+  | Fbr { lhs; rhs; _ } ->
+    g lhs;
+    g rhs
+  | Ret (Some r) -> g r
+
 let map_term_regs f = function
   | Jmp l -> Jmp l
   | Br b ->
@@ -72,6 +83,11 @@ let map_term_labels f = function
   | Br b -> Br { b with ifso = f b.ifso; ifnot = f b.ifnot }
   | Fbr b -> Fbr { b with ifso = f b.ifso; ifnot = f b.ifnot }
   | Ret r -> Ret r
+
+(** [same_regs a b] holds when [a] and [b] differ at most in their
+    target labels. *)
+let same_regs a b =
+  a == b || map_term_labels (fun _ -> "") a = map_term_labels (fun _ -> "") b
 
 let term_to_string = function
   | Jmp l -> Printf.sprintf "jmp    %s" l

@@ -79,8 +79,48 @@ type t =
   | Prefetch of pf_kind * mem
   | Nop
 
-(** [defs i] is the list of registers written by [i]. *)
-let defs = function
+let operand_uses = function Oreg r -> [ r ] | Oimm _ -> []
+
+let iter_mem g m =
+  g m.base;
+  match m.index with Some x -> g x | None -> ()
+
+(** [iter_uses g i] applies [g] to every register [i] reads, as
+    {!uses} lists them, without building the list (the hot dataflow
+    loops call it once per instruction). *)
+let iter_uses g = function
+  | Ild (_, m) | Lea (_, m) | Fld (_, _, m) | Vld (_, _, m) | Touch (_, m) | Prefetch (_, m)
+    ->
+    iter_mem g m
+  | Ist (m, r) | Fst (_, m, r) | Fstnt (_, m, r) | Vst (_, m, r) | Vstnt (_, m, r) ->
+    g r;
+    iter_mem g m
+  | Imov (_, s)
+  | Fmov (_, _, s)
+  | Fabs (_, _, s)
+  | Fsqrt (_, _, s)
+  | Fneg (_, _, s)
+  | Vmov (_, _, s)
+  | Vbcast (_, _, s)
+  | Vabs (_, _, s)
+  | Vsqrt (_, _, s)
+  | Vmovmsk (_, _, s)
+  | Vextract (_, _, s, _)
+  | Vreduce (_, _, _, s) -> g s
+  | Iop (_, _, a, b) -> (
+    g a;
+    match b with Oreg r -> g r | Oimm _ -> ())
+  | Fop (_, _, _, a, b) | Vop (_, _, _, a, b) | Vcmp (_, _, _, a, b) ->
+    g a;
+    g b
+  | Fopm (_, _, _, a, m) | Vopm (_, _, _, a, m) ->
+    g a;
+    iter_mem g m
+  | Ildi _ | Fldi _ | Vldi _ | Nop -> ()
+
+(** [def i] is the register [i] writes, if any: {!defs} never lists
+    more than one. *)
+let def = function
   | Ild (r, _)
   | Imov (r, _)
   | Ildi (r, _)
@@ -105,44 +145,21 @@ let defs = function
   | Vcmp (_, _, r, _, _)
   | Vmovmsk (_, r, _)
   | Vextract (_, r, _, _)
-  | Vreduce (_, _, r, _) -> [ r ]
-  | Ist _ | Fst _ | Fstnt _ | Vst _ | Vstnt _ | Touch _ | Prefetch _ | Nop -> []
+  | Vreduce (_, _, r, _) -> Some r
+  | Ist _ | Fst _ | Fstnt _ | Vst _ | Vstnt _ | Touch _ | Prefetch _ | Nop -> None
 
-let mem_uses m =
-  match m.index with None -> [ m.base ] | Some idx -> [ m.base; idx ]
+(** [iter_def g i] applies [g] to the register [i] writes, if any. *)
+let iter_def g i = match def i with Some r -> g r | None -> ()
 
-let operand_uses = function Oreg r -> [ r ] | Oimm _ -> []
+(** [defs i] is the list of registers written by [i]. *)
+let defs i = match def i with Some r -> [ r ] | None -> []
 
 (** [uses i] is the list of registers read by [i] (with multiplicity
     collapsed). *)
-let uses = function
-  | Ild (_, m) -> mem_uses m
-  | Ist (m, r) -> r :: mem_uses m
-  | Imov (_, s) -> [ s ]
-  | Ildi _ -> []
-  | Iop (_, _, a, b) -> a :: operand_uses b
-  | Lea (_, m) -> mem_uses m
-  | Fld (_, _, m) -> mem_uses m
-  | Fst (_, m, r) | Fstnt (_, m, r) -> r :: mem_uses m
-  | Fmov (_, _, s) -> [ s ]
-  | Fldi _ -> []
-  | Fop (_, _, _, a, b) -> [ a; b ]
-  | Fopm (_, _, _, a, m) -> a :: mem_uses m
-  | Fabs (_, _, s) | Fsqrt (_, _, s) | Fneg (_, _, s) -> [ s ]
-  | Vld (_, _, m) -> mem_uses m
-  | Vst (_, m, r) | Vstnt (_, m, r) -> r :: mem_uses m
-  | Vmov (_, _, s) | Vbcast (_, _, s) -> [ s ]
-  | Vldi _ -> []
-  | Vop (_, _, _, a, b) -> [ a; b ]
-  | Vopm (_, _, _, a, m) -> a :: mem_uses m
-  | Vabs (_, _, s) | Vsqrt (_, _, s) -> [ s ]
-  | Vcmp (_, _, _, a, b) -> [ a; b ]
-  | Vmovmsk (_, _, s) -> [ s ]
-  | Vextract (_, _, s, _) -> [ s ]
-  | Vreduce (_, _, _, s) -> [ s ]
-  | Touch (_, m) -> mem_uses m
-  | Prefetch (_, m) -> mem_uses m
-  | Nop -> []
+let uses i =
+  let acc = ref [] in
+  iter_uses (fun r -> acc := r :: !acc) i;
+  List.rev !acc
 
 (** [is_store i] holds for instructions writing memory. *)
 let is_store = function

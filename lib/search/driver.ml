@@ -161,6 +161,31 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
     | None ->
       fun ~key ~params ~prov f -> Ifko_store.Store.cached ?store ~key ~params ~prov f
   in
+  (* Without a store nothing else remembers an outcome, and strategies
+     probe a point again under another structural [Params.t] with the
+     same canonical form: answer those from a per-tune table, computing
+     each key once even when two pool domains ask at the same time.  A
+     [cache] hook still sees every probe. *)
+  let compute =
+    match store with
+    | Some _ -> fun ~key:_ params -> compute params
+    | None ->
+      let outcomes = Hashtbl.create 64 and mu = Mutex.create () in
+      let flight = Ifko_par.Flight.create () in
+      let find key = Mutex.protect mu (fun () -> Hashtbl.find_opt outcomes key) in
+      fun ~key params ->
+        match find key with
+        | Some o -> o
+        | None ->
+          fst
+            (Ifko_par.Flight.run flight ~key (fun () ->
+                 match find key with
+                 | Some o -> o
+                 | None ->
+                   let o = compute params in
+                   Mutex.protect mu (fun () -> Hashtbl.replace outcomes key o);
+                   o))
+  in
   let probe params =
     let key =
       Ifko_store.Store.probe_key ~kernel ~machine:cfg.Config.name
@@ -173,7 +198,7 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
     in
     score
       (cached ~key ~params:(Ifko_transform.Params.to_string params) ~prov (fun () ->
-           compute params))
+           compute ~key params))
   in
   (* Warm-start seeds: the nearest past tunes' winners, adapted into
      this kernel's space.  Donors come from the caller or, by default,

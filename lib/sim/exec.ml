@@ -322,7 +322,7 @@ let[@inline] ea g b i s d = Array.unsafe_get g b + (Array.unsafe_get g i * s) + 
 
 (* Readiness (class, slot) pairs of a mem operand; with no index the
    base is duplicated — [fmax x x = x], so the combined readiness is
-   the latest of the operand's [Instr.mem_uses]. *)
+   the latest of the operand's address registers. *)
 let mready (m : Instr.mem) =
   let bc = m.Instr.base.Reg.cls and b = slot m.Instr.base in
   match m.Instr.index with

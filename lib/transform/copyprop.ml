@@ -8,44 +8,60 @@
 
 let run_block (b : Block.t) =
   let changed = ref false in
-  (* active copies: dst id -> src reg *)
-  let copies : (int, Reg.t) Hashtbl.t = Hashtbl.create 8 in
+  (* active copies, newest first: (dst id, src reg), one per dst id *)
+  let copies = ref [] in
   let kill (r : Reg.t) =
-    Hashtbl.remove copies r.Reg.id;
-    (* any copy whose source is [r] dies too *)
-    let stale =
-      Hashtbl.fold (fun d s acc -> if Reg.equal s r then d :: acc else acc) copies []
-    in
-    List.iter (Hashtbl.remove copies) stale
+    (* the copy into [r] dies, and so does any copy whose source is [r] *)
+    if !copies <> [] then
+      copies := List.filter (fun (d, s) -> d <> r.Reg.id && not (Reg.equal s r)) !copies
   in
-  let subst (r : Reg.t) =
-    match Hashtbl.find_opt copies r.Reg.id with
-    | Some s when s.Reg.cls = r.Reg.cls ->
+  let source (r : Reg.t) =
+    match List.assoc_opt r.Reg.id !copies with
+    | Some s when s.Reg.cls = r.Reg.cls -> Some s
+    | _ -> None
+  in
+  let subst r =
+    match source r with
+    | Some s ->
       changed := true;
       s
-    | _ -> r
+    | None -> r
+  in
+  let renames i =
+    !copies <> []
+    &&
+    let found = ref false in
+    Instr.iter_uses (fun r -> if Option.is_some (source r) then found := true) i;
+    !found
   in
   let new_instrs =
     List.map
       (fun i ->
-        let i' = Instr.map_regs_uses_only subst i in
-        List.iter kill (Instr.defs i');
+        let i' = if renames i then Instr.map_regs_uses_only subst i else i in
+        Instr.iter_def kill i';
         (match i' with
         | Instr.Imov (d, s) | Instr.Fmov (_, d, s) | Instr.Vmov (_, d, s) ->
-          if not (Reg.equal d s) then Hashtbl.replace copies d.Reg.id s
+          if not (Reg.equal d s) then copies := (d.Reg.id, s) :: !copies
         | _ -> ());
         i')
       b.Block.instrs
   in
-  b.Block.instrs <- new_instrs;
   (* Propagate into the terminator too — but never rename the counter a
      fused branch writes. *)
-  b.Block.term <-
-    (match b.Block.term with
+  let new_term =
+    match b.Block.term with
+    | _ when !copies = [] -> b.Block.term
     | Block.Br t when t.dec > 0 ->
       Block.Br
         { t with rhs = (match t.rhs with Instr.Oreg r -> Instr.Oreg (subst r) | imm -> imm) }
-    | t -> Block.map_term_regs subst t);
+    | t -> Block.map_term_regs subst t
+  in
+  (* An unchanged block keeps its lists: callers tell untouched blocks
+     by physical identity. *)
+  if !changed then begin
+    b.Block.instrs <- new_instrs;
+    b.Block.term <- new_term
+  end;
   !changed
 
 let run (f : Cfg.func) = List.fold_left (fun acc b -> run_block b || acc) false f.Cfg.blocks

@@ -20,59 +20,68 @@ open Ifko_analysis
    consumer and adds those of the new [Fopm]/[Vopm].  Rescanning the
    block for every load made the pass quadratic in the block length. *)
 let fold_loads (b : Block.t) live_out =
+  let live_out = Lazy.from_fun live_out in
   let changed = ref false in
   let arr = Array.of_list b.Block.instrs in
   let n = Array.length arr in
   let killed = Array.make n false in
-  let counts : int Reg.Tbl.t = Reg.Tbl.create 64 in
-  let uses_count r = Option.value ~default:0 (Reg.Tbl.find_opt counts r) in
-  let count delta r = Reg.Tbl.replace counts r (uses_count r + delta) in
-  Array.iter (fun instr -> List.iter (count 1) (Instr.uses instr)) arr;
-  List.iter (count 1) (Block.term_uses b.Block.term);
+  (* indexed by [Reg.hash] *)
+  let top = ref 0 in
+  let note r = top := max !top (Reg.hash r) in
+  Array.iter (Instr.iter_uses note) arr;
+  Block.iter_term_uses note b.Block.term;
+  let counts = Array.make (!top + 1) 0 in
+  let uses_count r =
+    let h = Reg.hash r in
+    if h < Array.length counts then counts.(h) else 0
+  in
+  let count delta r = counts.(Reg.hash r) <- counts.(Reg.hash r) + delta in
+  Array.iter (Instr.iter_uses (count 1)) arr;
+  Block.iter_term_uses (count 1) b.Block.term;
   let fold i j instr' =
-    List.iter (count (-1)) (Instr.uses arr.(i));
-    List.iter (count (-1)) (Instr.uses arr.(j));
-    List.iter (count 1) (Instr.uses instr');
+    Instr.iter_uses (count (-1)) arr.(i);
+    Instr.iter_uses (count (-1)) arr.(j);
+    Instr.iter_uses (count 1) instr';
     arr.(j) <- instr';
     killed.(i) <- true;
     changed := true
   in
+  let reads t instr =
+    let found = ref false in
+    Instr.iter_uses (fun r -> if Reg.equal r t then found := true) instr;
+    !found
+  in
   for i = 0 to n - 1 do
     if not killed.(i) then
       match arr.(i) with
-      | (Instr.Fld (sz, t, m) | Instr.Vld (sz, t, m)) when not (Reg.Set.mem t live_out) ->
+      | (Instr.Fld (sz, t, m) | Instr.Vld (sz, t, m))
+        when uses_count t = 1 && not (Regbits.mem (Lazy.force live_out) t) ->
         let vector = match arr.(i) with Instr.Vld _ -> true | _ -> false in
-        if uses_count t = 1 then begin
-          (* find the single use; check the window is clean *)
-          let rec scan j blocked =
-            if j >= n || blocked then ()
-            else if killed.(j) then scan (j + 1) blocked
-            else
-              let instr = arr.(j) in
-              let defs = Instr.defs instr in
-              let clobbers =
-                List.exists
-                  (fun d ->
-                    Reg.equal d t || Reg.equal d m.Instr.base
-                    || match m.Instr.index with Some x -> Reg.equal d x | None -> false)
-                  defs
-              in
-              match instr with
-              | Instr.Fop (sz', op, d, a, u)
-                when (not vector) && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
-                fold i j (Instr.Fopm (sz', op, d, a, m))
-              | Instr.Vop (sz', op, d, a, u)
-                when vector && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
-                fold i j (Instr.Vopm (sz', op, d, a, m))
-              | instr ->
-                let blocked' =
-                  clobbers || Instr.is_store instr
-                  || List.exists (Reg.equal t) (Instr.uses instr)
-                in
-                scan (j + 1) blocked'
-          in
-          scan (i + 1) false
-        end
+        (* find the single use; check the window is clean *)
+        let rec scan j blocked =
+          if j >= n || blocked then ()
+          else if killed.(j) then scan (j + 1) blocked
+          else
+            let instr = arr.(j) in
+            let clobbers =
+              match Instr.def instr with
+              | Some d ->
+                Reg.equal d t || Reg.equal d m.Instr.base
+                || (match m.Instr.index with Some x -> Reg.equal d x | None -> false)
+              | None -> false
+            in
+            match instr with
+            | Instr.Fop (sz', op, d, a, u)
+              when (not vector) && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
+              fold i j (Instr.Fopm (sz', op, d, a, m))
+            | Instr.Vop (sz', op, d, a, u)
+              when vector && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
+              fold i j (Instr.Vopm (sz', op, d, a, m))
+            | instr ->
+              let blocked' = clobbers || Instr.is_store instr || reads t instr in
+              scan (j + 1) blocked'
+        in
+        scan (i + 1) false
       | _ -> ()
   done;
   if !changed then begin
@@ -81,40 +90,50 @@ let fold_loads (b : Block.t) live_out =
   end;
   !changed
 
-(* Trivial identities. *)
+(* Trivial identities.  [`Moved] when a removed identity read and
+   wrote one register: the block no longer reads it first, so
+   block-boundary liveness may shrink.  Dropping a [Nop] cannot move
+   it, and neither can a load fold (the folded register is not live
+   out and had that single use; the address registers are read later
+   in the same block, with no write in between). *)
 let simplify (b : Block.t) =
-  let changed = ref false in
-  b.Block.instrs <-
-    List.filter_map
-      (fun i ->
-        match i with
-        | Instr.Iop (Instr.Iadd, d, s, Instr.Oimm 0) when Reg.equal d s ->
-          changed := true;
-          None
-        | Instr.Iop (Instr.Isub, d, s, Instr.Oimm 0) when Reg.equal d s ->
-          changed := true;
-          None
-        | Instr.Imov (d, s) when Reg.equal d s ->
-          changed := true;
-          None
-        | Instr.Fmov (_, d, s) when Reg.equal d s ->
-          changed := true;
-          None
-        | Instr.Vmov (_, d, s) when Reg.equal d s ->
-          changed := true;
-          None
-        | Instr.Nop ->
-          changed := true;
-          None
-        | i -> Some i)
-      b.Block.instrs;
-  !changed
+  let result = ref `Unchanged in
+  let trivial = function
+    | Instr.Iop ((Instr.Iadd | Instr.Isub), d, s, Instr.Oimm 0)
+    | Instr.Imov (d, s)
+    | Instr.Fmov (_, d, s)
+    | Instr.Vmov (_, d, s) ->
+      Reg.equal d s
+    | Instr.Nop -> true
+    | _ -> false
+  in
+  if List.exists trivial b.Block.instrs then
+    b.Block.instrs <-
+      List.filter
+        (fun i ->
+          if not (trivial i) then true
+          else begin
+            (match i with
+            | Instr.Nop -> if !result = `Unchanged then result := `Changed
+            | _ -> result := `Moved);
+            false
+          end)
+        b.Block.instrs;
+  !result
+
+(** [run_block b ~live_out] folds loads, then drops trivial identities;
+    the result is [simplify]'s, or [`Changed] for a fold alone.
+    [live_out] is called only when a load could fold. *)
+let run_block (b : Block.t) ~live_out =
+  let folded = fold_loads b live_out in
+  match simplify b with `Unchanged when folded -> `Changed | r -> r
 
 let run (f : Cfg.func) =
-  let live = Liveness.compute f in
+  (* computed only if some load could fold: after register allocation
+     the reused physical registers rarely leave one a single use *)
+  let live = lazy (Liveness.compute f) in
   List.fold_left
     (fun acc b ->
-      let c1 = fold_loads b (Liveness.live_out live b.Block.label) in
-      let c2 = simplify b in
-      acc || c1 || c2)
+      run_block b ~live_out:(fun () -> Liveness.out_bits (Lazy.force live) b) <> `Unchanged
+      || acc)
     false f.Cfg.blocks

@@ -1,4 +1,5 @@
 open Ifko_codegen
+module Liveness = Ifko_analysis.Liveness
 
 let snapshot (compiled : Lower.compiled) =
   let func = Cfg.copy compiled.Lower.func in
@@ -43,37 +44,153 @@ let protected_labels (compiled : Lower.compiled) =
     fixpoint. *)
 let max_repeat = 20
 
+(* The repeatable block, run to the fixpoint a naive loop reaches (all
+   four passes per round until a round changes nothing) without
+   re-running a pass that is known to change nothing:
+
+   - copy propagation and peephole are block-local.  Each remembers the
+     instruction list and terminator registers it last left unchanged
+     in each block (lists and terminators are immutable, so physical
+     identity is content identity) and, for peephole, the block's
+     live-out; a block they match is skipped.  A block a pass changed
+     stays due for it, so neither pass is assumed idempotent.
+   - dead-code elimination reaches its own fixpoint in one run.  Only
+     copy propagation, a peephole identity that read and wrote one
+     register, and dropping an unreachable block that read a
+     self-updated register ([Deadcode.enabled_by_dropping]) can enable
+     it; a load fold cannot, and neither can threading or merging,
+     which keep the instructions and every remaining block's live-in.
+   - control-flow cleanup reaches its own fixpoint in one run as well
+     ([Branchopt.may_change]); after a change anywhere, it runs only
+     while some jump targets an empty block ending in a jump.
+
+   One liveness result serves the round: peephole reads it, dead-code
+   elimination starts from it and returns one valid for its output, and
+   control-flow cleanup leaves it valid ([Liveness.out_bits]).  It is
+   recomputed only after copy propagation changed a block or peephole
+   dropped a self-copy.  Returns the rounds the naive loop would have
+   run, its confirming round included, and the liveness of the
+   result. *)
+let repeatable_live ?on_pass ?(protect = []) (f : Cfg.func) =
+  let notify name = match on_pass with Some cb -> cb name | None -> () in
+  let last = ref None (* the latest liveness result, for reuse *) in
+  let valid = ref false (* whether [!last] is exact for [f] now *) in
+  let live () =
+    match !last with
+    | Some l when !valid -> l
+    | prev ->
+      let l = Liveness.compute ?prev f in
+      last := Some l;
+      valid := true;
+      l
+  in
+  let copyprop_seen = Hashtbl.create 16 and peephole_seen = Hashtbl.create 16 in
+  let seen tbl (b : Block.t) ~out =
+    match Hashtbl.find_opt tbl b.Block.label with
+    | Some (instrs, term, out') ->
+      instrs == b.Block.instrs && Block.same_regs term b.Block.term
+      && Option.equal Regbits.equal out out'
+    | None -> false
+  in
+  let remember tbl (b : Block.t) ~out =
+    Hashtbl.replace tbl b.Block.label (b.Block.instrs, b.Block.term, out)
+  in
+  let peephole_out b = if !valid then Some (Liveness.out_bits (live ()) b) else None in
+  let deadcode_due = ref true in
+  (* whether anything changed since control-flow cleanup last ran *)
+  let branchopt_stale = ref true in
+  let branchopt_due () = !branchopt_stale && Branchopt.may_change f in
+  let pending () =
+    !deadcode_due || branchopt_due ()
+    || List.exists
+         (fun b ->
+           (not (seen copyprop_seen b ~out:None))
+           || not (seen peephole_seen b ~out:(peephole_out b)))
+         f.Cfg.blocks
+  in
+  let round n =
+    let changed = ref false in
+    let fired name =
+      changed := true;
+      branchopt_stale := true;
+      notify (Printf.sprintf "%s (round %d)" name n)
+    in
+    let copied =
+      List.fold_left
+        (fun acc b ->
+          if seen copyprop_seen b ~out:None then acc
+          else if Copyprop.run_block b then true
+          else begin
+            remember copyprop_seen b ~out:None;
+            acc
+          end)
+        false f.Cfg.blocks
+    in
+    if copied then begin
+      fired "copyprop";
+      valid := false;
+      deadcode_due := true
+    end;
+    let peeped =
+      let l = live () in
+      List.fold_left
+        (fun acc b ->
+          let out = Liveness.out_bits l b in
+          if seen peephole_seen b ~out:(Some out) then acc
+          else
+            match Peephole.run_block b ~live_out:(fun () -> out) with
+            | `Unchanged ->
+              remember peephole_seen b ~out:(Some out);
+              acc
+            | `Changed -> max acc 1
+            | `Moved -> 2)
+        0 f.Cfg.blocks
+    in
+    if peeped > 0 then fired "peephole";
+    if peeped = 2 then begin
+      valid := false;
+      deadcode_due := true
+    end;
+    if !deadcode_due then begin
+      let c, l = Deadcode.run_live (live ()) f in
+      last := Some l;
+      valid := true;
+      deadcode_due := false;
+      if c then fired "deadcode"
+    end;
+    if n = 0 || branchopt_due () then begin
+      branchopt_stale := false;
+      let o = Branchopt.apply ~protect f in
+      if Deadcode.enabled_by_dropping o.Branchopt.dropped f then deadcode_due := true;
+      if o.Branchopt.changed then fired "branchopt"
+    end
+    else branchopt_stale := false;
+    !changed
+  in
+  let rec go n =
+    let changed = round n in
+    if changed && n = max_repeat then begin
+      prerr_endline
+        (Ifko_analysis.Diag.to_string
+           (Ifko_analysis.Diag.warning "IFK009"
+              "repeatable transforms on %s still changing after %d rounds; fixpoint not \
+               reached"
+              f.Cfg.fname max_repeat));
+      n + 1
+    end
+    else if not changed then n + 1
+    else if not (pending ()) then n + 2
+    else go (n + 1)
+  in
+  let rounds = go 0 in
+  (rounds, if !valid then !last else None)
+
 (** [repeatable ?on_pass f] runs the repeatable transformations to a
     fixpoint; [on_pass] is invoked with a pass name after every
     sub-pass that changed the function (the per-pass checking hook).
     If the fixpoint is not reached within {!max_repeat} rounds a
     diagnostic is emitted on stderr instead of stopping silently. *)
-let repeatable ?on_pass ?(protect = []) (f : Cfg.func) =
-  let notify name = match on_pass with Some cb -> cb name | None -> () in
-  let sub round name run =
-    let changed = run f in
-    if changed then notify (Printf.sprintf "%s (round %d)" name round);
-    changed
-  in
-  let rec go n =
-    let c1 = sub n "copyprop" Copyprop.run in
-    let c2 = sub n "peephole" Peephole.run in
-    let c3 = sub n "deadcode" Deadcode.run in
-    let c4 = sub n "branchopt" (Branchopt.run ~protect) in
-    let changed = c1 || c2 || c3 || c4 in
-    if changed && n < max_repeat then go (n + 1)
-    else begin
-      if changed then
-        prerr_endline
-          (Ifko_analysis.Diag.to_string
-             (Ifko_analysis.Diag.warning "IFK009"
-                "repeatable transforms on %s still changing after %d rounds; fixpoint \
-                 not reached"
-                f.Cfg.fname max_repeat));
-      n + 1
-    end
-  in
-  go 0
+let repeatable ?on_pass ?protect f = fst (repeatable_live ?on_pass ?protect f)
 
 (** [apply ?check ?inject ~line_bytes compiled params] is one FKO
     invocation: the fundamental transformations in fixed order, the
@@ -132,7 +249,7 @@ let apply ?(skip_regalloc = false) ?check ?inject ?on_skip ~line_bytes
   (* Repeatable block to fixed point, then allocation, then a final
      cleanup of any trivialities the spill code introduced. *)
   let on_pass = if check = None then None else Some checked in
-  ignore (repeatable ?on_pass ~protect:(protected_labels c) f : int);
+  let _, live = repeatable_live ?on_pass ~protect:(protected_labels c) f in
   (* Final unprotected control-flow cleanup: nothing needs the loop
      bookkeeping labels any more, so the body can absorb the latch
      (removing a jump per iteration).  The loop-nest labels in [c] may
@@ -141,7 +258,7 @@ let apply ?(skip_regalloc = false) ?check ?inject ?on_skip ~line_bytes
   checked "branchopt (final)";
   Validate.check f;
   if not skip_regalloc then begin
-    Regalloc.run f;
+    Regalloc.run ?live f;
     checked "regalloc";
     ignore (Peephole.run f : bool);
     checked "peephole (post-regalloc)";

@@ -6,10 +6,25 @@
     flow cleanup) to a fixed point, allocates registers, and runs a
     final cleanup.  The input [compiled] kernel is never mutated; each
     call works on a fresh copy so the search can probe many parameter
-    points from one lowering. *)
+    points from one lowering.
+
+    The repeatable block reaches the fixpoint of the paper's loop
+    ("until no further changes occur") without its confirming round: a
+    pass runs again only when a pass that can enable it changed the
+    function since, and the block-local passes only on blocks changed
+    since their own last run (the rule and its argument are in
+    [pipeline.ml]).  One liveness result serves each round and carries
+    through control-flow cleanup into register allocation; it is
+    recomputed only after a change that can move a block boundary's
+    liveness. *)
 
 val snapshot : Ifko_codegen.Lower.compiled -> Ifko_codegen.Lower.compiled
 (** Deep-copy a compiled kernel (blocks and loop-nest bookkeeping). *)
+
+val protected_labels : Ifko_codegen.Lower.compiled -> string list
+(** The loop-nest labels the repeatable block must keep (preheader,
+    header, latch, mid, exit and any cleanup loop): later passes still
+    find the loop by them. *)
 
 val max_repeat : int
 (** Round budget of the repeatable block (a diagnostic is emitted when
@@ -17,11 +32,13 @@ val max_repeat : int
 
 val repeatable : ?on_pass:(string -> unit) -> ?protect:string list -> Cfg.func -> int
 (** Iterate the repeatable-transformation block until nothing changes;
-    returns the number of iterations taken (at least 1).  [on_pass] is
-    called with a pass name (e.g. ["deadcode (round 2)"]) after every
-    sub-pass that changed the function — the per-pass checking hook.
-    If {!max_repeat} rounds do not reach the fixpoint, an [IFK009]
-    diagnostic is printed to stderr. *)
+    returns the number of rounds a loop running every pass per round
+    would take, its final confirming round included (at least 1) —
+    whether or not that round had to run.  [on_pass] is called with a
+    pass name (e.g. ["deadcode (round 2)"]) after every sub-pass that
+    changed the function — the per-pass checking hook; it must not
+    change the function itself.  If {!max_repeat} rounds do not reach
+    the fixpoint, an [IFK009] diagnostic is printed to stderr. *)
 
 val apply :
   ?skip_regalloc:bool ->

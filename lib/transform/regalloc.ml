@@ -21,18 +21,22 @@ type interval = {
    terminator).  Those touches already bound [k], so the intervals are
    the ones a touch at every live point would give, without building a
    live set per instruction. *)
-let build_intervals (f : Cfg.func) =
-  let live = Liveness.compute f in
-  let tbl : interval Reg.Tbl.t = Reg.Tbl.create 32 in
+let build_intervals live (f : Cfg.func) =
+  (* by [Reg.hash], [none] for a register not seen yet: the liveness
+     result is as wide as the function's registers need *)
+  let none = { reg = Reg.frame_ptr; istart = 0; iend = 0; weight = 0; pinned = false } in
+  let tbl = Array.make (Liveness.width live * Regbits.bits) none in
   let touch pos r =
-    match Reg.Tbl.find_opt tbl r with
-    | Some iv ->
+    let iv = tbl.(Reg.hash r) in
+    if iv != none then begin
       if pos < iv.istart then iv.istart <- pos;
       if pos > iv.iend then iv.iend <- pos
-    | None -> Reg.Tbl.replace tbl r { reg = r; istart = pos; iend = pos; weight = 0; pinned = false }
+    end
+    else tbl.(Reg.hash r) <- { reg = r; istart = pos; iend = pos; weight = 0; pinned = false }
   in
   let weigh r =
-    match Reg.Tbl.find_opt tbl r with Some iv -> iv.weight <- iv.weight + 1 | None -> ()
+    let iv = tbl.(Reg.hash r) in
+    if iv != none then iv.weight <- iv.weight + 1
   in
   (* Parameters are defined at entry. *)
   List.iter (fun (_, r) -> touch 0 r) f.Cfg.params;
@@ -40,28 +44,29 @@ let build_intervals (f : Cfg.func) =
   List.iter
     (fun b ->
       incr pos;
-      Reg.Set.iter (touch !pos) (Liveness.live_in live b.Block.label);
+      Regbits.iter (touch !pos) (Liveness.in_bits live b.Block.label);
       List.iter
         (fun i ->
           incr pos;
-          List.iter (touch !pos) (Instr.defs i);
-          List.iter (touch !pos) (Instr.uses i);
-          List.iter weigh (Instr.defs i);
-          List.iter weigh (Instr.uses i))
+          let touch_weigh r =
+            touch !pos r;
+            weigh r
+          in
+          Instr.iter_def touch_weigh i;
+          Instr.iter_uses touch_weigh i)
         b.Block.instrs;
       incr pos;
-      List.iter (touch !pos) (Block.term_uses b.Block.term);
+      Block.iter_term_uses (touch !pos) b.Block.term;
       List.iter (touch !pos) (Block.term_defs b.Block.term);
-      List.iter weigh (Block.term_uses b.Block.term);
-      Reg.Set.iter (touch !pos) (Liveness.live_out live b.Block.label);
-      (match b.Block.term with
-      | Block.Br { lhs; dec; _ } when dec > 0 -> (
-        match Reg.Tbl.find_opt tbl lhs with
-        | Some iv -> iv.pinned <- true
-        | None -> ())
-      | _ -> ()))
+      Block.iter_term_uses weigh b.Block.term;
+      Regbits.iter (touch !pos) (Liveness.out_bits live b);
+      match b.Block.term with
+      | Block.Br { lhs; dec; _ } when dec > 0 ->
+        let iv = tbl.(Reg.hash lhs) in
+        if iv != none then iv.pinned <- true
+      | _ -> ())
     f.Cfg.blocks;
-  Reg.Tbl.fold (fun _ iv acc -> iv :: acc) tbl []
+  Array.fold_left (fun acc iv -> if iv == none then acc else iv :: acc) [] tbl
 
 (* One linear-scan pass.  Returns either a complete assignment or the
    set of virtual registers to spill.  [spillable] excludes registers
@@ -76,30 +81,27 @@ let scan ~spillable intervals =
         match Int.compare a.istart b.istart with 0 -> Reg.compare a.reg b.reg | c -> c)
       intervals
   in
-  let pool = function Reg.Gpr -> List.init 6 Fun.id | Reg.Xmm -> List.init 8 Fun.id in
-  let free = Hashtbl.create 2 in
-  Hashtbl.replace free Reg.Gpr (pool Reg.Gpr);
-  Hashtbl.replace free Reg.Xmm (pool Reg.Xmm);
-  let active : (Reg.cls, (interval * int) list) Hashtbl.t = Hashtbl.create 2 in
-  Hashtbl.replace active Reg.Gpr [];
-  Hashtbl.replace active Reg.Xmm [];
+  (* free register ids and active (interval, id) pairs, per class *)
+  let free_gpr = ref (List.init 6 Fun.id) and free_xmm = ref (List.init 8 Fun.id) in
+  let active_gpr = ref [] and active_xmm = ref [] in
   let assignment : int Reg.Tbl.t = Reg.Tbl.create 32 in
   let spills = ref [] in
   List.iter
     (fun iv ->
-      let cls = iv.reg.Reg.cls in
-      (* Expire finished intervals. *)
-      let still_active, done_ =
-        List.partition (fun (a, _) -> a.iend >= iv.istart) (Hashtbl.find active cls)
+      let free, active =
+        match iv.reg.Reg.cls with
+        | Reg.Gpr -> (free_gpr, active_gpr)
+        | Reg.Xmm -> (free_xmm, active_xmm)
       in
-      Hashtbl.replace active cls still_active;
-      Hashtbl.replace free cls
-        (List.map snd done_ @ Hashtbl.find free cls);
-      match Hashtbl.find free cls with
+      (* Expire finished intervals. *)
+      let still_active, done_ = List.partition (fun (a, _) -> a.iend >= iv.istart) !active in
+      active := still_active;
+      if done_ <> [] then free := List.map snd done_ @ !free;
+      match !free with
       | id :: rest ->
-        Hashtbl.replace free cls rest;
+        free := rest;
         Reg.Tbl.replace assignment iv.reg id;
-        Hashtbl.replace active cls ((iv, id) :: still_active)
+        active := (iv, id) :: still_active
       | [] ->
         (* Poletto's heuristic: spill the eligible candidate whose
            interval ends furthest away (ties: fewest uses).  Spilling a
@@ -120,8 +122,7 @@ let scan ~spillable intervals =
             (* hand the victim's register to the current interval *)
             Reg.Tbl.remove assignment victim.reg;
             Reg.Tbl.replace assignment iv.reg vid;
-            Hashtbl.replace active cls
-              ((iv, vid) :: List.filter (fun (a, _) -> a != victim) still_active)
+            active := (iv, vid) :: List.filter (fun (a, _) -> a != victim) still_active
           end))
     sorted;
   if !spills = [] then `Assigned assignment else `Spill !spills
@@ -226,20 +227,22 @@ let apply_assignment (f : Cfg.func) assignment =
     f.Cfg.blocks;
   subst
 
-let run (f : Cfg.func) =
+let run ?live (f : Cfg.func) =
   (* Registers created by spill rewriting (ids at or above the floor)
      must never become victims themselves. *)
   let temp_floor = ref max_int in
   let spillable (r : Reg.t) = r.Reg.phys = false && r.Reg.id < !temp_floor in
-  let rec attempt round =
+  let rec attempt round live =
     if round > 32 then raise (Failure "spilling did not converge");
-    match scan ~spillable (build_intervals f) with
+    match scan ~spillable (build_intervals live f) with
     | `Assigned assignment ->
       let subst = apply_assignment f assignment in
       f.Cfg.params <- List.map (fun (n, r) -> (n, subst r)) f.Cfg.params
     | `Spill spills ->
       temp_floor := min !temp_floor (Ifko_util.Ids.peek f.Cfg.reg_ids);
       insert_spill_code f spills;
-      attempt (round + 1)
+      (* spill code moved liveness; the graph and the summaries of
+         blocks without spill code carry over *)
+      attempt (round + 1) (Liveness.compute ~prev:live f)
   in
-  attempt 0
+  attempt 0 (match live with Some l -> l | None -> Liveness.compute f)

@@ -14,9 +14,10 @@
 
 exception Failure of string
 
-val run : Cfg.func -> unit
+val run : ?live:Ifko_analysis.Liveness.t -> Cfg.func -> unit
 (** Allocate in place: every register in the function (including
     [params]) becomes physical, spill code is inserted, and
-    [frame_slots] is updated.  @raise Failure if a register needed in a
+    [frame_slots] is updated.  [live], a liveness result valid for the
+    function, saves computing one; each spill round recomputes it.  @raise Failure if a register needed in a
     fused branch cannot be kept in a register (never happens on code
     the pipeline produces). *)

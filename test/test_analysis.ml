@@ -59,6 +59,101 @@ let test_liveness_loop () =
   Alcotest.(check bool) "counter dead after exit" true
     (not (Reg.Set.mem (gpr 0) (Liveness.live_in live "out")))
 
+(* The bit-set liveness against a plain [Reg.Set] fixpoint, written
+   out here: every block's live-in and live-out (and the live-out
+   derived from the successors' live-in, which the pipeline keeps
+   across control-flow cleanup) on the lowered, mid-pipeline and final
+   functions of the golden grid and of the fuzz corpus. *)
+let reference_liveness (f : Cfg.func) =
+  let summary (b : Block.t) =
+    let uses = ref Reg.Set.empty and defs = ref Reg.Set.empty in
+    let use r = if not (Reg.Set.mem r !defs) then uses := Reg.Set.add r !uses in
+    let def r = defs := Reg.Set.add r !defs in
+    List.iter
+      (fun i ->
+        List.iter use (Instr.uses i);
+        List.iter def (Instr.defs i))
+      b.Block.instrs;
+    List.iter use (Block.term_uses b.Block.term);
+    List.iter def (Block.term_defs b.Block.term);
+    (!uses, !defs)
+  in
+  let sums = List.map (fun b -> (b.Block.label, summary b)) f.Cfg.blocks in
+  let live_in = Hashtbl.create 16 in
+  let get l = Option.value ~default:Reg.Set.empty (Hashtbl.find_opt live_in l) in
+  let out (b : Block.t) =
+    List.fold_left (fun s l -> Reg.Set.union s (get l)) Reg.Set.empty
+      (Block.successors b.Block.term)
+  in
+  let rec sweep () =
+    let changed =
+      List.fold_left
+        (fun changed b ->
+          let uses, defs = List.assoc b.Block.label sums in
+          let inn = Reg.Set.union uses (Reg.Set.diff (out b) defs) in
+          if Reg.Set.equal inn (get b.Block.label) then changed
+          else begin
+            Hashtbl.replace live_in b.Block.label inn;
+            true
+          end)
+        false f.Cfg.blocks
+    in
+    if changed then sweep ()
+  in
+  sweep ();
+  (get, out)
+
+let check_liveness what (f : Cfg.func) =
+  let get, out = reference_liveness f in
+  let live = Liveness.compute f in
+  let set = Alcotest.testable (fun ppf s -> Format.pp_print_string ppf
+      (String.concat " " (List.map Reg.to_string (Reg.Set.elements s)))) Reg.Set.equal in
+  List.iter
+    (fun b ->
+      let l = b.Block.label in
+      Alcotest.check set (what ^ " in " ^ l) (get l) (Liveness.live_in live l);
+      Alcotest.check set (what ^ " out " ^ l) (out b) (Liveness.live_out live l);
+      Alcotest.check set (what ^ " out_bits " ^ l) (out b)
+        (Regbits.to_set (Liveness.out_bits live b)))
+    f.Cfg.blocks
+
+let test_liveness_matches_reference () =
+  let line_bytes = Test_pipeline_golden.line_bytes in
+  let check_point what lowered params =
+    check_liveness (what ^ " lowered") lowered.Ifko_codegen.Lower.func;
+    let c = Ifko_transform.Pipeline.snapshot lowered in
+    let f = c.Ifko_codegen.Lower.func in
+    ignore
+      (Ifko_transform.Pipeline.repeatable
+         ~on_pass:(fun pass -> check_liveness (what ^ " after " ^ pass) f)
+         f
+        : int);
+    match Ifko_transform.Pipeline.apply ~line_bytes lowered params with
+    | c -> check_liveness (what ^ " final") c.Ifko_codegen.Lower.func
+    | exception _ -> ()
+  in
+  List.iter
+    (fun id ->
+      let lowered = Hil_sources.compile id in
+      List.iter
+        (fun (name, p) -> check_point (Defs.name id ^ " " ^ name) lowered p)
+        (Test_pipeline_golden.grid id))
+    Defs.all;
+  (* [dune runtest] runs in the test directory; [dune exec] from the root *)
+  let corpus =
+    match Ifko_fuzz.Corpus.files ~dir:"corpus" with
+    | [] -> Ifko_fuzz.Corpus.files ~dir:"test/corpus"
+    | files -> files
+  in
+  Alcotest.(check bool) "corpus found" true (corpus <> []);
+  List.iter
+    (fun path ->
+      let case = Ifko_fuzz.Corpus.read path in
+      check_point path
+        (Ifko_fuzz.Fuzz.compile case.Ifko_fuzz.Corpus.kernel)
+        case.Ifko_fuzz.Corpus.params)
+    corpus
+
 let vec id = Vecinfo.analyze (Hil_sources.compile id)
 
 let test_vectorizable_verdicts () =
@@ -142,6 +237,7 @@ let test_report () =
 let suite =
   [ Alcotest.test_case "liveness straightline" `Quick test_liveness_straightline;
     Alcotest.test_case "liveness loop" `Quick test_liveness_loop;
+    Alcotest.test_case "liveness = Reg.Set fixpoint" `Quick test_liveness_matches_reference;
     Alcotest.test_case "vectorizable verdicts" `Quick test_vectorizable_verdicts;
     Alcotest.test_case "iamax reason" `Quick test_iamax_reason;
     Alcotest.test_case "scalar classes" `Quick test_vec_classes;

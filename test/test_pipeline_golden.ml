@@ -267,7 +267,244 @@ let test_exec_digest () =
         (Ifko_sim.Exec.digest (Ifko_sim.Exec.compile f)))
     (outputs ())
 
+(* Trajectory goldens: the points a search walks through, beyond the
+   fixed grid above, on both machines' line sizes.  For every kernel
+   and machine: each single-axis step of [Space.axes]'s domains (block
+   fetch and CISC indexing included) away from the default point, then
+   a fixed seeded sample of points that move every axis at once.  One
+   digest per (kernel, machine) covers its whole trajectory: the MD5 of
+   every point's canonical parameters and output digest ([illegal]
+   when the pipeline refuses the point), in order. *)
+let sampled_points = 20
+
+module Space = Ifko_search.Space
+
+(* [seed] fixes the sample: the kernel's and machine's positions. *)
+let trajectory ~seed (cfg : Ifko_machine.Config.t) id =
+  let report = Ifko_analysis.Report.analyze (Hil_sources.compile id) in
+  let d = Params.default ~line_bytes:cfg.Ifko_machine.Config.prefetchable_line report in
+  let axes = Space.axes ~extensions:true ~cfg ~report () in
+  let steps =
+    List.concat_map
+      (fun (ax : Space.axis) ->
+        List.filter_map
+          (fun v -> if v = ax.Space.ax_get d then None else Some (ax.Space.ax_set d v))
+          ax.Space.ax_values)
+      axes
+  in
+  let rng = Ifko_util.Rng.create seed in
+  let pick vs = List.nth vs (Ifko_util.Rng.int rng (List.length vs)) in
+  let sampled =
+    List.init sampled_points (fun _ ->
+        List.fold_left (fun p (ax : Space.axis) -> ax.Space.ax_set p (pick ax.Space.ax_values)) d axes)
+  in
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun p ->
+      let k = Params.canonical p in
+      let fresh = not (Hashtbl.mem seen k) in
+      Hashtbl.replace seen k ();
+      fresh)
+    ((d :: steps) @ sampled)
+
+let trajectory_digest ~seed (cfg : Ifko_machine.Config.t) id =
+  let lowered = Hil_sources.compile id in
+  let line_bytes = cfg.Ifko_machine.Config.prefetchable_line in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun p ->
+      let out =
+        match Pipeline.apply ~line_bytes lowered p with
+        | c -> md5 (Cfg.to_string c.Ifko_codegen.Lower.func)
+        | exception _ -> "illegal"
+      in
+      Buffer.add_string buf (Printf.sprintf "%s=%s\n" (Params.canonical p) out))
+    (trajectory ~seed cfg id);
+  md5 (Buffer.contents buf)
+
+let trajectory_outputs () =
+  List.concat
+    (List.mapi
+       (fun m cfg ->
+         List.mapi
+           (fun k id ->
+             ( Defs.name id,
+               cfg.Ifko_machine.Config.name,
+               trajectory_digest ~seed:((100 * m) + k) cfg id ))
+           Defs.all)
+       [ Ifko_machine.Config.p4e; Ifko_machine.Config.opteron ])
+
+(* Generated with the pipeline as it was before the repeatable block
+   stopped running confirming rounds and recomputing liveness per
+   pass. *)
+let trajectory_goldens =
+  [
+    ("sswap", "P4E", "7a0d9676d7a15dc4337a7604511eedd7");
+    ("dswap", "P4E", "052d1a5cd47ea7b51e90a29d851e441f");
+    ("sscal", "P4E", "c3547fc3095c01f630f07cb9a64b0f23");
+    ("dscal", "P4E", "0a0742efa30c05d3cbdd2ccdaff93dae");
+    ("scopy", "P4E", "b5effcf1990568ba24b307d173118080");
+    ("dcopy", "P4E", "f99ae5dbed1f1dc7edb15e94eeae00e1");
+    ("saxpy", "P4E", "a5d14ed5cd62a8ae5d40756b8b0e1842");
+    ("daxpy", "P4E", "f53a9592b5d94b036d665bc4ce21fc3f");
+    ("sdot", "P4E", "08e39572f349af357f4ea8fb6a3d33a9");
+    ("ddot", "P4E", "d5fe5ff255fe28c43079f9fea92c040c");
+    ("sasum", "P4E", "a08fe8ee2c1c0d6eb27251dcf58c34db");
+    ("dasum", "P4E", "2bb2e4898d8525f1171bc66fb7351313");
+    ("isamax", "P4E", "e00082e968cf19e58b12a18e7165b544");
+    ("idamax", "P4E", "e329d9aeeba0403d2e64674754324a88");
+    ("sswap", "Opteron", "483cf9c094f61d15ed17c23db4692b1f");
+    ("dswap", "Opteron", "eb71884a583e18124aacd2f50c3decdb");
+    ("sscal", "Opteron", "47c54cfa53ac08e711d0ebc48e9e385c");
+    ("dscal", "Opteron", "d79177bcbeb31352b8f8689953be4818");
+    ("scopy", "Opteron", "724c4878433458847f9d3fb5f1080456");
+    ("dcopy", "Opteron", "042d9dd79b8a7b8161fde44b18b57be0");
+    ("saxpy", "Opteron", "764136974739c84bcc7bfb0e9f7d844d");
+    ("daxpy", "Opteron", "5b709b4ffae7932f5f38f9a03adf12cc");
+    ("sdot", "Opteron", "91431457b6355991d893dc5d03bab7fb");
+    ("ddot", "Opteron", "da49b59166f5d0a3ae6f356287315b8b");
+    ("sasum", "Opteron", "934a369a1eaf4b516e7a2f84c2954112");
+    ("dasum", "Opteron", "0424337315dc9c397a83bd7e69d5bdfb");
+    ("isamax", "Opteron", "af3db8f2e8c0f1ef315f4a765aea6853");
+    ("idamax", "Opteron", "9f52051044cb59f84247b638d8a928b4");
+  ]
+
+let test_trajectory_goldens () =
+  let outs = trajectory_outputs () in
+  Alcotest.(check int) "trajectory count" (List.length trajectory_goldens) (List.length outs);
+  List.iter2
+    (fun (k, m, digest) (gk, gm, gdigest) ->
+      Alcotest.(check (pair string string)) "trajectory order" (gk, gm) (k, m);
+      Alcotest.(check string) (Printf.sprintf "%s on %s" k m) gdigest digest)
+    outs trajectory_goldens
+
+(* The repeatable block against the loop it replaces, written out
+   here: all four passes every round until a round changes nothing.
+   Skipping only passes that would change nothing, [Pipeline.repeatable]
+   must leave the same function, report the same round count and name
+   the same passes in the same rounds to [on_pass] — on the golden grid
+   and on fuzz-generated kernels, a fifth of whose points take three
+   or more rounds. *)
+let naive_repeatable ~protect (f : Cfg.func) =
+  let fired = ref [] in
+  let rec go n =
+    let sub name run =
+      let c = run f in
+      if c then fired := Printf.sprintf "%s (round %d)" name n :: !fired;
+      c
+    in
+    let c1 = sub "copyprop" Copyprop.run in
+    let c2 = sub "peephole" Peephole.run in
+    let c3 = sub "deadcode" Deadcode.run in
+    let c4 = sub "branchopt" (Branchopt.run ~protect) in
+    if (c1 || c2 || c3 || c4) && n < Pipeline.max_repeat then go (n + 1) else n + 1
+  in
+  let rounds = go 0 in
+  (rounds, List.rev !fired)
+
+(* The fundamental transformations as [Pipeline.apply] runs them, so the
+   block starts from the code it sees in a real invocation. *)
+let fundamentals ~line_bytes lowered (p : Params.t) =
+  let c = Pipeline.snapshot lowered in
+  let ok = ignore in
+  if p.Params.sv then ok (Simd.apply c);
+  if p.Params.unroll > 1 then ok (Unroll.apply c p.Params.unroll);
+  if p.Params.cisc then Ciscidx.apply c;
+  if p.Params.lc then Loopctl.apply c;
+  if p.Params.ae > 1 then ok (Accexp.apply c p.Params.ae);
+  if p.Params.bf > 0 then Blockfetch.apply c p.Params.bf;
+  if p.Params.prefetch <> [] then Prefetch_xform.apply c ~line_bytes p.Params.prefetch;
+  if p.Params.wnt then ok (Ntwrite.apply c);
+  c
+
+let check_repeatable_func what ~protect (f : Cfg.func) =
+  let g = Cfg.copy f in
+  let naive_rounds, naive_fired = naive_repeatable ~protect g in
+  let fired = ref [] in
+  let rounds = Pipeline.repeatable ~protect ~on_pass:(fun n -> fired := n :: !fired) f in
+  Alcotest.(check string) (what ^ " code") (Cfg.to_string g) (Cfg.to_string f);
+  Alcotest.(check int) (what ^ " rounds") naive_rounds rounds;
+  Alcotest.(check (list string)) (what ^ " passes") naive_fired (List.rev !fired)
+
+let check_repeatable what ~line_bytes lowered p =
+  match fundamentals ~line_bytes lowered p with
+  | exception _ -> ()
+  | c ->
+    check_repeatable_func what ~protect:(Pipeline.protected_labels c) c.Ifko_codegen.Lower.func
+
+(* Functions whose later rounds need the rules the BLAS and fuzz
+   points never exercise.  In [rethread], the second round's copy
+   propagation, peephole and dead code empty the block the first
+   round's cleanup merged, so cleanup must run again to thread the
+   branch past it.  In [repropagate], copy propagation across the
+   merged blocks alone leaves a copy dead, so dead-code elimination
+   must run again.  In [unreachable_use], the only read of a loop's
+   self-updated register sits in an unreachable block: once cleanup
+   drops that block, dead-code elimination must run again to remove
+   the now-faint updates. *)
+let gpr i = Reg.virt Reg.Gpr i
+
+let hand_built () =
+  let func blocks =
+    let f = Cfg.create ~name:"t" ~params:[ ("N", gpr 0) ] in
+    f.Cfg.blocks <- blocks;
+    Ifko_util.Ids.reserve f.Cfg.reg_ids 8;
+    f
+  in
+  let br ifso ifnot = Block.Br { cmp = Instr.Gt; lhs = gpr 0; rhs = Instr.Oimm 0; ifso; ifnot; dec = 0 } in
+  [ ( "rethread",
+      func
+        [ Block.make "entry" ~instrs:[ Instr.Ildi (gpr 1, 5) ] ~term:(br "a" "c");
+          Block.make "a" ~instrs:[ Instr.Imov (gpr 2, gpr 1) ] ~term:(Block.Jmp "b");
+          Block.make "b" ~instrs:[ Instr.Imov (gpr 1, gpr 2) ] ~term:(Block.Jmp "c");
+          Block.make "c" ~term:(Block.Ret (Some (gpr 1)));
+        ] );
+    ( "repropagate",
+      func
+        [ Block.make "entry" ~instrs:[ Instr.Ildi (gpr 1, 5) ] ~term:(br "a" "c");
+          Block.make "a" ~instrs:[ Instr.Imov (gpr 2, gpr 1) ] ~term:(Block.Jmp "b");
+          Block.make "b" ~instrs:[ Instr.Ist (Instr.mk_mem (gpr 0), gpr 2) ] ~term:(Block.Jmp "c");
+          Block.make "c" ~term:(Block.Ret None);
+        ] );
+    ( "unreachable_use",
+      func
+        [ Block.make "entry" ~instrs:[ Instr.Ildi (gpr 1, 0) ] ~term:(Block.Jmp "loop");
+          Block.make "loop"
+            ~instrs:[ Instr.Iop (Instr.Iadd, gpr 1, gpr 1, Instr.Oimm 1) ]
+            ~term:(Block.Br { cmp = Instr.Ge; lhs = gpr 0; rhs = Instr.Oimm 1; ifso = "loop";
+                              ifnot = "out"; dec = 1 });
+          Block.make "out" ~term:(Block.Ret None);
+          Block.make "dead" ~instrs:[ Instr.Ist (Instr.mk_mem (gpr 0), gpr 1) ] ~term:(Block.Jmp "out");
+        ] );
+  ]
+
+let test_repeatable_matches_naive_loop () =
+  List.iter (fun (what, f) -> check_repeatable_func what ~protect:[] f) (hand_built ());
+  List.iter
+    (fun id ->
+      let lowered = Hil_sources.compile id in
+      List.iter
+        (fun (point, p) -> check_repeatable (Defs.name id ^ " " ^ point) ~line_bytes lowered p)
+        (grid id))
+    Defs.all;
+  let rng = Ifko_util.Rng.create 26 in
+  for k = 1 to 40 do
+    let lowered =
+      Ifko_fuzz.Fuzz.compile
+        (Ifko_fuzz.Gen.kernel rng ~name:(Printf.sprintf "k%d" k) ~max_size:8)
+    in
+    let report = Ifko_analysis.Report.analyze lowered in
+    for i = 1 to 6 do
+      check_repeatable
+        (Printf.sprintf "fuzz k%d point %d" k i)
+        ~line_bytes lowered
+        (Ifko_fuzz.Sample.point rng ~line_bytes ~report)
+    done
+  done
+
 let suite =
   [ Alcotest.test_case "pipeline output matches goldens" `Quick test_goldens;
+    Alcotest.test_case "trajectory points match goldens" `Quick test_trajectory_goldens;
+    Alcotest.test_case "repeatable block = the naive loop" `Quick test_repeatable_matches_naive_loop;
     Alcotest.test_case "Exec.digest is the MD5 of the rendered CFG" `Quick test_exec_digest;
   ]

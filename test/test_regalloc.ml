@@ -61,9 +61,26 @@ let test_params_rebound () =
   Alcotest.(check int) "gpr params distinct" (List.length gprs)
     (List.length (List.sort_uniq compare gprs))
 
+(* A hand-built function whose register ids bypass its id counter,
+   with a parameter no instruction reads: allocation sizes its tables
+   from the registers the function actually holds. *)
+let test_hand_built_ids () =
+  let g i = Reg.virt Reg.Gpr i in
+  let f = Cfg.create ~name:"t" ~params:[ ("N", g 0); ("unused", g 90) ] in
+  f.Cfg.blocks <-
+    [ Block.make "entry"
+        ~instrs:[ Instr.Iop (Instr.Iadd, g 1, g 0, Instr.Oimm 1) ]
+        ~term:(Block.Ret (Some (g 1)));
+    ];
+  Regalloc.run f;
+  Validate.check_physical f;
+  Alcotest.(check bool) "params physical" true
+    (List.for_all (fun (_, (r : Reg.t)) -> r.Reg.phys) f.Cfg.params)
+
 let suite =
   [ Alcotest.test_case "all kernels under pressure" `Slow test_all_kernels_high_pressure;
     Alcotest.test_case "spills happen" `Quick test_spills_happen;
     Alcotest.test_case "no gratuitous spills" `Quick test_no_spills_when_easy;
     Alcotest.test_case "params rebound" `Quick test_params_rebound;
+    Alcotest.test_case "hand-built register ids" `Quick test_hand_built_ids;
   ]

@@ -398,6 +398,53 @@ let test_driver_codecache_reuse () =
     (after_second.Codecache.hits >= after_first.Codecache.misses);
   ignore first
 
+(* A storeless tune times each distinct probe key once: the line search
+   probes canonical duplicates again (its memo is on the structural
+   point), and those are answered from the driver's per-tune table, at
+   one domain or two.  Every probe still reaches a [cache] hook, and the
+   result is the one recorded before the table existed, bit for bit
+   (when every probe was timed: 99 probes, 100 candidate lookups). *)
+let test_driver_probe_memo () =
+  let id = { Defs.routine = Defs.Dot; prec = Instr.D } in
+  let compiled = Hil_sources.compile id in
+  let cfg = Ifko_machine.Config.p4e in
+  let spec = Workload.timer_spec id ~seed:3 in
+  List.iter
+    (fun jobs ->
+      let keys = Hashtbl.create 64 and mu = Mutex.create () in
+      let cache ~key ~params:_ ~prov:_ f =
+        Mutex.protect mu (fun () ->
+            Hashtbl.replace keys key (1 + Option.value ~default:0 (Hashtbl.find_opt keys key)));
+        f ()
+      in
+      let cc = Codecache.create () in
+      let t =
+        Ifko_search.Driver.tune ~cache ~codecache:cc ~jobs ~seed:3 ~cfg
+          ~context:Ifko_sim.Timer.In_l2 ~spec ~n:1024 ~flops_per_n:2.0
+          ~test:(fun _ -> true)
+          compiled
+      in
+      let what s = Printf.sprintf "j%d: %s" jobs s in
+      let probes = Hashtbl.fold (fun _ n acc -> n + acc) keys 0 in
+      let distinct = Hashtbl.length keys in
+      let s = Codecache.stats cc in
+      Alcotest.(check int) (what "every probe reaches the hook") t.Ifko_search.Driver.evaluations
+        probes;
+      Alcotest.(check int) (what "distinct keys") 71 distinct;
+      (* one candidate lookup per distinct key, plus the winner's *)
+      Alcotest.(check int) (what "one timing per distinct key") (distinct + 1)
+        (s.Codecache.hits + s.Codecache.misses);
+      Alcotest.(check string) (what "winner")
+        "sv=1;ur=32;lc=1;ae=3;wnt=0;bf=0;cisc=0;pf=X:none:0,Y:none:0"
+        (Params.canonical t.Ifko_search.Driver.best_params);
+      Alcotest.(check int64) (what "MFLOPS bits") 0x40b435e50d79435fL
+        (Int64.bits_of_float t.Ifko_search.Driver.ifko_mflops);
+      Alcotest.(check int64) (what "FKO MFLOPS bits") 0x40a104e520415a7bL
+        (Int64.bits_of_float t.Ifko_search.Driver.fko_mflops);
+      Alcotest.(check int) (what "evaluations") 99 t.Ifko_search.Driver.evaluations;
+      Alcotest.(check int) (what "probes to best") 83 t.Ifko_search.Driver.probes_to_best)
+    [ 1; 2 ]
+
 (* ---- strategies: bit-identity, determinism, warm starts ---- *)
 
 (* The pre-refactor modified line search, written out as the original
@@ -665,6 +712,7 @@ let suite =
     Alcotest.test_case "codecache dedup and stats" `Quick test_codecache_dedup;
     Alcotest.test_case "codecache single flight" `Quick test_codecache_single_flight;
     Alcotest.test_case "driver codecache reuse" `Quick test_driver_codecache_reuse;
+    Alcotest.test_case "storeless tune times each key once" `Quick test_driver_probe_memo;
     Alcotest.test_case "linesearch parallel = sequential" `Quick
       test_linesearch_parallel_matches_sequential;
     Alcotest.test_case "linesearch matches legacy sweep" `Quick

@@ -278,6 +278,28 @@ let test_faint_code () =
   Alcotest.(check int) "faint self-update removed" 0
     (List.length (Cfg.find_block_exn f "loop").Block.instrs)
 
+let test_dead_chain_one_run () =
+  (* a k-link chain, each link read only by the next and the last read
+     by nothing, split across a loop: one run removes every link, and
+     a second run has nothing left to do *)
+  let k = 6 in
+  let chain = List.init k (fun i -> Instr.Iop (Instr.Iadd, gpr (i + 2), gpr (i + 1), Instr.Oimm 1)) in
+  let first, rest = (List.filteri (fun i _ -> i < 3) chain, List.filteri (fun i _ -> i >= 3) chain) in
+  let f = Cfg.create ~name:"t" ~params:[ ("N", gpr 0) ] in
+  f.Cfg.blocks <-
+    [ Block.make "entry" ~instrs:(Instr.Ildi (gpr 1, 7) :: first) ~term:(Block.Jmp "loop");
+      Block.make "loop" ~instrs:rest
+        ~term:
+          (Block.Br
+             { cmp = Instr.Ge; lhs = gpr 0; rhs = Instr.Oimm 1; ifso = "loop"; ifnot = "out";
+               dec = 1 });
+      Block.make "out" ~term:(Block.Ret (Some (gpr 0)));
+    ];
+  Alcotest.(check bool) "first run changes" true (Deadcode.run f);
+  Alcotest.(check int) "whole chain gone" 0
+    (List.fold_left (fun a b -> a + List.length b.Block.instrs) 0 f.Cfg.blocks);
+  Alcotest.(check bool) "second run is a no-op" false (Deadcode.run f)
+
 let test_peephole_folds () =
   let b =
     Block.make "entry"
@@ -394,6 +416,7 @@ let suite =
       Alcotest.test_case "WNT rewrites stores" `Quick test_wnt_rewrites_stores;
       Alcotest.test_case "copy propagation" `Quick test_copyprop;
       Alcotest.test_case "dead code" `Quick test_deadcode;
+      Alcotest.test_case "dead chain in one run" `Quick test_dead_chain_one_run;
       Alcotest.test_case "faint code" `Quick test_faint_code;
       Alcotest.test_case "peephole folds loads" `Quick test_peephole_folds;
       Alcotest.test_case "peephole keeps live loads" `Quick test_peephole_no_fold_when_live;
