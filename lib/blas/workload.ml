@@ -12,28 +12,12 @@ let vector ~seed ~which ~prec n =
    pure function of (seed, which, prec, n), so memoize them.  Entries
    are handed out read-only: [make_env] copies them into the simulated
    memory and [reference_expectation] (which mutates its vectors in
-   place) keeps calling [vector] directly. *)
-let vector_cache : (int * int * Instr.fsize * int, float array) Hashtbl.t =
-  Hashtbl.create 32
-
-let vector_mutex = Mutex.create ()
+   place) keeps calling [vector] directly.  256 entries is far above
+   the handful of window sizes a run uses. *)
+let vectors = Ifko_par.Memo.create ~limit:256 ()
 
 let vector_memo ~seed ~which ~prec n =
-  let key = (seed, which, prec, n) in
-  Mutex.lock vector_mutex;
-  let v =
-    match Hashtbl.find_opt vector_cache key with
-    | Some v -> v
-    | None ->
-      let v = vector ~seed ~which ~prec n in
-      (* the cache is bounded by the handful of window sizes a run
-         uses; drop everything if it somehow grows past that *)
-      if Hashtbl.length vector_cache > 256 then Hashtbl.reset vector_cache;
-      Hashtbl.replace vector_cache key v;
-      v
-  in
-  Mutex.unlock vector_mutex;
-  v
+  Ifko_par.Memo.get vectors (seed, which, prec, n) (fun () -> vector ~seed ~which ~prec n)
 
 let mem_bytes_for ~prec n =
   (* two arrays, page alignment slack, stack, prefetch headroom; the
@@ -101,21 +85,10 @@ let reference_expectation ({ routine; prec } as id) ~seed n =
    higher in resident memory; with 12, within its run-to-run spread;
    2 vCPUs, OCaml 5.1).  Entries are shared, so they are handed out
    read-only: every tester only compares against them. *)
-let expectation_cache : (kernel_id * int * int, Ifko_sim.Verify.expectation) Hashtbl.t =
-  Hashtbl.create 32
-
-let expectation_mutex = Mutex.create ()
+let expectations = Ifko_par.Memo.create ~limit:12 ()
 
 let expectation id ~seed n =
-  let key = (id, seed, n) in
-  Mutex.protect expectation_mutex (fun () ->
-      match Hashtbl.find_opt expectation_cache key with
-      | Some e -> e
-      | None ->
-        let e = reference_expectation id ~seed n in
-        if Hashtbl.length expectation_cache >= 12 then Hashtbl.reset expectation_cache;
-        Hashtbl.replace expectation_cache key e;
-        e)
+  Ifko_par.Memo.get expectations (id, seed, n) (fun () -> reference_expectation id ~seed n)
 
 let tolerance { routine; prec } ~n =
   let base = match prec with Instr.S -> 2e-6 | Instr.D -> 1e-12 in

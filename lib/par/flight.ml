@@ -1,7 +1,7 @@
-type 'a state = Running | Done of 'a | Failed
-type 'a cell = { mutable state : 'a state }
+type 'v state = Running | Done of 'v | Failed
+type 'v cell = { mutable state : 'v state }
 
-type 'a t = { mutex : Mutex.t; landed : Condition.t; tbl : (string, 'a cell) Hashtbl.t }
+type ('k, 'v) t = { mutex : Mutex.t; landed : Condition.t; tbl : ('k, 'v cell) Hashtbl.t }
 
 let create () = { mutex = Mutex.create (); landed = Condition.create (); tbl = Hashtbl.create 32 }
 

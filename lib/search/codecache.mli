@@ -1,4 +1,4 @@
-(** Single-flight memo of compiled probe candidates.
+(** Memo of compiled probe candidates.
 
     [Driver.tune] produces each candidate by transform pipeline +
     semantic test + decode; this cache keys the finished product by
@@ -9,11 +9,9 @@
     allocated inside [Exec.exec] — so sharing them across domains and
     tunes is safe.
 
-    Concurrent misses on one key run the compute exactly once
-    ({!Ifko_par.Flight}); other callers block until the result lands.
-    Exceptions from the compute (notably [Passcheck.Pass_failed], which
-    must fail the tune) are never cached: they reach their own caller,
-    and one waiter takes the key over. *)
+    An {!Ifko_par.Memo}: concurrent misses on one key compile once, and
+    exceptions from the compute (notably [Passcheck.Pass_failed], which
+    must fail the tune) are never cached. *)
 
 type result =
   | Illegal  (** the transform pipeline rejected the point *)
@@ -23,12 +21,13 @@ type result =
 
 type t
 
-type stats = { hits : int; misses : int }
+type stats = Ifko_par.Memo.stats = { hits : int; misses : int; held : int }
+(** A call that joined another caller's compile counts as a hit;
+    [held] is the entry count. *)
 
 val create : unit -> t
 (** An empty cache of at most 4096 entries (a daemon backstop, far
-    above one tune's candidate count); completed entries are evicted
-    wholesale when it fills, in-flight ones never. *)
+    above one tune's candidate count), dropped whole when it fills. *)
 
 val key : kernel:string -> machine:string -> params:string -> check:bool -> seed:int -> string
 (** Digest of everything a candidate's compilation outcome depends
@@ -36,7 +35,7 @@ val key : kernel:string -> machine:string -> params:string -> check:bool -> seed
     ([Params.canonical]). *)
 
 val find_or_compile : t -> key:string -> (unit -> result) -> result
-(** Return the cached result for [key], or run [f] (single-flight) and
-    cache it.  [f] must be a pure function of [key]. *)
+(** Return the cached result for [key], or run [f] once and cache it.
+    [f] must be a pure function of [key]. *)
 
 val stats : t -> stats

@@ -109,10 +109,10 @@ val tune :
     [store] journals every probe outcome in a persistent
     content-addressed store and answers repeat probes from it, so a
     killed tune resumes without re-paying completed evaluations and a
-    second identical tune costs only hash lookups.  Without a store, a
-    per-tune table answers a repeated probe key instead (strategies
-    probe canonical duplicates of earlier points), single-flight, so
-    each distinct key is timed once at any [jobs]; [evaluations] and
+    second identical tune costs only hash lookups.  Behind the store, a
+    per-tune {!Ifko_par.Memo} answers a repeated probe key (strategies
+    probe canonical duplicates of earlier points), so each distinct key
+    is timed once at any [jobs], store or none; [evaluations] and
     [probes_to_best] still count every probe.  Probes go through
     {!Ifko_store.Store.cached}, which is single-flight: concurrent
     tunes sharing a store compute each probe once.  This is the one

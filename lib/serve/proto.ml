@@ -104,10 +104,15 @@ let parse_line line =
   | exception Json.Bad -> Error "malformed JSON (expected one object per line)"
   | fields -> Ok fields
 
+(* [int_of_float] is unspecified outside OCaml's int range, where it
+   would wrap silently: refuse anything outside [-2^62, 2^62). *)
+let int_limit = Float.ldexp 1.0 62
+
 let int_field fields name ~default =
   match List.assoc_opt name fields with
   | None -> Ok default
-  | Some (Json.N f) when Float.is_integer f -> Ok (int_of_float f)
+  | Some (Json.N f) when Float.is_integer f && f >= -.int_limit && f < int_limit ->
+    Ok (int_of_float f)
   | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
 
 let num_field fields name ~default =

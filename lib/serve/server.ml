@@ -65,7 +65,7 @@ type t = {
   mutable stopping : bool;
   mutable active : int;  (* live connection threads *)
   conns : (Unix.file_descr, unit) Hashtbl.t;
-  tune_flight : (Tune_record.t * bool, string) result Ifko_par.Flight.t;
+  tune_flight : (string, (Tune_record.t * bool, string) result) Ifko_par.Flight.t;
       (* whole-tune single flight: concurrent cold tunes of the same
          request run the search once (probe-level single flight alone
          would dedup the probes but still replay the line-search
@@ -73,14 +73,8 @@ type t = {
   codecache : Codecache.t;
       (* daemon-wide: distinct in-flight tunes (same kernel, different
          N / context / fidelity) compile each candidate once *)
-  lowerings : (string, Ifko_codegen.Lower.compiled * string) Hashtbl.t;
-      (* source text -> its lowering and kernel fingerprint, successful
-         lowerings only; guarded by [lowerings_mu], dropped whole when
-         [lowering_bytes] would pass [max_lowering_bytes] *)
-  lowerings_mu : Mutex.t;
-  lowering_bytes : int Atomic.t;  (* source bytes held as keys; set under the lock *)
-  n_lowering_hits : int Atomic.t;
-  n_lowering_misses : int Atomic.t;
+  lowerings : (string, Ifko_codegen.Lower.compiled * string) Ifko_par.Memo.t;
+      (* source text -> its lowering and kernel fingerprint *)
   n_requests : int Atomic.t;
   n_tunes : int Atomic.t;  (* tune ops that ran the search *)
   n_tune_hits : int Atomic.t;  (* tune ops answered from the result cache *)
@@ -97,35 +91,17 @@ let max_lowering_bytes = 4 lsl 20
 
 (* The front end, memoized per daemon: a warm request sends the same
    source text every time, so its lowering and fingerprint come from
-   the table.  The lowering runs outside the lock; two racing misses on
-   one source both lower it, and the first insert wins.  Rejected
-   kernels are not stored, so they are lowered (and fail the same way)
-   again. *)
+   the memo.  Rejected kernels raise out of the compute and are not
+   stored, so they are lowered (and fail the same way) again. *)
 let lower_kernel t src =
-  match Mutex.protect t.lowerings_mu (fun () -> Hashtbl.find_opt t.lowerings src) with
-  | Some lowered ->
-    Atomic.incr t.n_lowering_hits;
-    Ok lowered
-  | None -> (
-    Atomic.incr t.n_lowering_misses;
-    match Ifko_codegen.Lower.of_source src with
-    | exception Failure msg -> Error msg
-    | exception e -> Error (Printexc.to_string e)
-    | compiled ->
-      let lowered = (compiled, Driver.kernel_fingerprint compiled) in
-      Ok
-        (Mutex.protect t.lowerings_mu (fun () ->
-             match Hashtbl.find_opt t.lowerings src with
-             | Some first -> first
-             | None ->
-               let bytes = String.length src in
-               if Atomic.get t.lowering_bytes + bytes > max_lowering_bytes then begin
-                 Hashtbl.reset t.lowerings;
-                 Atomic.set t.lowering_bytes 0
-               end;
-               Hashtbl.replace t.lowerings src lowered;
-               Atomic.set t.lowering_bytes (Atomic.get t.lowering_bytes + bytes);
-               lowered)))
+  match
+    Ifko_par.Memo.get t.lowerings src (fun () ->
+        let compiled = Ifko_codegen.Lower.of_source src in
+        (compiled, Driver.kernel_fingerprint compiled))
+  with
+  | exception Failure msg -> Error msg
+  | exception e -> Error (Printexc.to_string e)
+  | lowered -> Ok lowered
 
 let ( let* ) = Result.bind
 
@@ -217,7 +193,9 @@ let do_lookup t a =
 
 let stat_fields t =
   let s = Store.stat t.store in
-  let count c = Json.N (float_of_int (Atomic.get c)) in
+  let num n = Json.N (float_of_int n) in
+  let count c = num (Atomic.get c) in
+  let lw = Ifko_par.Memo.stats t.lowerings in
   Mutex.lock t.mu;
   let server =
     [ ("uptime_s", Json.N (Float.max 0.0 (t.clock () -. t.started)));
@@ -226,9 +204,9 @@ let stat_fields t =
       ("tune_hits", count t.n_tune_hits);
       ("lookups", count t.n_lookups);
       ("errors", count t.n_errors);
-      ("lowering_hits", count t.n_lowering_hits);
-      ("lowering_misses", count t.n_lowering_misses);
-      ("lowering_bytes", count t.lowering_bytes);
+      ("lowering_hits", num lw.Ifko_par.Memo.hits);
+      ("lowering_misses", num lw.Ifko_par.Memo.misses);
+      ("lowering_bytes", num lw.Ifko_par.Memo.held);
       ("inflight_tunes", Json.N (float_of_int (Ifko_par.Flight.inflight t.tune_flight)));
       ("connections", Json.N (float_of_int t.active));
       ("jobs", Json.N (float_of_int t.cfg.jobs));
@@ -430,11 +408,10 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
       conns = Hashtbl.create 16;
       tune_flight = Ifko_par.Flight.create ();
       codecache = Codecache.create ();
-      lowerings = Hashtbl.create 16;
-      lowerings_mu = Mutex.create ();
-      lowering_bytes = Atomic.make 0;
-      n_lowering_hits = Atomic.make 0;
-      n_lowering_misses = Atomic.make 0;
+      lowerings =
+        Ifko_par.Memo.create ~limit:max_lowering_bytes
+          ~weight:String.length
+          ();
       n_requests = Atomic.make 0;
       n_tunes = Atomic.make 0;
       n_tune_hits = Atomic.make 0;

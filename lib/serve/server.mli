@@ -18,9 +18,10 @@
     {!Ifko_search.Tune_record} key and lookup without parsing, type
     checking or lowering.  Only successful lowerings are kept: a
     rejected kernel is lowered again on every request and gets the same
-    [Failed] text.  The table holds at most {!max_lowering_bytes} bytes
-    of source text; an insert that would pass the bound drops the whole
-    table first.  Cold tunes run on the shared lowering, which nothing
+    [Failed] text.  The table is an {!Ifko_par.Memo}: racing first
+    requests for one source lower it once, and it holds at most
+    {!max_lowering_bytes} bytes of source text, dropped whole when an
+    insert would pass that.  Cold tunes run on the shared lowering, which nothing
     mutates: {!Ifko_transform.Pipeline.apply} transforms a
     {!Ifko_transform.Pipeline.snapshot} (whose [Cfg.copy] starts fresh
     register and label counters), and {!Ifko_analysis.Report.analyze},

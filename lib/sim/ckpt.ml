@@ -20,17 +20,15 @@
 module Store = Ifko_store.Store
 module Config = Ifko_machine.Config
 module Memsys = Ifko_machine.Memsys
+module Memo = Ifko_par.Memo
 
 type t = {
   machine : string;
-  tbl : (string, Memsys.snapshot) Hashtbl.t;
-  transients : (string, float) Hashtbl.t;  (* per-(warm state, code) scalars *)
-  masters : (string, Env.master) Hashtbl.t;
+  states : (string, Memsys.snapshot) Memo.t;
+  transients : (string, float) Memo.t;  (* per-(warm state, code) scalars *)
+  masters : (string, Env.master) Memo.t;
       (* pristine environment images, keyed by (kernel, element count)
          — see Env.capture *)
-  mutex : Mutex.t;
-  mutable n_hit : int;  (* answered from memory *)
-  mutable n_miss : int;  (* fresh warm-ups *)
 }
 
 type stats = { hits : int; disk_loads : int; misses : int }
@@ -38,77 +36,31 @@ type stats = { hits : int; disk_loads : int; misses : int }
 let create ~cfg () =
   {
     machine = cfg.Config.name;
-    tbl = Hashtbl.create 16;
-    transients = Hashtbl.create 16;
-    masters = Hashtbl.create 8;
-    mutex = Mutex.create ();
-    n_hit = 0;
-    n_miss = 0;
+    states = Memo.create ();
+    transients = Memo.create ();
+    masters = Memo.create ();
   }
 
 let key t ~kernel ~context ~n =
   Store.digest [ "ckpt"; kernel; t.machine; context; string_of_int n ]
 
-(* Bring [ms] to the warm state for [key]: restore a cached snapshot if
-   one exists, otherwise run [warm] (which must leave [ms] fully warmed)
-   and capture it.  Returns whether this call ran [warm].
-   Thread-safe: probe pools share one Ckpt across domains, and every
-   call counts exactly one hit or miss under the mutex.
-   Concurrent misses on the same key may both run [warm] — warm-up is
-   deterministic, so last-write-wins is benign. *)
+(* The caller that runs [warm] leaves [ms] warm itself; every other
+   caller, a joiner of that warm-up included, restores its snapshot. *)
 let with_state t ~key ms ~warm =
-  let cached =
-    Mutex.lock t.mutex;
-    let c = Hashtbl.find_opt t.tbl key in
-    (match c with
-    | Some _ -> t.n_hit <- t.n_hit + 1
-    | None -> t.n_miss <- t.n_miss + 1);
-    Mutex.unlock t.mutex;
-    c
+  let ran = ref false in
+  let snap =
+    Memo.get t.states key (fun () ->
+        warm ms;
+        ran := true;
+        Memsys.snapshot ms)
   in
-  match cached with
-  | Some snap ->
-      Memsys.restore ms snap;
-      false
-  | None ->
-      warm ms;
-      let snap = Memsys.snapshot ms in
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.tbl key snap;
-      Mutex.unlock t.mutex;
-      true
+  if not !ran then Memsys.restore ms snap;
+  !ran
 
-let find_transient t ~key =
-  Mutex.lock t.mutex;
-  let v = Hashtbl.find_opt t.transients key in
-  Mutex.unlock t.mutex;
-  v
-
-let set_transient t ~key v =
-  Mutex.lock t.mutex;
-  Hashtbl.replace t.transients key v;
-  Mutex.unlock t.mutex
-(* concurrent misses on one key both compute the same deterministic
-   value, so last-write-wins is benign — same argument as with_state *)
-
-(* [f] is a pure function of the key, so racing computations agree and
-   last-write-wins loses nothing.  [f] runs outside the lock (it builds
-   environments). *)
-let master_memo t ~key f =
-  Mutex.lock t.mutex;
-  let v = Hashtbl.find_opt t.masters key in
-  Mutex.unlock t.mutex;
-  match v with
-  | Some m -> m
-  | None ->
-      let m = f () in
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.masters key m;
-      Mutex.unlock t.mutex;
-      m
+let find_transient t ~key = Memo.find t.transients key
+let set_transient t ~key v = Memo.add t.transients key v
+let master_memo t ~key f = Memo.get t.masters key f
 
 let stats t =
-  Mutex.lock t.mutex;
-  let s = { hits = t.n_hit; disk_loads = 0; misses = t.n_miss } in
-  Mutex.unlock t.mutex;
-  s
+  let s = Memo.stats t.states in
+  { hits = s.Memo.hits; disk_loads = 0; misses = s.Memo.misses }

@@ -45,8 +45,9 @@ val with_state :
     whether this call ran [warm].  Per-candidate scalars belong in
     {!find_transient}/{!set_transient}, never here: one tune's probe
     points share a snapshot while running different code.  Safe to
-    share across domains; every call counts exactly one of {!stats}'
-    [hits] or [misses]. *)
+    share across domains: racing misses on one key run [warm] once, and
+    the others restore its snapshot.  Every call counts exactly one of
+    {!stats}' [hits] (a joined warm-up included) or [misses]. *)
 
 val find_transient : t -> key:string -> float option
 (** Look up a per-(warm state, compiled code) scalar — the sampled
@@ -56,12 +57,13 @@ val find_transient : t -> key:string -> float option
 
 val set_transient : t -> key:string -> float -> unit
 (** Record a transient.  Values are deterministic functions of their
-    key, so concurrent writers racing on one key are benign. *)
+    key, so when writers race on one key the first one's value is kept
+    and nothing is lost. *)
 
 val master_memo : t -> key:string -> (unit -> Env.master) -> Env.master
 (** Memo for pristine environment images (see {!Env.capture}), keyed
     by (kernel fingerprint, element count); the sampled timer also
-    reads each kernel's page geometry off a tiny one.  [f] must be a pure function of [key]; it runs outside the
-    lock, and racing computations are benign. *)
+    reads each kernel's page geometry off a tiny one.  [f] must be a
+    pure function of [key]; racing misses run it once. *)
 
 val stats : t -> stats

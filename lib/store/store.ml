@@ -35,7 +35,7 @@ type t = {
   replica : bool;
   clock : unit -> float;
   journals : journal array;
-  flight : outcome Ifko_par.Flight.t;
+  flight : (string, outcome) Ifko_par.Flight.t;
   hit_count : int Atomic.t;
   miss_count : int Atomic.t;
   join_count : int Atomic.t;  (** cached calls answered by joining a flight *)

@@ -312,6 +312,50 @@ let test_l2_ckpt_bit_identity () =
     plain.Ifko_sim.Timer.m_cycles m2.Ifko_sim.Timer.m_cycles;
   Alcotest.(check int) "one warm-up, one hit" 1 (Ifko_sim.Ckpt.stats ckpt).Ifko_sim.Ckpt.hits
 
+(* One checkpoint cache shared by a pool's domains, as a tune shares
+   it: several in-L2 candidates, at two sizes in full fidelity and one
+   sampled, measured at jobs 1 and at jobs 4.  The cycles agree bit for
+   bit, and each run warms each distinct warm state exactly once —
+   racing misses on one key join one warm-up. *)
+let test_shared_ckpt_under_pool () =
+  let compiled = Ifko_blas.Hil_sources.compile ddot in
+  let report = Ifko_analysis.Report.analyze compiled in
+  let base = Ifko_transform.Params.default ~line_bytes:cfg.Config.prefetchable_line report in
+  let cfs =
+    List.map
+      (fun unroll ->
+        Ifko_sim.Exec.compile
+          (Ifko_search.Driver.compile_point ~cfg compiled
+             { base with Ifko_transform.Params.unroll }))
+      [ 1; 2; 4; 8 ]
+  in
+  let full n = (None, n) and sampled = (Some Ifko_sim.Timer.Sampled, 40000) in
+  let work =
+    List.concat_map (fun cf -> List.map (fun m -> (cf, m)) [ full 1024; full 2048; sampled ]) cfs
+  in
+  let distinct_warm_keys = 3 in
+  let run jobs =
+    let ckpt = Ifko_sim.Ckpt.create ~cfg () in
+    let cycles =
+      Ifko_par.Par.Pool.with_pool ~jobs (fun pool ->
+          Ifko_par.Par.Pool.map pool
+            (fun (cf, (fidelity, n)) ->
+              let m =
+                measure_ext ?fidelity ~ckpt:(ckpt, "ddot") ~context:Ifko_sim.Timer.In_l2 ~n cf
+              in
+              (* a fallback to full fidelity would warm a fourth state *)
+              if fidelity <> None && m.Ifko_sim.Timer.m_fidelity <> Ifko_sim.Timer.Sampled then
+                Alcotest.fail "the sampled candidate fell back";
+              Int64.bits_of_float m.Ifko_sim.Timer.m_cycles)
+            work)
+    in
+    (cycles, (Ifko_sim.Ckpt.stats ckpt).Ifko_sim.Ckpt.misses)
+  in
+  let c1, misses1 = run 1 and c4, misses4 = run 4 in
+  Alcotest.(check (list int64)) "cycles bit-identical at jobs 1 and 4" c1 c4;
+  Alcotest.(check int) "jobs 1: one warm-up per warm key" distinct_warm_keys misses1;
+  Alcotest.(check int) "jobs 4: one warm-up per warm key" distinct_warm_keys misses4
+
 (* the reason strings are what the CLI and the bench JSON print *)
 let test_fallback_names () =
   List.iter
@@ -422,6 +466,7 @@ let suite =
     Alcotest.test_case "sampled ckpt bit-identity" `Quick test_sampled_ckpt_bit_identity;
     Alcotest.test_case "sampled fallbacks" `Quick test_sampled_fallbacks;
     Alcotest.test_case "in-L2 ckpt bit-identity" `Quick test_l2_ckpt_bit_identity;
+    Alcotest.test_case "shared ckpt under a pool" `Quick test_shared_ckpt_under_pool;
     Alcotest.test_case "fallback names" `Quick test_fallback_names;
     Alcotest.test_case "calibrate verdicts" `Quick test_calibrate_verdicts;
     Alcotest.test_case "profile counts one measurement" `Quick test_profile_counts_once;

@@ -79,6 +79,120 @@ let test_lanes_bounded_by_jobs () =
 let test_available_jobs () =
   Alcotest.(check bool) "at least one domain" true (Ifko_par.Par.available_jobs () >= 1)
 
+(* ---------- Memo ---------- *)
+
+module Memo = Ifko_par.Memo
+
+let memo_counts m = (fun s -> (s.Memo.hits, s.Memo.misses)) (Memo.stats m)
+
+(* Four domains asking one key run the compute once; the other three
+   are answered by the table or by joining the flight, and count as
+   hits either way. *)
+let test_memo_single_flight () =
+  let m = Memo.create () and computes = Atomic.make 0 and ready = Atomic.make 0 in
+  let got =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            Memo.get m "k" (fun () ->
+                Atomic.incr computes;
+                Unix.sleepf 0.05;
+                42)))
+    |> List.map Domain.join
+  in
+  Alcotest.(check (list int)) "every caller gets the value" [ 42; 42; 42; 42 ] got;
+  Alcotest.(check int) "computed once" 1 (Atomic.get computes);
+  Alcotest.(check (pair int int)) "three hits, one miss" (3, 1) (memo_counts m)
+
+(* A raising compute reaches its own caller only, is not stored and
+   counts as a miss; a caller waiting on it takes the key over. *)
+let test_memo_raise () =
+  let m = Memo.create () in
+  (match Memo.get m "k" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "expected the compute's exception"
+  | exception Failure msg -> Alcotest.(check string) "own exception" "boom" msg);
+  Alcotest.(check (pair int int)) "a raise is a miss" (0, 1) (memo_counts m);
+  Alcotest.(check (option int)) "nothing stored" None (Memo.find m "k");
+  let m = Memo.create () and started = Atomic.make false in
+  let leader =
+    Domain.spawn (fun () ->
+        match
+          Memo.get m "k" (fun () ->
+              Atomic.set started true;
+              Unix.sleepf 0.05;
+              failwith "leader")
+        with
+        | _ -> Alcotest.fail "the leader's compute returned"
+        | exception Failure msg -> msg)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let waiter = Memo.get m "k" (fun () -> 7) in
+  Alcotest.(check string) "the leader sees its own failure" "leader" (Domain.join leader);
+  Alcotest.(check int) "the waiter computes its own value" 7 waiter;
+  Alcotest.(check (pair int int)) "both ran a compute" (0, 2) (memo_counts m);
+  Alcotest.(check int) "then held" 7 (Memo.get m "k" (fun () -> Alcotest.fail "recomputed"));
+  Alcotest.(check (pair int int)) "a hit" (1, 2) (memo_counts m)
+
+(* The held weight never passes the limit: an insert that would pass it
+   drops the whole table first, and an entry heavier than the limit on
+   its own is not stored. *)
+let test_memo_bound =
+  QCheck.Test.make ~count:200 ~name:"memo: held weight within the limit"
+    QCheck.(pair (int_range 1 40) (small_list (pair (int_range 0 9) (int_range 0 50))))
+    (fun (limit, keys) ->
+      (* a key is (name, weight) and holds its weight as the value *)
+      let m = Memo.create ~limit ~weight:snd () in
+      let model = Hashtbl.create 8 and held = ref 0 in
+      List.iteri
+        (fun i ((_, w) as k) ->
+          if i mod 2 = 0 then Memo.add m k w else ignore (Memo.get m k (fun () -> w) : int);
+          if not (Hashtbl.mem model k) then begin
+            if !held + w > limit then begin
+              Hashtbl.reset model;
+              held := 0
+            end;
+            if w <= limit then begin
+              Hashtbl.replace model k w;
+              held := !held + w
+            end
+          end;
+          let s = Memo.stats m in
+          if s.Memo.held > limit then QCheck.Test.fail_reportf "held %d > limit %d" s.Memo.held limit;
+          if s.Memo.held <> !held then
+            QCheck.Test.fail_reportf "held %d, model %d" s.Memo.held !held)
+        keys;
+      List.for_all (fun k -> Memo.find m k = Hashtbl.find_opt model k) keys)
+
+let test_memo_drop_whole () =
+  let m = Memo.create ~limit:3 () in
+  List.iter (fun k -> Memo.add m k (10 * k)) [ 1; 2; 3 ];
+  Alcotest.(check int) "full" 3 (Memo.stats m).Memo.held;
+  Memo.add m 4 40;
+  Alcotest.(check int) "dropped, then the new entry" 1 (Memo.stats m).Memo.held;
+  Alcotest.(check (list (option int))) "only the new entry held"
+    [ None; None; None; Some 40 ]
+    (List.map (Memo.find m) [ 1; 2; 3; 4 ])
+
+(* [find] counts one hit or miss, [add] counts nothing and keeps a
+   held key's first value. *)
+let test_memo_find_add () =
+  let m = Memo.create () in
+  Alcotest.(check (option string)) "empty" None (Memo.find m 1);
+  Alcotest.(check (pair int int)) "a find that misses" (0, 1) (memo_counts m);
+  Memo.add m 1 "one";
+  Memo.add m 1 "uno";
+  Alcotest.(check (pair int int)) "add counts nothing" (0, 1) (memo_counts m);
+  Alcotest.(check (option string)) "first value kept" (Some "one") (Memo.find m 1);
+  Alcotest.(check (pair int int)) "a find that hits" (1, 1) (memo_counts m);
+  Alcotest.(check string) "get sees an added value" "one" (Memo.get m 1 (fun () -> "x"));
+  Alcotest.(check (pair int int)) "a get that hits" (2, 1) (memo_counts m);
+  Alcotest.(check int) "one entry" 1 (Memo.stats m).Memo.held
+
 let suite =
   [ Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
     Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
@@ -87,4 +201,9 @@ let suite =
     Alcotest.test_case "pool survives failed batch" `Quick test_pool_survives_failed_batch;
     Alcotest.test_case "lanes bounded by jobs" `Quick test_lanes_bounded_by_jobs;
     Alcotest.test_case "available jobs" `Quick test_available_jobs;
+    Alcotest.test_case "memo: one compute across domains" `Quick test_memo_single_flight;
+    Alcotest.test_case "memo: a raise is not stored" `Quick test_memo_raise;
+    QCheck_alcotest.to_alcotest test_memo_bound;
+    Alcotest.test_case "memo: passing the limit drops all" `Quick test_memo_drop_whole;
+    Alcotest.test_case "memo: find and add counts" `Quick test_memo_find_add;
   ]

@@ -112,6 +112,27 @@ let test_proto_malformed () =
   expect_err ~id:"x3" "{\"id\":\"x3\",\"op\":\"tune\",\"kernel\":\"k\",\"n\":-5}";
   expect_err ~id:"x4" "{\"id\":\"x4\",\"op\":\"tune\",\"kernel\":\"k\",\"n\":\"big\"}";
   expect_err ~id:"x5" "{\"id\":\"x5\",\"op\":\"tune\",\"kernel\":\"   \"}";
+  (* integers past OCaml's int range are refused, not wrapped *)
+  List.iter
+    (fun (field, v) ->
+      let line =
+        Printf.sprintf "{\"id\":\"big\",\"op\":\"tune\",\"kernel\":\"k\",\"%s\":%s}" field v
+      in
+      match Proto.parse_request line with
+      | Ok _ -> Alcotest.failf "accepted %s = %s" field v
+      | Error (_, msg) ->
+        Alcotest.(check string) (field ^ " = " ^ v)
+          (Printf.sprintf "field %S must be an integer" field)
+          msg)
+    [ ("seed", "1e19"); ("seed", "4.7e18"); ("n", "1e19"); ("n", "4.7e18");
+      ("seed", "4611686018427387904") ];
+  (match
+     Proto.parse_request
+       "{\"id\":\"low\",\"op\":\"tune\",\"kernel\":\"k\",\"seed\":-4611686018427387904}"
+   with
+  | Ok { Proto.request = Proto.Tune a; _ } ->
+    Alcotest.(check int) "seed -2^62 kept exactly" min_int a.Proto.seed
+  | _ -> Alcotest.fail "seed -2^62 rejected");
   (* omitted optional fields fall back to the documented defaults *)
   match Proto.parse_request "{\"id\":\"ok\",\"op\":\"tune\",\"kernel\":\"K\"}" with
   | Ok { Proto.request = Proto.Tune a; _ } ->
