@@ -25,10 +25,31 @@ let pf_grid (cfg : Config.t) =
   let line = cfg.Config.prefetchable_line in
   [ None; Some (Instr.Nta, 8 * line) ]
 
+(* The MFLOPS of one built function, timed at full fidelity and
+   journaled in the store under [Store.timing_key] (keyed by the
+   rendered code, so editing a kernel misses): the ATLAS candidates
+   below, and Eval's compiler-model rows.  [kind] namespaces the key;
+   [params] and [prov] are what the journal records beside it. *)
+let time_func ?store ~kind ~params ~prov ~seed ~cfg ~context ~spec ~n ~flops_per_n func =
+  match
+    Ifko_store.Store.cached ?store
+      ~key:
+        (Ifko_store.Store.timing_key ~kind ~func:(Cfg.to_string func)
+           ~machine:cfg.Config.name
+           ~context:(Ifko_sim.Timer.context_name context)
+           ~n ~seed)
+      ~params ~prov
+      (fun () ->
+        let cycles = Ifko_sim.Timer.measure ~cfg ~context ~spec ~n func in
+        Ifko_store.Store.Timed
+          { cycles; mflops = Ifko_sim.Timer.mflops ~cfg ~flops_per_n ~n ~cycles })
+  with
+  | Ifko_store.Store.Timed { mflops; _ } -> mflops
+  | Ifko_store.Store.Test_failed | Ifko_store.Store.Illegal -> neg_infinity
+
 let select ?store ~cfg ~context ~n ~seed (id : Defs.kernel_id) =
   let spec = Workload.timer_spec id ~seed in
   let flops_per_n = Defs.flops_per_n id.Defs.routine in
-  let context_name = Ifko_sim.Timer.context_name context in
   let best = ref None in
   List.iter
     (fun (cand : Atlas_kernels.candidate) ->
@@ -40,34 +61,20 @@ let select ?store ~cfg ~context ~n ~seed (id : Defs.kernel_id) =
               | exception _ -> () (* a candidate that fails to build is skipped *)
               | func ->
                 (* building is construction, timing is simulation: only
-                   the timing is worth journaling, keyed by the built
-                   code itself (so editing a hand-tuned kernel misses) *)
+                   the timing is worth journaling *)
                 let mflops =
-                  match
-                    Ifko_store.Store.cached ?store
-                      ~key:
-                        (Ifko_store.Store.timing_key ~kind:"atlas"
-                           ~func:(Cfg.to_string func) ~machine:cfg.Config.name
-                           ~context:context_name ~n ~seed)
-                      ~params:
-                        (Printf.sprintf "%s pf=%s wnt=%b" cand.Atlas_kernels.cand_name
-                           (match pf with
-                           | None -> "none"
-                           | Some (_, d) -> string_of_int d)
-                           wnt)
-                      ~prov:
-                        (Printf.sprintf "atlas:%s@%s/%s/n=%d" (Defs.name id)
-                           cfg.Config.name context_name n)
-                      (fun () ->
-                        let cycles = Ifko_sim.Timer.measure ~cfg ~context ~spec ~n func in
-                        Ifko_store.Store.Timed
-                          { cycles;
-                            mflops = Ifko_sim.Timer.mflops ~cfg ~flops_per_n ~n ~cycles
-                          })
-                  with
-                  | Ifko_store.Store.Timed { mflops; _ } -> mflops
-                  | Ifko_store.Store.Test_failed | Ifko_store.Store.Illegal ->
-                    neg_infinity
+                  time_func ?store ~kind:"atlas"
+                    ~params:
+                      (Printf.sprintf "%s pf=%s wnt=%b" cand.Atlas_kernels.cand_name
+                         (match pf with
+                         | None -> "none"
+                         | Some (_, d) -> string_of_int d)
+                         wnt)
+                    ~prov:
+                      (Printf.sprintf "atlas:%s@%s/%s/n=%d" (Defs.name id) cfg.Config.name
+                         (Ifko_sim.Timer.context_name context)
+                         n)
+                    ~seed ~cfg ~context ~spec ~n ~flops_per_n func
                 in
                 let better =
                   match !best with None -> true | Some (m, _, _) -> mflops > m

@@ -44,23 +44,6 @@ let make_test id ~seed =
         Ifko_sim.Verify.check_compiled ~tol ~ret_fsize:id.Defs.prec cf env expect = Ok ())
       sizes
 
-let time_func ?store ~kind ~prov ~seed ~cfg ~context ~spec ~n ~flops_per_n func =
-  match
-    Ifko_store.Store.cached ?store
-      ~key:
-        (Ifko_store.Store.timing_key ~kind ~func:(Cfg.to_string func)
-           ~machine:cfg.Config.name
-           ~context:(Ifko_sim.Timer.context_name context)
-           ~n ~seed)
-      ~params:kind ~prov
-      (fun () ->
-        let cycles = Ifko_sim.Timer.measure ~cfg ~context ~spec ~n func in
-        Ifko_store.Store.Timed
-          { cycles; mflops = Ifko_sim.Timer.mflops ~cfg ~flops_per_n ~n ~cycles })
-  with
-  | Ifko_store.Store.Timed { mflops; _ } -> mflops
-  | Ifko_store.Store.Test_failed | Ifko_store.Store.Illegal -> neg_infinity
-
 let run_kernel ?store ?jobs ~cfg ~context ~n ~seed id =
   let compiled = Hil_sources.compile id in
   (* per the paper (§3.2.1), the native compilers get the
@@ -76,7 +59,10 @@ let run_kernel ?store ?jobs ~cfg ~context ~n ~seed id =
     Printf.sprintf "%s@%s/%s/n=%d" (Defs.name id) cfg.Config.name
       (Ifko_sim.Timer.context_name context) n
   in
-  let time ~kind = time_func ?store ~kind ~prov ~seed ~cfg ~context ~spec ~n ~flops_per_n in
+  let time ~kind =
+    Ifko_baselines.Atlas_search.time_func ?store ~kind ~params:kind ~prov ~seed ~cfg ~context
+      ~spec ~n ~flops_per_n
+  in
   let verified = ref true in
   let check func = if not (test func) then verified := false in
   (* native-compiler models *)

@@ -141,22 +141,6 @@ let of_name = function
   | "opteron" -> Ok opteron
   | other -> Error (Printf.sprintf "unknown machine %S (p4e|opteron)" other)
 
-(** Canonical rendering of every parameter that can influence the
-    memory system's state or timing.  Memory-system pools (Arena) are
-    keyed by it, so two configurations that differ in any cache
-    geometry or bus/latency parameter never share a pooled system. *)
-let geometry t =
-  let lvl l = Printf.sprintf "%d/%d/%d/%d" l.size l.line l.assoc l.latency in
-  Printf.sprintf
-    "%s ghz=%.17g iw=%d rob=%d l1=%s l2=%s mem=%d bus=%.17g mshrs=%d \
-     fp=%d/%d/%d vu=%d hwpf=%d/%d wnt=%.17g wb=%.17g bmp=%d pl=%d \
-     turn=%.17g pfq=%d pff=%.17g"
-    t.name t.ghz t.issue_width t.rob_size (lvl t.l1) (lvl t.l2) t.mem_latency
-    t.bus_bytes_per_cycle t.mshrs t.fadd_lat t.fmul_lat t.fdiv_lat t.vec_uops
-    t.hw_prefetch_ahead t.hw_prefetch_streams t.wnt_read_penalty t.wb_extra
-    t.branch_misp_penalty t.prefetchable_line t.bus_turnaround t.pf_queue
-    t.pf_latency_factor
-
 (** Elements of [fsize] per line of the first prefetchable cache — the
     paper's L_e, used for FKO's default unroll factor. *)
 let elems_per_line t fsize = t.prefetchable_line / Instr.fsize_bytes fsize

@@ -539,8 +539,7 @@ let observe t ~now (f : fill) line =
 (* The hot calling convention: the caller's clock comes in through
    [fl.(f_now)] and the completion time goes out through [fl.(f_ret)].
    Passing them as float argument/return would box both on every
-   simulated memory instruction (the labelled wrappers below do
-   exactly that, for callers off the hot path). *)
+   simulated memory instruction. *)
 (* The open-coded steady-state fast path.  Guard:
    - [fifo_len = 0]: nothing is in flight (every live fill holds a fifo
      entry, so this implies [if_n = 0]) — the general path's inflight
@@ -618,11 +617,6 @@ let load_io t addr =
     end
   end
 
-let load t ~addr ~now =
-  t.fl.(f_now) <- now;
-  load_io t addr;
-  t.fl.(f_ret)
-
 let store_io t addr =
   let now = Array.unsafe_get t.fl f_now in
   t.n_stores <- t.n_stores + 1;
@@ -663,13 +657,10 @@ let store_io t addr =
       ignore (demand_fetch t ~now ~write:true addr : float)
   end
 
-let store t ~addr ~now =
-  t.fl.(f_now) <- now;
-  store_io t addr
-
 let io t = t.fl
 let io_now = f_now
 let io_ret = f_ret
+let io_bus = f_bus
 
 (* Flush the write-combining buffer: its contents cross the bus as one
    write burst. *)
@@ -709,12 +700,6 @@ let nt_store_io t ~bytes addr =
     t.fl.(f_claims) <- t.fl.(f_claims) +. pen
   end
 
-let nt_store t ~addr ~bytes ~now =
-  t.fl.(f_now) <- now;
-  nt_store_io t ~bytes addr
-
-let bus_backlog t ~now = fmax 0.0 (t.fl.(f_bus) -. now)
-
 let prefetch_io t ~kind addr =
   let now = Array.unsafe_get t.fl f_now in
   let cfg = t.cfg in
@@ -751,15 +736,7 @@ let prefetch_io t ~kind addr =
     end
   end
 
-let prefetch t ~kind ~addr ~now =
-  t.fl.(f_now) <- now;
-  prefetch_io t ~kind addr
-
 let warm_l2 t ~addr = ignore (Cache.insert t.l2 ~addr ~write:false : int option)
-
-let warm_all t ~addr =
-  ignore (Cache.insert t.l2 ~addr ~write:false : int option);
-  ignore (Cache.insert t.l1 ~addr ~write:false : int option)
 
 let drain_time t ~now =
   wc_flush t now;

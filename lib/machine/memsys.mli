@@ -2,77 +2,61 @@
     bus, an MSHR-limited miss pipe, a page-bounded hardware stream
     prefetcher, software prefetch, and the non-temporal store path.
 
-    All functions take and return times in cycles (floats).  The CPU
-    model calls [load]/[store]/[nt_store]/[prefetch] with the current
-    dispatch time and uses the returned completion time for dependent
-    instructions; bandwidth and miss-parallelism limits emerge from the
-    evolving bus and MSHR state. *)
+    All times are in cycles (floats).  The CPU model issues each memory
+    operation at its dispatch time and uses a load's completion time
+    for dependent instructions; bandwidth and miss-parallelism limits
+    emerge from the evolving bus and MSHR state. *)
 
 type t
 
 val create : Config.t -> t
 
 val config : t -> Config.t
-(** The machine description this instance was built from (what
-    {!Arena} keys its pools on). *)
+(** The machine description this instance was built from (the key of
+    the timers' machine pool). *)
 
 val reset : t -> flush:bool -> unit
 (** Zero the clock-dependent state (bus, MSHRs, in-flight fills,
     prefetch streams, statistics); additionally empty both caches when
     [flush] is set — the timers' out-of-cache context. *)
 
-val load : t -> addr:int -> now:float -> float
-(** Completion time of a load whose line contains [addr]. *)
+(** {2 Memory operations}
 
-val store : t -> addr:int -> now:float -> unit
-(** Regular (write-allocate) store: generates read-for-ownership
-    traffic on miss and dirty-writeback traffic on eviction, but never
-    stalls the pipeline (store-buffer semantics). *)
-
-(** {2 Unboxed calling convention}
-
-    The simulator calls [load]/[store] once per simulated memory
-    instruction, and a float argument or return value crossing a module
-    boundary is boxed on every call.  The [_io] variants move both
-    times through a reusable float array instead: write the dispatch
-    time at index [io_now], call, read the completion time at [io_ret].
-    Semantically identical to the labelled functions above. *)
+    The simulator calls these once per simulated memory instruction,
+    and a float argument or return value crossing a module boundary is
+    boxed on every call, so times move through a reusable float array
+    instead: write the dispatch time at index [io_now], call, and read
+    a load's completion time at [io_ret]. *)
 
 val io : t -> float array
 val io_now : int
 val io_ret : int
 
+val io_bus : int
+(** Index of the bus frontier in {!io}: the time at which every
+    queued bus transfer has drained.  Read it, never write it. *)
+
 val load_io : t -> int -> unit
-(** [load t ~addr] with [now] read from [io_now] and the completion
-    time written to [io_ret]. *)
+(** Load the line containing the address: its completion time is
+    written to [io_ret]. *)
 
 val store_io : t -> int -> unit
-(** [store t ~addr] with [now] read from [io_now]. *)
+(** Regular (write-allocate) store: generates read-for-ownership
+    traffic on miss and dirty-writeback traffic on eviction, but never
+    stalls the pipeline (store-buffer semantics). *)
 
 val nt_store_io : t -> bytes:int -> int -> unit
-(** [nt_store] with [now] read from [io_now]. *)
-
-val prefetch_io : t -> kind:Instr.pf_kind -> int -> unit
-(** [prefetch] with [now] read from [io_now]. *)
-
-val nt_store : t -> addr:int -> bytes:int -> now:float -> unit
 (** Non-temporal store: write-combining traffic straight to memory, no
     allocation, no read-for-ownership; pays the configured penalty when
     the line is cached (it must be invalidated and flushed). *)
 
-val prefetch : t -> kind:Instr.pf_kind -> addr:int -> now:float -> unit
+val prefetch_io : t -> kind:Instr.pf_kind -> int -> unit
 (** Software prefetch.  Dropped silently when the bus is backed up by
     more than the configured slack, as real implementations do. *)
 
 val warm_l2 : t -> addr:int -> unit
 (** Install the line containing [addr] in L2 without any timing effect
     (the timers' in-L2 context setup). *)
-
-val warm_all : t -> addr:int -> unit
-(** Install in both levels (used to model a fully warm working set). *)
-
-val bus_backlog : t -> now:float -> float
-(** How many cycles of transfers are queued on the bus. *)
 
 val drain_time : t -> now:float -> float
 (** Time at which all queued bus traffic has drained; timing runs end
@@ -92,7 +76,7 @@ val pending_writeback_cost : t -> float
     bench driver and [ifko sim] only control reporting. *)
 
 type profile = {
-  loads : int;  (** total [load]/[load_io] calls *)
+  loads : int;  (** total [load_io] calls *)
   stores : int;
   fast_loads : int;  (** loads served entirely by the open-coded fast path *)
   fast_stores : int;

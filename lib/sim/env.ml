@@ -16,34 +16,27 @@ type t = {
 
 let stack_bytes = 4096
 
-(* Size-keyed pool of zeroed backing buffers.  Building an environment
-   used to allocate (and fault in) a fresh multi-hundred-KB Bytes.t per
-   measurement; recycling them through a pool turns that into a memset.
-   Invariant: every pooled buffer is all-zero — [release] scrubs the
-   whole buffer, not just [0, cursor), because the simulator only
-   bounds-checks accesses against the buffer length, so a stray
-   (kernel-authored) access past the allocation cursor must read the
-   same bytes a fresh buffer holds.  Thread-safe: timer measurements
-   run concurrently on the probe pool. *)
-let pool_mutex = Mutex.create ()
-let buf_pools : (int, Bytes.t list ref) Hashtbl.t = Hashtbl.create 7
-let max_pooled_buffers = 32
+(* Pool of zeroed backing buffers, keyed and weighed by byte length.
+   Building an environment used to allocate (and fault in) a fresh
+   multi-hundred-KB Bytes.t per measurement; recycling them through a
+   pool turns that into a memset.  Invariant: every pooled buffer is
+   all-zero — [release] scrubs the whole buffer, not just [0, cursor),
+   because the simulator only bounds-checks accesses against the buffer
+   length, so a stray (kernel-authored) access past the allocation
+   cursor must read the same bytes a fresh buffer holds.  The limit
+   bounds the bytes held across all sizes, far above any measured
+   peak (DESIGN.md §15, "Pools"). *)
+let max_pooled_bytes = 32 * 1024 * 1024
 
-let take_buffer mem_bytes =
-  Mutex.lock pool_mutex;
-  let buf =
-    match Hashtbl.find_opt buf_pools mem_bytes with
-    | Some ({ contents = b :: rest } as cell) ->
-      cell := rest;
-      Some b
-    | _ -> None
-  in
-  Mutex.unlock pool_mutex;
-  match buf with Some b -> b | None -> Bytes.make mem_bytes '\000'
+let buffers : (int, Bytes.t) Ifko_par.Freelist.t =
+  Ifko_par.Freelist.create ~limit:max_pooled_bytes ~weight:Fun.id ()
 
 let create ?(mem_bytes = 4 * 1024 * 1024) () =
   {
-    memory = take_buffer mem_bytes;
+    memory =
+      (match Ifko_par.Freelist.take buffers mem_bytes with
+      | Some b -> b
+      | None -> Bytes.make mem_bytes '\000');
     stack = 64;
     cursor = 64 + stack_bytes;
     array_count = 0;
@@ -59,11 +52,7 @@ let release t =
   let len = Bytes.length t.memory in
   Bytes.fill t.memory 0 len '\000';
   Hashtbl.reset t.table;
-  Mutex.lock pool_mutex;
-  (match Hashtbl.find_opt buf_pools len with
-  | Some cell -> if List.length !cell < max_pooled_buffers then cell := t.memory :: !cell
-  | None -> Hashtbl.add buf_pools len (ref [ t.memory ]));
-  Mutex.unlock pool_mutex
+  Ifko_par.Freelist.put buffers len t.memory
 
 let mem t = t.memory
 let stack_base t = t.stack

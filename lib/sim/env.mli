@@ -34,6 +34,13 @@ val release : t -> unit
     @raise Invalid_argument when [t] was already released — one buffer
     in the pool twice would let two live environments share memory. *)
 
+val buffers : (int, Bytes.t) Ifko_par.Freelist.t
+(** The pool {!create} takes buffers from and {!release} returns them
+    to, keyed and weighed by byte length: it holds at most
+    {!max_pooled_bytes} bytes across all sizes. *)
+
+val max_pooled_bytes : int
+
 type master
 (** An immutable pristine image of an environment: its written prefix,
     bindings and allocation state.  Capture once per (spec, n), then

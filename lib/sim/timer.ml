@@ -51,7 +51,7 @@ type measurement = {
    when disabled the clock reads are skipped entirely.  Accumulation is
    mutex-guarded (measurements run concurrently on the probe pool). *)
 type attribution = {
-  at_arena_s : float;  (** acquiring/releasing pooled machines *)
+  at_arena_s : float;  (** taking machines from the pool and putting them back *)
   at_env_s : float;  (** building, materializing and scrubbing environments *)
   at_restore_s : float;  (** snapshot capture/restore and warm-state plumbing *)
   at_exec_s : float;  (** inside [Exec.exec] — the actual simulation *)
@@ -127,6 +127,27 @@ let prepare ~cfg ~context ms env =
     Env.iter_array_lines env ~line:cfg.Config.l2.Config.line (fun addr ->
         Memsys.warm_l2 ms ~addr)
 
+(* Machines are borrowed from a pool keyed by their whole [Config.t],
+   compared structurally, so two configs share instances exactly when
+   every parameter agrees.  A Memsys.t for a 1 MB L2 is ~300 KB of arrays: building
+   one per measurement would dominate the sampled path's fixed floor.
+   The pool does not clean a returned machine: every timer path begins
+   by resetting ([prepare]) or restoring into it, which it must do even
+   on a fresh one to pick its context, and [Memsys.reset ~flush] and
+   [Memsys.restore] are bit-identical to fresh construction.  So a
+   machine left mid-simulation by a trap is safe to return too. *)
+let max_pooled_machines = 32
+
+let machines : (Config.t, Memsys.t) Ifko_par.Freelist.t =
+  Ifko_par.Freelist.create ~limit:max_pooled_machines ()
+
+let borrow_machine cfg =
+  match Ifko_par.Freelist.take machines cfg with
+  | Some ms -> ms
+  | None -> Memsys.create cfg
+
+let return_machine ms = Ifko_par.Freelist.put machines (Memsys.config ms) ms
+
 (* One charged window: a timed run of [cf] over [env].  Out of cache it
    is charged the writeback debt it created — the debt after the run
    minus the debt before it, which is 0.0 on a freshly prepared
@@ -144,8 +165,8 @@ let charged ~cfg ~context ~spec ms cf env =
     r.Exec.cycles +. debt () -. before
 
 (* One simulation of the whole problem at [n].  The machine is borrowed
-   from the geometry-keyed arena pool and the environment's buffer from
-   the zeroed-buffer pool; [prepare] puts them into a known state, so
+   from the machine pool and the environment's buffer from the
+   zeroed-buffer pool; [prepare] puts them into a known state, so
    both are bit-identical to fresh construction.  With [ckpt], the in-L2
    context is restored from (or captured into) the checkpoint cache
    instead of re-installed — observably identical either way.  Out of
@@ -153,12 +174,11 @@ let charged ~cfg ~context ~spec ms cf env =
    to restore, so [ckpt] is not consulted. *)
 let run_once tally ?ckpt ~cfg ~context ~spec ~n cf =
   let env = timed tally b_env (fun () -> spec.make_env n) in
-  let ms = timed tally b_arena (fun () -> Arena.acquire cfg) in
+  let ms = timed tally b_arena (fun () -> borrow_machine cfg) in
   Fun.protect
     ~finally:(fun () ->
-      timed tally b_env (fun () ->
-          Arena.release ms;
-          Env.release env))
+      timed tally b_arena (fun () -> return_machine ms);
+      timed tally b_env (fun () -> Env.release env))
     (fun () ->
       timed tally b_restore (fun () ->
           match (context, ckpt) with
@@ -304,7 +324,7 @@ let windows tally ?ckpt ~cfg ~context ~spec ~pe cf =
   let transient_key c kernel = snap_key c kernel ^ ":" ^ Exec.digest cf in
   let materialize m = timed tally b_env (fun () -> Env.materialize m) in
   let release e = timed tally b_env (fun () -> Env.release e) in
-  let ms = timed tally b_arena (fun () -> Arena.acquire cfg) in
+  let ms = timed tally b_arena (fun () -> borrow_machine cfg) in
   let run env = timed tally b_exec (fun () -> charged ~cfg ~context ~spec ms cf env) in
   (* a resumed window continues the warm state, charged only for the
      writeback debt it adds on top of the warm-up's *)
@@ -366,7 +386,7 @@ let windows tally ?ckpt ~cfg ~context ~spec ~pe cf =
       Option.iter (fun (c, kernel) -> Ckpt.set_transient c ~key:(transient_key c kernel) tr) ckpt;
       (c_cold, c1 -. tr, elems + n_win + n_rate)
   in
-  Fun.protect ~finally:(fun () -> timed tally b_arena (fun () -> Arena.release ms)) body
+  Fun.protect ~finally:(fun () -> timed tally b_arena (fun () -> return_machine ms)) body
 
 (* Sampled fidelity, or the escape hatch that refuses it.  The in-L2
    context is served by the cache-resident window scheme as long as the

@@ -77,6 +77,19 @@ val prepare :
     installed in L2.  Every timer path starts from it; callers that
     drive {!Exec} directly use it to start where the timer does. *)
 
+val machines : (Ifko_machine.Config.t, Ifko_machine.Memsys.t) Ifko_par.Freelist.t
+(** The machines every timer path borrows, keyed by their config
+    (compared structurally), at most 32 held.  A returned machine is not cleaned: a borrower
+    must {!prepare} or [Memsys.restore] it before reading anything. *)
+
+val borrow_machine : Ifko_machine.Config.t -> Ifko_machine.Memsys.t
+(** A pooled machine of this config, in an arbitrary prior state, or a
+    fresh one when none is held. *)
+
+val return_machine : Ifko_machine.Memsys.t -> unit
+(** Put a machine back in {!machines}; the caller must not use it
+    afterwards.  Safe on a machine left mid-simulation by a trap. *)
+
 val measure :
   ?fidelity:fidelity ->
   ?ckpt:Ckpt.t * string ->
@@ -143,7 +156,7 @@ val mflops :
     (no clock reads on the hot path); safe across domains. *)
 
 type attribution = {
-  at_arena_s : float;  (** acquiring/releasing pooled machines *)
+  at_arena_s : float;  (** taking machines from the pool and putting them back *)
   at_env_s : float;  (** building, materializing and scrubbing environments *)
   at_restore_s : float;  (** snapshot capture/restore and warm-state plumbing *)
   at_exec_s : float;  (** inside [Exec.exec] — the actual simulation *)

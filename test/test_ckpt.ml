@@ -25,13 +25,13 @@ let isamax = { Ifko_blas.Defs.routine = Ifko_blas.Defs.Iamax; prec = Instr.S }
    to populate both cache levels, the MSHRs and the prefetch streams *)
 let prefix ms =
   for i = 0 to 127 do
-    ignore (Memsys.load ms ~addr:(i * 64) ~now:(float_of_int (i * 5)) : float);
-    if i land 3 = 0 then Memsys.store ms ~addr:(65536 + (i * 64)) ~now:(float_of_int (i * 5))
+    ignore (Memops.load ms ~addr:(i * 64) ~now:(float_of_int (i * 5)) : float);
+    if i land 3 = 0 then Memops.store ms ~addr:(65536 + (i * 64)) ~now:(float_of_int (i * 5))
   done
 
 let continuation ~base ms =
   List.init 48 (fun i ->
-      Memsys.load ms ~addr:(262144 + (i * 64)) ~now:(base +. float_of_int (i * 4)) -. base)
+      Memops.load ms ~addr:(262144 + (i * 64)) ~now:(base +. float_of_int (i * 4)) -. base)
 
 let test_snapshot_restore_replay () =
   let ms = Memsys.create cfg in

@@ -85,11 +85,11 @@ let fresh_ms cfg =
 let test_load_latencies () =
   let cfg = Config.p4e in
   let ms = fresh_ms cfg in
-  let t1 = Memsys.load ms ~addr:4096 ~now:0.0 in
+  let t1 = Memops.load ms ~addr:4096 ~now:0.0 in
   Alcotest.(check bool) "cold load pays full memory latency" true
     (t1 >= float_of_int cfg.Config.mem_latency);
   (* after the fill settles, the same line is an L1 hit *)
-  let t2 = Memsys.load ms ~addr:4096 ~now:(t1 +. 1.0) in
+  let t2 = Memops.load ms ~addr:4096 ~now:(t1 +. 1.0) in
   Alcotest.(check (float 1e-9)) "L1 hit latency"
     (t1 +. 1.0 +. float_of_int cfg.Config.l1.Config.latency)
     t2
@@ -102,7 +102,7 @@ let test_bandwidth_bound () =
   let finish = ref 0.0 in
   let now = ref 0.0 in
   for i = 0 to (bytes / 8) - 1 do
-    finish := Float.max !finish (Memsys.load ms ~addr:(4096 + (i * 8)) ~now:!now);
+    finish := Float.max !finish (Memops.load ms ~addr:(4096 + (i * 8)) ~now:!now);
     now := !now +. 0.5
   done;
   let min_cycles = float_of_int bytes /. cfg.Config.bus_bytes_per_cycle in
@@ -115,8 +115,8 @@ let test_prefetch_hides_latency () =
     let now = ref 0.0 and finish = ref 0.0 in
     for i = 0 to 4095 do
       let addr = 4096 + (i * 8) in
-      if pf then Memsys.prefetch ms ~kind:Instr.Nta ~addr:(addr + 2048) ~now:!now;
-      let c = Memsys.load ms ~addr ~now:!now in
+      if pf then Memops.prefetch ms ~kind:Instr.Nta ~addr:(addr + 2048) ~now:!now;
+      let c = Memops.load ms ~addr ~now:!now in
       finish := Float.max !finish c;
       (* consumer paced by data arrival, like a ROB-limited core *)
       now := Float.max (!now +. 2.0) (c -. 200.0)
@@ -132,13 +132,13 @@ let test_nt_store_penalty_when_cached () =
   let cfg = Config.opteron in
   let ms = fresh_ms cfg in
   (* load brings the line into cache; an NT store to it must pay *)
-  let _ = Memsys.load ms ~addr:4096 ~now:0.0 in
-  let before = Memsys.bus_backlog ms ~now:10000.0 in
-  Memsys.nt_store ms ~addr:4096 ~bytes:8 ~now:10000.0;
-  let cached_cost = Memsys.bus_backlog ms ~now:10000.0 -. before in
+  let _ = Memops.load ms ~addr:4096 ~now:0.0 in
+  let before = Memops.bus_backlog ms ~now:10000.0 in
+  Memops.nt_store ms ~addr:4096 ~bytes:8 ~now:10000.0;
+  let cached_cost = Memops.bus_backlog ms ~now:10000.0 -. before in
   let ms2 = fresh_ms cfg in
-  Memsys.nt_store ms2 ~addr:4096 ~bytes:8 ~now:10000.0;
-  let cold_cost = Memsys.bus_backlog ms2 ~now:10000.0 in
+  Memops.nt_store ms2 ~addr:4096 ~bytes:8 ~now:10000.0;
+  let cold_cost = Memops.bus_backlog ms2 ~now:10000.0 in
   Alcotest.(check bool)
     (Printf.sprintf "penalty %.1f > streaming %.1f" cached_cost cold_cost)
     true (cached_cost > cold_cost)
@@ -149,20 +149,20 @@ let test_bus_turnaround () =
   let alternating =
     let ms = fresh_ms cfg in
     for i = 0 to 31 do
-      let _ = Memsys.load ms ~addr:(4096 + (i * 128)) ~now:0.0 in
-      Memsys.nt_store ms ~addr:(65536 + (i * 128)) ~bytes:64 ~now:0.0
+      let _ = Memops.load ms ~addr:(4096 + (i * 128)) ~now:0.0 in
+      Memops.nt_store ms ~addr:(65536 + (i * 128)) ~bytes:64 ~now:0.0
     done;
-    Memsys.bus_backlog ms ~now:0.0
+    Memops.bus_backlog ms ~now:0.0
   in
   let batched =
     let ms = fresh_ms cfg in
     for i = 0 to 31 do
-      ignore (Memsys.load ms ~addr:(4096 + (i * 128)) ~now:0.0 : float)
+      ignore (Memops.load ms ~addr:(4096 + (i * 128)) ~now:0.0 : float)
     done;
     for i = 0 to 31 do
-      Memsys.nt_store ms ~addr:(65536 + (i * 128)) ~bytes:64 ~now:0.0
+      Memops.nt_store ms ~addr:(65536 + (i * 128)) ~bytes:64 ~now:0.0
     done;
-    Memsys.bus_backlog ms ~now:0.0
+    Memops.bus_backlog ms ~now:0.0
   in
   Alcotest.(check bool)
     (Printf.sprintf "alternating %.0f > batched %.0f" alternating batched)
@@ -179,7 +179,7 @@ let test_hw_prefetcher_covers_stream () =
     let now = ref 0.0 in
     for i = 0 to lines - 1 do
       let addr = 4096 + (i * 64) in
-      let c = Memsys.load ms ~addr ~now:!now in
+      let c = Memops.load ms ~addr ~now:!now in
       if c -. !now >= float_of_int cfg.Config.mem_latency then incr full_misses;
       now := Float.max (!now +. 20.0) c
     done;
@@ -202,11 +202,11 @@ let test_wc_batching () =
   let cfg = Config.p4e in
   let ms = fresh_ms cfg in
   for i = 0 to 7 do
-    Memsys.nt_store ms ~addr:(4096 + (i * 8)) ~bytes:8 ~now:0.0
+    Memops.nt_store ms ~addr:(4096 + (i * 8)) ~bytes:8 ~now:0.0
   done;
-  Alcotest.(check (float 1e-9)) "still buffered" 0.0 (Memsys.bus_backlog ms ~now:0.0);
-  Memsys.nt_store ms ~addr:8192 ~bytes:8 ~now:0.0;
-  let after_switch = Memsys.bus_backlog ms ~now:0.0 in
+  Alcotest.(check (float 1e-9)) "still buffered" 0.0 (Memops.bus_backlog ms ~now:0.0);
+  Memops.nt_store ms ~addr:8192 ~bytes:8 ~now:0.0;
+  let after_switch = Memops.bus_backlog ms ~now:0.0 in
   Alcotest.(check bool) "line flushed on switch" true
     (after_switch >= 64.0 /. cfg.Config.bus_bytes_per_cycle)
 
@@ -215,10 +215,10 @@ let test_touch_is_demand_priority () =
      software prefetch of the same line lands later (lazy latency) *)
   let cfg = Config.p4e in
   let ms1 = fresh_ms cfg in
-  let demand = Memsys.load ms1 ~addr:4096 ~now:0.0 in
+  let demand = Memops.load ms1 ~addr:4096 ~now:0.0 in
   let ms2 = fresh_ms cfg in
-  Memsys.prefetch ms2 ~kind:Instr.Nta ~addr:4096 ~now:0.0;
-  let via_pf = Memsys.load ms2 ~addr:4096 ~now:1.0 in
+  Memops.prefetch ms2 ~kind:Instr.Nta ~addr:4096 ~now:0.0;
+  let via_pf = Memops.load ms2 ~addr:4096 ~now:1.0 in
   Alcotest.(check bool)
     (Printf.sprintf "prefetched arrival %.0f later than demand %.0f" via_pf demand)
     true (via_pf > demand)
@@ -227,7 +227,7 @@ let test_warm_l2 () =
   let cfg = Config.p4e in
   let ms = fresh_ms cfg in
   Memsys.warm_l2 ms ~addr:4096;
-  let t = Memsys.load ms ~addr:4096 ~now:0.0 in
+  let t = Memops.load ms ~addr:4096 ~now:0.0 in
   Alcotest.(check bool) "L2-warm load is fast" true
     (t <= float_of_int (cfg.Config.l2.Config.latency + 1))
 
@@ -235,9 +235,9 @@ let test_pending_writeback_cost () =
   let cfg = Config.p4e in
   let ms = fresh_ms cfg in
   Alcotest.(check (float 1e-9)) "clean = 0" 0.0 (Memsys.pending_writeback_cost ms);
-  (* dirty a line via a store to a warm line *)
-  Memsys.warm_all ms ~addr:4096;
-  Memsys.store ms ~addr:4096 ~now:0.0;
+  (* dirty a line via a store to an L2-warm line *)
+  Memsys.warm_l2 ms ~addr:4096;
+  Memops.store ms ~addr:4096 ~now:0.0;
   Alcotest.(check bool) "dirty lines cost" true (Memsys.pending_writeback_cost ms > 0.0)
 
 let test_elems_per_line () =
@@ -278,12 +278,12 @@ let test_cache_flush_clears_acceleration () =
   done;
   Alcotest.(check (pair int int)) "same stats" (Cache.stats fresh) (Cache.stats reused)
 
-(* ---- machine arena pooling ----
+(* ---- the timers' machine pool ----
 
-   The pool's contract is deliberately loose — [release] does not clean
-   and [acquire] may return an instance holding arbitrary prior state —
-   so these tests drive the exact caller protocol (reset or restore
-   before first use) and check bit-identity against fresh construction. *)
+   The pool's contract is deliberately loose — a returned machine is
+   not cleaned and a borrowed one may hold arbitrary prior state — so
+   these tests drive the exact caller protocol (reset or restore before
+   first use) and check bit-identity against fresh construction. *)
 
 (* A deterministic mixed workload: strided loads/stores/prefetches over
    a few arrays, returning a trace (sum of completion times) plus the
@@ -294,9 +294,9 @@ let drive ms =
   for i = 0 to 799 do
     let addr = 4096 + (i * 24 mod 16384) in
     (match i land 3 with
-    | 0 | 1 -> acc := !acc +. Memsys.load ms ~addr ~now:!now
-    | 2 -> Memsys.store ms ~addr:(32768 + (i * 64 mod 8192)) ~now:!now
-    | _ -> Memsys.prefetch ms ~kind:Instr.T0 ~addr:(addr + 4096) ~now:!now);
+    | 0 | 1 -> acc := !acc +. Memops.load ms ~addr ~now:!now
+    | 2 -> Memops.store ms ~addr:(32768 + (i * 64 mod 8192)) ~now:!now
+    | _ -> Memops.prefetch ms ~kind:Instr.T0 ~addr:(addr + 4096) ~now:!now);
     now := !now +. 1.5
   done;
   let p = Memsys.profile ms in
@@ -308,49 +308,57 @@ let fresh_trace cfg =
   Memsys.reset ms ~flush:true;
   drive ms
 
+(* borrows since [s0], and how many of them built a fresh machine *)
+let borrows_since (s0 : Ifko_par.Memo.stats) =
+  let s = Ifko_par.Freelist.stats Ifko_sim.Timer.machines in
+  (s.hits + s.misses - s0.hits - s0.misses, s.misses - s0.misses)
+
 let test_arena_reuse_interleaved () =
-  Arena.clear ();
+  let s0 = Memops.drain_machines [ Config.p4e; Config.opteron ] in
   let want_p4e = fresh_trace Config.p4e in
   let want_opt = fresh_trace Config.opteron in
-  (* interleave the two geometries so each release/acquire pair hands
+  (* interleave the two geometries so each return/borrow pair hands
      back an instance dirtied by the previous round *)
   for round = 1 to 4 do
     List.iter
       (fun (cfg, want) ->
-        let ms = Arena.acquire cfg in
+        let ms = Ifko_sim.Timer.borrow_machine cfg in
         Memsys.reset ms ~flush:true;
         let got = drive ms in
         Alcotest.(check (pair (float 0.0) (pair (pair int int) (pair int int))))
           (Printf.sprintf "round %d %s identical to fresh" round cfg.Config.name)
           want got;
-        Arena.release ms)
+        Ifko_sim.Timer.return_machine ms)
       [ (Config.p4e, want_p4e); (Config.opteron, want_opt) ]
   done;
-  let s = Arena.stats () in
-  Alcotest.(check int) "acquires" 8 s.Arena.acquires;
-  Alcotest.(check int) "one instance created per geometry" 2 s.Arena.creates
+  let borrows, creates = borrows_since s0 in
+  Alcotest.(check int) "acquires" 8 borrows;
+  Alcotest.(check int) "one instance created per geometry" 2 creates
 
-(* A run that traps mid-flight releases a half-driven machine back to
-   the pool; the next borrower's reset must erase every trace of it. *)
+(* A run that traps mid-flight returns a half-driven machine to the
+   pool; the next borrower's reset must erase every trace of it. *)
 let test_arena_reset_after_trap () =
-  Arena.clear ();
+  let s0 = Memops.drain_machines [ Config.p4e ] in
   let want = fresh_trace Config.p4e in
   (match
-     Arena.with_machine Config.p4e (fun ms ->
+     let ms = Ifko_sim.Timer.borrow_machine Config.p4e in
+     Fun.protect
+       ~finally:(fun () -> Ifko_sim.Timer.return_machine ms)
+       (fun () ->
          Memsys.reset ms ~flush:true;
          for i = 0 to 99 do
-           ignore (Memsys.load ms ~addr:(i * 64) ~now:(float_of_int i) : float)
+           ignore (Memops.load ms ~addr:(i * 64) ~now:(float_of_int i) : float)
          done;
          failwith "trap")
    with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "expected the trap to propagate");
-  let ms = Arena.acquire Config.p4e in
+  let ms = Ifko_sim.Timer.borrow_machine Config.p4e in
   Memsys.reset ms ~flush:true;
   Alcotest.(check (pair (float 0.0) (pair (pair int int) (pair int int))))
     "post-trap borrower identical to fresh" want (drive ms);
-  Arena.release ms;
-  Alcotest.(check int) "the trapped instance was pooled" 1 (Arena.stats ()).Arena.creates
+  Ifko_sim.Timer.return_machine ms;
+  Alcotest.(check int) "the trapped instance was pooled" 1 (snd (borrows_since s0))
 
 (* Restore targets may hold arbitrary prior contents of the same
    geometry (the pool hands them out that way): a snapshot applied over
@@ -373,7 +381,7 @@ let test_restore_into_used_instance () =
     Memsys.reset ms ~flush:true;
     (* different touched set and clock state than the snapshot *)
     for i = 0 to 499 do
-      ignore (Memsys.load ms ~addr:(65536 + (i * 72 mod 32768)) ~now:(float_of_int i))
+      ignore (Memops.load ms ~addr:(65536 + (i * 72 mod 32768)) ~now:(float_of_int i))
     done;
     Memsys.restore ms snap;
     cont ms

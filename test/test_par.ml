@@ -193,6 +193,110 @@ let test_memo_find_add () =
   Alcotest.(check (pair int int)) "a get that hits" (2, 1) (memo_counts m);
   Alcotest.(check int) "one entry" 1 (Memo.stats m).Memo.held
 
+(* ---------- Freelist ---------- *)
+
+module Freelist = Ifko_par.Freelist
+
+let pool_counts p = (fun (s : Memo.stats) -> (s.hits, s.misses, s.held)) (Freelist.stats p)
+
+(* Four domains taking and putting over three keys under a limit small
+   enough to force drops: a value is never held by two domains at once
+   (its flag is claimed on take and released before put), and every
+   take counts once, a miss exactly when the domain built a value. *)
+let test_freelist_exclusive () =
+  let p = Freelist.create ~limit:5 () in
+  let rounds = 2000 and ready = Atomic.make 0 and shared = Atomic.make 0 in
+  let builds =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            let built = ref 0 in
+            for i = 1 to rounds do
+              let key = (i + d) mod 3 in
+              let held =
+                match Freelist.take p key with
+                | Some v ->
+                  if not (Atomic.compare_and_set v false true) then Atomic.incr shared;
+                  v
+                | None ->
+                  incr built;
+                  Atomic.make true
+              in
+              Domain.cpu_relax ();
+              Atomic.set held false;
+              Freelist.put p key held
+            done;
+            !built))
+    |> List.map Domain.join
+  in
+  Alcotest.(check int) "no value held twice" 0 (Atomic.get shared);
+  let hits, misses, held = pool_counts p in
+  Alcotest.(check int) "one count per take" (4 * rounds) (hits + misses);
+  Alcotest.(check int) "a miss per built value" (List.fold_left ( + ) 0 builds) misses;
+  Alcotest.(check bool) "held within the limit" true (held <= 5)
+
+(* The held weight never passes the limit: a put that would pass it
+   empties the pool first, and a value heavier than the limit on its
+   own is dropped.  Checked against a model of per-key stacks. *)
+let test_freelist_bound =
+  QCheck.Test.make ~count:200 ~name:"freelist: held weight within the limit"
+    QCheck.(
+      pair (int_range 1 40) (small_list (pair bool (pair (int_range 0 4) (int_range 0 30)))))
+    (fun (limit, ops) ->
+      (* a key is (name, weight); values are distinct ints *)
+      let p = Freelist.create ~limit ~weight:snd () in
+      let model = Hashtbl.create 8 and held = ref 0 in
+      List.iteri
+        (fun i (is_put, k) ->
+          let w = snd k in
+          if is_put then begin
+            Freelist.put p k i;
+            if !held + w > limit then begin
+              Hashtbl.reset model;
+              held := 0
+            end;
+            if w <= limit then begin
+              Hashtbl.add model k i;
+              held := !held + w
+            end
+          end
+          else begin
+            let want = Hashtbl.find_opt model k in
+            if Option.is_some want then begin
+              Hashtbl.remove model k;
+              held := !held - w
+            end;
+            let got = Freelist.take p k in
+            if got <> want then QCheck.Test.fail_reportf "take %d: pool and model differ" i
+          end;
+          let _, _, h = pool_counts p in
+          if h > limit then QCheck.Test.fail_reportf "held %d > limit %d" h limit;
+          if h <> !held then QCheck.Test.fail_reportf "held %d, model %d" h !held)
+        ops;
+      true)
+
+(* [take] counts one hit or one miss, [put] counts nothing; a put that
+   passes the limit leaves only the new value held. *)
+let test_freelist_counts () =
+  let p = Freelist.create ~limit:3 () in
+  Alcotest.(check (option string)) "empty" None (Freelist.take p 1);
+  Alcotest.(check (triple int int int)) "a take that misses" (0, 1, 0) (pool_counts p);
+  Freelist.put p 1 "a";
+  Freelist.put p 1 "b";
+  Freelist.put p 2 "c";
+  Alcotest.(check (triple int int int)) "put counts nothing" (0, 1, 3) (pool_counts p);
+  Alcotest.(check (option string)) "last put first" (Some "b") (Freelist.take p 1);
+  Alcotest.(check (triple int int int)) "a take that hits" (1, 1, 2) (pool_counts p);
+  Freelist.put p 1 "b";
+  Freelist.put p 3 "d";
+  Alcotest.(check (triple int int int)) "passing the limit empties the pool" (1, 1, 1)
+    (pool_counts p);
+  Alcotest.(check (list (option string))) "only the new value held" [ None; None; Some "d" ]
+    (List.map (Freelist.take p) [ 1; 2; 3 ])
+
 let suite =
   [ Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
     Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
@@ -206,4 +310,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_memo_bound;
     Alcotest.test_case "memo: passing the limit drops all" `Quick test_memo_drop_whole;
     Alcotest.test_case "memo: find and add counts" `Quick test_memo_find_add;
+    Alcotest.test_case "freelist: one holder per value" `Quick test_freelist_exclusive;
+    QCheck_alcotest.to_alcotest test_freelist_bound;
+    Alcotest.test_case "freelist: take and put counts" `Quick test_freelist_counts;
   ]

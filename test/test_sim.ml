@@ -367,6 +367,26 @@ let test_verify_outputs_trap () =
     (Invalid_argument "Env.release: environment already released") (fun () ->
       Ifko_sim.Env.release env)
 
+(* The buffer pool bounds the bytes it holds across all sizes, not per
+   size: environments of 50 distinct sizes, together well over the
+   limit, never leave more than the limit held, and a released buffer
+   is what the next environment of its size gets back. *)
+let test_env_pool_bounded () =
+  let pool = Ifko_sim.Env.buffers and limit = Ifko_sim.Env.max_pooled_bytes in
+  let held () = (Ifko_par.Freelist.stats pool).Ifko_par.Memo.held in
+  let base = limit / 32 in
+  for i = 0 to 49 do
+    let mem_bytes = base + (i * 4096) in
+    let env = Ifko_sim.Env.create ~mem_bytes () in
+    let buf = Ifko_sim.Env.mem env in
+    Ifko_sim.Env.release env;
+    if held () > limit then Alcotest.failf "size %d: %d bytes held > %d" mem_bytes (held ()) limit;
+    let again = Ifko_sim.Env.create ~mem_bytes () in
+    Alcotest.(check bool) "the released buffer comes back" true (Ifko_sim.Env.mem again == buf);
+    Ifko_sim.Env.release again
+  done;
+  Alcotest.(check bool) "still holding" true (held () > 0)
+
 let test_timer_extrapolation_close () =
   (* the extrapolated timing must track full simulation closely *)
   let id = { Ifko_blas.Defs.routine = Ifko_blas.Defs.Dot; prec = Instr.D } in
@@ -518,7 +538,7 @@ let test_timing_mshr_limit () =
   Ifko_machine.Memsys.reset ms ~flush:true;
   (* use far-apart addresses so the stream prefetcher stays out of it *)
   let completions =
-    List.init 16 (fun i -> Ifko_machine.Memsys.load ms ~addr:(65536 * (i + 1)) ~now:0.0)
+    List.init 16 (fun i -> Memops.load ms ~addr:(65536 * (i + 1)) ~now:0.0)
   in
   let first = List.hd completions and last = List.nth completions 15 in
   Alcotest.(check bool)
@@ -543,6 +563,7 @@ let suite =
     Alcotest.test_case "verify tolerance" `Quick test_verify_tolerance;
     Alcotest.test_case "verify mismatch rules" `Quick test_verify_mismatch;
     Alcotest.test_case "verify outputs on a trap" `Quick test_verify_outputs_trap;
+    Alcotest.test_case "env buffer pool bounded" `Quick test_env_pool_bounded;
     Alcotest.test_case "env pool unobservable" `Quick test_env_pool_unobservable;
     Alcotest.test_case "pooled measure stability" `Quick test_pooled_measure_stability;
     Alcotest.test_case "timer extrapolation" `Quick test_timer_extrapolation_close;
