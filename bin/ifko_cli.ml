@@ -31,11 +31,15 @@ let read_file path =
 (* Fuzz reproducers carry an already-parsed kernel; everything else is
    HIL source.  Accepting both lets `ifko lint` sweep the checked-in
    corpus with the same invocation as the example kernels. *)
-let load path =
+let lower_file path text =
   if Filename.check_suffix path ".repro" then
-    (Ifko.Fuzz.Corpus.read path).Ifko.Fuzz.Corpus.kernel
-    |> Ifko.Hil.Typecheck.check |> Ifko.Lower.lower
-  else Ifko.compile_source (read_file path)
+    match Ifko.Fuzz.Corpus.of_string text with
+    | exception e -> failwith (Printf.sprintf "%s: %s" path (Printexc.to_string e))
+    | case ->
+      case.Ifko.Fuzz.Corpus.kernel |> Ifko.Hil.Typecheck.check |> Ifko.Lower.lower
+  else Ifko.compile_source text
+
+let load path = lower_file path (read_file path)
 
 let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
 
@@ -60,12 +64,6 @@ let analyze_cmd =
 
 let machine_arg =
   Arg.(value & opt string "p4e" & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:"p4e or opteron")
-
-let fidelity_of = function
-  | s -> (
-    match Ifko_sim.Timer.fidelity_of_string s with
-    | Some f -> f
-    | None -> failwith (Printf.sprintf "unknown fidelity %S (full|sampled)" s))
 
 let sv_arg = Arg.(value & opt bool true & info [ "sv" ] ~doc:"SIMD vectorization")
 let ur_arg = Arg.(value & opt int 0 & info [ "ur" ] ~doc:"unroll factor (0 = default)")
@@ -210,7 +208,11 @@ let lint_cmd =
 
 (* ---- tune ---- *)
 
-let tune_cmd =
+(* The request fields of `ifko tune`, `ifko query tune` and `ifko query
+   lookup`: one set of flags and defaults, so a local tune and a query
+   with the same flags name the same tune.  Yields FILE and the request
+   for its text. *)
+let request_term =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let context =
     Arg.(value & opt string "oc" & info [ "c"; "context" ] ~docv:"CTX" ~doc:"oc or l2")
@@ -219,7 +221,11 @@ let tune_cmd =
   let flops =
     Arg.(value & opt float 2.0 & info [ "flops-per-n" ] ~doc:"FLOPs per element for MFLOPS")
   in
-  let asm = Arg.(value & flag & info [ "S"; "asm" ] ~doc:"print the tuned assembly") in
+  let seed =
+    Arg.(
+      value & opt int 20050614
+      & info [ "seed" ] ~docv:"SEED" ~doc:"workload seed (part of the store key)")
+  in
   let check =
     Arg.(
       value & flag
@@ -228,6 +234,34 @@ let tune_cmd =
             "validate every transformation pass of every probed point (lint + \
              translation validation); the tune aborts naming the offending pass")
   in
+  let strategy =
+    Arg.(
+      value & opt string "linesearch"
+      & info [ "strategy" ] ~docv:"STRAT"
+          ~doc:
+            "search strategy: $(b,linesearch) (the paper's modified line search, the \
+             default) or $(b,surrogate) (model-based search reaching comparable \
+             MFLOPS in far fewer probes)")
+  in
+  let warm =
+    Arg.(
+      value & flag
+      & info [ "warm-start" ]
+          ~doc:
+            "seed the search with the winning points of the nearest past tunes in the \
+             store (--store's journal, or the daemon's); no store or no usable donors: \
+             clean cold start")
+  in
+  let build file machine context n flops_per_n seed check strategy warm_start =
+    ( file,
+      { Ifko.Serve.Proto.kernel = read_file file; machine; context; n; seed; flops_per_n;
+        check; strategy; warm_start } )
+  in
+  Term.(
+    const build $ file $ machine_arg $ context $ n $ flops $ seed $ check $ strategy $ warm)
+
+let tune_cmd =
+  let asm = Arg.(value & flag & info [ "S"; "asm" ] ~doc:"print the tuned assembly") in
   let store_arg =
     Arg.(
       value
@@ -249,11 +283,6 @@ let tune_cmd =
              ($(docv) - 1 workers are spawned); results are bit-identical to \
              --jobs 1")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 20050614
-      & info [ "seed" ] ~docv:"SEED" ~doc:"workload seed (part of the store key)")
-  in
   let fidelity_arg =
     Arg.(
       value & opt string "full"
@@ -264,40 +293,20 @@ let tune_cmd =
              point is first timed both ways and the tune silently reverts to full \
              fidelity when the sampled estimate misses the 1% error budget)")
   in
-  let strategy_arg =
-    Arg.(
-      value & opt string "linesearch"
-      & info [ "strategy" ] ~docv:"STRAT"
-          ~doc:
-            "search strategy: $(b,linesearch) (the paper's modified line search, the \
-             default) or $(b,surrogate) (model-based search reaching comparable \
-             MFLOPS in far fewer probes)")
-  in
-  let warm_arg =
-    Arg.(
-      value & flag
-      & info [ "warm-start" ]
-          ~doc:
-            "seed the search with the winning points of the nearest past tunes found \
-             in --store's journal (no store or no usable donors: clean cold start)")
-  in
-  let run file machine context n flops_per_n asm check_each_pass store_path jobs seed
-      fidelity strategy warm_start =
-    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
-    let context = ok_or_fail (Ifko_sim.Timer.context_of_name context) in
-    let fidelity = fidelity_of fidelity in
-    let strategy =
-      match Ifko.Driver.strategy_of_string strategy with
-      | Ok s -> s
-      | Error msg -> failwith msg
-    in
-    let compiled = load file in
+  let run (file, (a : Ifko.Serve.Proto.tune_args)) asm store_path jobs fidelity =
+    let cfg, context, strategy = ok_or_fail (Ifko.Serve.Proto.decode a) in
+    let fidelity = ok_or_fail (Ifko_sim.Timer.fidelity_of_string fidelity) in
+    let seed = a.Ifko.Serve.Proto.seed in
+    let compiled = lower_file file a.Ifko.Serve.Proto.kernel in
     let spec = generic_spec ~seed compiled in
     let store = Option.map (Ifko.Store.open_ ~seed) store_path in
     let tuned =
       match
-        Ifko.tune ~check_each_pass ~strategy ~warm_start ?store ~jobs ~seed ~fidelity ~cfg
-          ~context ~spec ~n ~flops_per_n ~test:(generic_test compiled spec) compiled
+        Ifko.tune ~check_each_pass:a.Ifko.Serve.Proto.check ~strategy
+          ~warm_start:a.Ifko.Serve.Proto.warm_start ?store ~jobs ~seed ~fidelity ~cfg
+          ~context ~spec ~n:a.Ifko.Serve.Proto.n
+          ~flops_per_n:a.Ifko.Serve.Proto.flops_per_n ~test:(generic_test compiled spec)
+          compiled
       with
       | tuned -> tuned
       | exception Invalid_argument msg ->
@@ -338,9 +347,7 @@ let tune_cmd =
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"iteratively and empirically tune a HIL kernel")
-    Term.(
-      const run $ file $ machine_arg $ context $ n $ flops $ asm $ check $ store_arg
-      $ jobs_arg $ seed_arg $ fidelity_arg $ strategy_arg $ warm_arg)
+    Term.(const run $ request_term $ asm $ store_arg $ jobs_arg $ fidelity_arg)
 
 (* ---- fuzz ---- *)
 
@@ -810,39 +817,6 @@ let query_cmd =
     Printf.eprintf "ifko query: %s\n" msg;
     Stdlib.exit 1
   in
-  let tune_args_term =
-    let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-    let context =
-      Arg.(value & opt string "oc" & info [ "c"; "context" ] ~docv:"CTX" ~doc:"oc or l2")
-    in
-    let n = Arg.(value & opt int 80000 & info [ "n" ] ~doc:"problem size") in
-    let flops =
-      Arg.(
-        value & opt float 2.0 & info [ "flops-per-n" ] ~doc:"FLOPs per element for MFLOPS")
-    in
-    let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"workload seed") in
-    let check =
-      Arg.(value & flag & info [ "check-each-pass" ] ~doc:"per-pass validation of every probe")
-    in
-    let strategy =
-      Arg.(
-        value & opt string "linesearch"
-        & info [ "strategy" ] ~docv:"STRAT" ~doc:"linesearch (default) or surrogate")
-    in
-    let warm =
-      Arg.(
-        value & flag
-        & info [ "warm-start" ]
-            ~doc:"seed the search from the daemon's past tunes of similar kernels")
-    in
-    let build file machine context n flops_per_n seed check strategy warm_start =
-      { Ifko.Serve.Proto.kernel = read_file file; machine; context; n; seed;
-        flops_per_n; check; strategy; warm_start }
-    in
-    Term.(
-      const build $ file $ machine_arg $ context $ n $ flops $ seed $ check $ strategy
-      $ warm)
-  in
   let print_reply verb (r : Ifko.Serve.Proto.tune_reply) =
     Printf.printf "%s: %8.1f MFLOPS (fko %.1f, %d evaluations, %s)\nbest: %s\n" verb
       r.Ifko.Serve.Proto.mflops r.Ifko.Serve.Proto.fko_mflops
@@ -851,7 +825,7 @@ let query_cmd =
       r.Ifko.Serve.Proto.best
   in
   let tune =
-    let run listen args =
+    let run listen (_, args) =
       Ifko.Serve.Client.with_client listen (fun c ->
           match Ifko.Serve.Client.tune c args with
           | Ok r -> print_reply "tune" r
@@ -859,10 +833,10 @@ let query_cmd =
     in
     Cmd.v
       (Cmd.info "tune" ~doc:"tune a HIL kernel on the daemon")
-      Term.(const run $ listen_args $ tune_args_term)
+      Term.(const run $ listen_args $ request_term)
   in
   let lookup =
-    let run listen args =
+    let run listen (_, args) =
       Ifko.Serve.Client.with_client listen (fun c ->
           match Ifko.Serve.Client.lookup c args with
           | Ok (Some r) -> print_reply "lookup" r
@@ -874,7 +848,7 @@ let query_cmd =
     Cmd.v
       (Cmd.info "lookup"
          ~doc:"query the daemon's result cache (never computes; exit 1 on a miss)")
-      Term.(const run $ listen_args $ tune_args_term)
+      Term.(const run $ listen_args $ request_term)
   in
   let stat =
     let run listen =

@@ -45,7 +45,7 @@ let pipeline_candidate ~name ~sv ~unroll ~ae ~two_array id =
       Ifko_transform.Prefetch_xform.apply c
         ~line_bytes:cfg.Config.prefetchable_line params.Ifko_transform.Params.prefetch;
     if params.Ifko_transform.Params.wnt then ignore (Ifko_transform.Ntwrite.apply c : (unit, _) result);
-    if two_array then Atlas_idioms.two_array_indexing c;
+    if two_array then Ifko_transform.Ciscidx.apply c;
     Ifko_transform.Loopctl.apply c;
     if ae > 1 then ignore (Ifko_transform.Accexp.apply c ae : (unit, _) result);
     let f = c.Ifko_codegen.Lower.func in

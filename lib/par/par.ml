@@ -1,5 +1,3 @@
-let available_jobs () = Domain.recommended_domain_count ()
-
 module Pool = struct
   type task = unit -> unit
 
@@ -124,5 +122,3 @@ module Pool = struct
     let t = create ~jobs in
     Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 end
-
-let map ~jobs f xs = Pool.with_pool ~jobs (fun p -> Pool.map p f xs)

@@ -14,9 +14,6 @@
     when several tasks of one batch fail, the {e lowest-index} failure
     is chosen, so even error behaviour is deterministic. *)
 
-val available_jobs : unit -> int
-(** The runtime's recommended domain count for this machine. *)
-
 module Pool : sig
   type t
   (** A pool of [jobs] lanes: [jobs - 1] worker domains plus the
@@ -62,6 +59,3 @@ module Pool : sig
   (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts the pool
       down afterwards, whether [f] returns or raises. *)
 end
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: [Pool.with_pool ~jobs (fun p -> Pool.map p f xs)]. *)

@@ -21,7 +21,7 @@ let strategy_to_string = function Linesearch -> "linesearch" | Surrogate -> "sur
 let strategy_of_string = function
   | "linesearch" -> Ok Linesearch
   | "surrogate" -> Ok Surrogate
-  | s -> Error (Printf.sprintf "unknown strategy %S (expected linesearch or surrogate)" s)
+  | s -> Error (Printf.sprintf "unknown strategy %S (linesearch|surrogate)" s)
 
 let compile_point ?check ~cfg compiled params =
   let c =
@@ -49,6 +49,17 @@ let kernel_fingerprint (compiled : Ifko_codegen.Lower.compiled) =
   Printf.sprintf "%s\n%s\n%s"
     compiled.Ifko_codegen.Lower.source.Ifko_hil.Ast.k_name arrays
     (Cfg.to_string compiled.Ifko_codegen.Lower.func)
+
+let tune_key ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearch)
+    ?(seed = 0) ?(fidelity = Ifko_sim.Timer.Full) ~cfg ~context ~n ~flops_per_n kernel =
+  Ifko_store.Store.tune_key
+    ?strategy:(if strategy = Linesearch then None else Some (strategy_to_string strategy))
+    ?fidelity:
+      (if fidelity = Ifko_sim.Timer.Full then None
+       else Some (Ifko_sim.Timer.fidelity_name fidelity))
+    ~extensions ~kernel ~machine:cfg.Config.name
+    ~context:(Ifko_sim.Timer.context_name context) ~n ~seed ~check:check_each_pass
+    ~flops_per_n ()
 
 let record t =
   {
@@ -252,8 +263,7 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
     (fun st ->
       Tune_record.add st ~prov (record tuned)
         ~key:
-          (Tune_record.key ~strategy:(strategy_to_string strategy) ~kernel
-             ~machine:cfg.Config.name ~context:(Ifko_sim.Timer.context_name context) ~n
-             ~seed ~check:check_each_pass ~flops_per_n))
+          (tune_key ~extensions ~check_each_pass ~strategy ~seed ~fidelity ~cfg ~context ~n
+             ~flops_per_n kernel))
     store;
   tuned

@@ -54,6 +54,30 @@ val kernel_fingerprint : Ifko_codegen.Lower.compiled -> string
     LIL text) that probe store keys digest: any source edit that could
     change a probe outcome changes this string. *)
 
+val tune_key :
+  ?extensions:bool ->
+  ?check_each_pass:bool ->
+  ?strategy:strategy ->
+  ?seed:int ->
+  ?fidelity:Ifko_sim.Timer.fidelity ->
+  cfg:Ifko_machine.Config.t ->
+  context:Ifko_sim.Timer.context ->
+  n:int ->
+  flops_per_n:float ->
+  string ->
+  string
+(** The key {!tune} journals its {!record} under, and the one key the
+    serve daemon answers a request from.  Labels and defaults are
+    {!tune}'s; the last argument is the {!kernel_fingerprint}.  It holds
+    every input of the record: kernel, machine, context, [n], [seed],
+    [check_each_pass], [flops_per_n], and, only when not the default,
+    strategy, {e requested} fidelity (the daemon keys a request before
+    it runs) and [extensions].  So default keys are the ones earlier
+    builds minted, and a sampled or extended tune never answers a
+    default request.  [warm_start] is left out: it changes where the
+    search starts, not what it measures, and its donors are store state
+    no request names, so warm and cold requests share one record. *)
+
 val record : tuned -> Tune_record.t
 (** The tune record of a finished tune: what {!tune} journals, and what
     the serve daemon replies with. *)
@@ -102,9 +126,10 @@ val tune :
     nearest past tunes ({!Warmstart.seeds}): donors come from
     [?donors] when given, otherwise from [store]'s tune-level entries;
     with neither, the tune cold-starts cleanly.  A completed tune with
-    a [store] journals its {!record} ({!Tune_record.add}, unless the
-    key already holds one): it feeds future warm starts, and the serve
-    daemon answers repeat requests from it.
+    a [store] journals its {!record} under {!tune_key}
+    ({!Tune_record.add}, unless the key already holds one): it feeds
+    future warm starts, and the serve daemon answers repeat requests
+    from it.
 
     [store] journals every probe outcome in a persistent
     content-addressed store and answers repeat probes from it, so a
@@ -142,8 +167,8 @@ val tune :
     and unless {!Ifko_sim.Timer.calibrate} finds the sampled estimate
     within {!Ifko_sim.Timer.error_budget} of full fidelity, the whole
     tune runs at full fidelity.  [fidelity_used]/[calibration_error] report the outcome,
-    and sampled probe outcomes are stored under fidelity-tagged keys so
-    they never answer full-fidelity lookups.
+    and sampled probe outcomes and tune records are stored under
+    fidelity-tagged keys so they never answer full-fidelity lookups.
 
     Each tune keeps its own in-memory warm-state checkpoint cache
     ({!Ifko_sim.Ckpt}), so the in-L2 warm-up runs once per tune and

@@ -10,11 +10,6 @@ type t = {
   feat : Json.value option;
 }
 
-let key ~strategy ~kernel ~machine ~context ~n ~seed ~check ~flops_per_n =
-  Store.tune_key
-    ?strategy:(if strategy = "linesearch" then None else Some strategy)
-    ~kernel ~machine ~context ~n ~seed ~check ~flops_per_n ()
-
 let feat_json feat = Json.O (List.map (fun (k, v) -> (k, Json.N v)) feat)
 
 let features r =

@@ -3,10 +3,9 @@
     A tune that runs with a store journals one tune-level entry next
     to its per-probe entries.  The serve daemon answers repeat
     requests from that entry, and warm starts take their donors from
-    it ({!Warmstart.donors_of_store}).  This module is the one place
-    that knows the entry's shape:
-    - the key: {!Ifko_store.Store.tune_key}, with no strategy field for
-      the default linesearch;
+    it ({!Warmstart.donors_of_store}).  The entry's key is
+    {!Driver.tune_key}; this module is the one place that knows the
+    entry's shape:
     - the payload: a JSON object [best]/[fko]/[evals]/[kernel]/[feat]
       in the entry's params, the tuned MFLOPS in its [Timed] outcome;
     - the provenance: {!Ifko_store.Store.tune_prov}. *)
@@ -21,21 +20,6 @@ type t = {
       (** the analysis fingerprint as journaled, decoded only by
           {!features}: a repeat request never pays for it *)
 }
-
-val key :
-  strategy:string ->
-  kernel:string ->
-  machine:string ->
-  context:string ->
-  n:int ->
-  seed:int ->
-  check:bool ->
-  flops_per_n:float ->
-  string
-(** {!Ifko_store.Store.tune_key} of a tune.  [kernel] is the
-    {!Driver.kernel_fingerprint}, [strategy] the strategy's name:
-    ["linesearch"] is keyed without a strategy field, so keys minted
-    before the strategy axis existed stay valid. *)
 
 val feat_json : (string * float) list -> Ifko_store.Store.Json.value
 (** A fingerprint ({!Ifko_analysis.Report.features}) as the record

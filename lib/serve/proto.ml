@@ -153,11 +153,6 @@ let parse_args fields =
   (* Absent fields take defaults, so clients speaking the pre-strategy
      protocol keep working unchanged. *)
   let* strategy = str_field fields "strategy" ~default:d.strategy in
-  let* () =
-    match strategy with
-    | "linesearch" | "surrogate" -> Ok ()
-    | s -> Error (Printf.sprintf "unknown strategy %S (linesearch|surrogate)" s)
-  in
   let* warm_start = bool_field fields "warm_start" ~default:d.warm_start in
   Ok { kernel; machine; context; n; seed; flops_per_n; check; strategy; warm_start }
 
@@ -180,6 +175,12 @@ let parse_request line =
     | Some "shutdown" -> wrap (Ok Shutdown)
     | Some op ->
       Error (Printf.sprintf "unknown op %S (tune|lookup|stat|compact|shutdown)" op))
+
+let decode (a : tune_args) =
+  let* cfg = Ifko_machine.Config.of_name a.machine in
+  let* context = Ifko_sim.Timer.context_of_name a.context in
+  let* strategy = Ifko_search.Driver.strategy_of_string a.strategy in
+  Ok (cfg, context, strategy)
 
 let parse_tune_reply fields ~hit =
   let* best =

@@ -37,7 +37,21 @@ val default_args : kernel:string -> tune_args
 (** p4e, out-of-cache, n = 80000, seed 0, 2 flops per element, no
     per-pass checking, linesearch strategy, no warm start — the
     wire-format defaults for omitted fields, so pre-strategy clients
-    keep working unchanged. *)
+    keep working unchanged.  The CLI's [ifko tune] and [ifko query]
+    always send a seed, by default 20050614; the wire default stays 0
+    for clients that omit it. *)
+
+val decode :
+  tune_args ->
+  ( Ifko_machine.Config.t * Ifko_sim.Timer.context * Ifko_search.Driver.strategy,
+    string )
+  result
+(** A request's machine, context and strategy, typed: the one decode
+    the daemon and [ifko tune] share.  [Error] is the text of the first
+    bad field, in that order ({!Ifko_machine.Config.of_name},
+    {!Ifko_sim.Timer.context_of_name},
+    {!Ifko_search.Driver.strategy_of_string}).  {!parse_request} checks
+    only the wire shape, so an unknown name fails here. *)
 
 type request =
   | Tune of tune_args

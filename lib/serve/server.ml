@@ -23,8 +23,6 @@ module Driver = Ifko_search.Driver
 module Generic = Ifko_search.Generic
 module Codecache = Ifko_search.Codecache
 module Tune_record = Ifko_search.Tune_record
-module Config = Ifko_machine.Config
-module Timer = Ifko_sim.Timer
 
 type listen = [ `Unix of string | `Tcp of string * int ]
 
@@ -114,37 +112,32 @@ let reply_of_record ~hit (r : Tune_record.t) =
     hit;
   }
 
-(* Resolve a request's kernel text down to the result-cache key.  Any
-   lowering-relevant source edit changes the fingerprint, hence the
-   key. *)
+(* Decode a request and resolve its kernel text to the result-cache key
+   and the tune that computes the keyed record.  Any lowering-relevant
+   source edit changes the fingerprint, hence the key.  The daemon
+   tunes at full fidelity in the paper's space: [Driver.tune]'s and
+   [Driver.tune_key]'s defaults. *)
 let resolve t (a : Proto.tune_args) =
-  let* cfgm = Config.of_name a.machine in
-  let* context = Timer.context_of_name a.context in
+  let* cfg, context, strategy = Proto.decode a in
   let* compiled, kernel = lower_kernel t a.kernel in
   let key =
-    Tune_record.key ~strategy:a.strategy ~kernel
-      ~machine:cfgm.Config.name ~context:(Timer.context_name context) ~n:a.n
-      ~seed:a.seed ~check:a.check ~flops_per_n:a.flops_per_n
+    Driver.tune_key ~check_each_pass:a.check ~strategy ~seed:a.seed ~cfg ~context ~n:a.n
+      ~flops_per_n:a.flops_per_n kernel
   in
-  Ok (cfgm, context, compiled, key)
-
-let compute_tune t (a : Proto.tune_args) cfgm context compiled =
-  match
-    let spec = Generic.spec ~seed:a.seed compiled in
-    let strategy =
-      match Driver.strategy_of_string a.strategy with
-      | Ok s -> s
-      | Error msg -> failwith msg (* parse_args validated; belt and braces *)
-    in
-    Driver.tune ~check_each_pass:a.check ~strategy ~warm_start:a.warm_start ~store:t.store
-      ?pool:t.pool ~seed:a.seed ~codecache:t.codecache ~cfg:cfgm ~context ~spec ~n:a.n
-      ~flops_per_n:a.flops_per_n
-      ~test:(Generic.test compiled spec)
-      compiled
-  with
-  | exception Failure msg -> Error msg
-  | exception e -> Error (Printexc.to_string e)
-  | tuned -> Ok (Driver.record tuned)
+  let compute () =
+    match
+      let spec = Generic.spec ~seed:a.seed compiled in
+      Driver.tune ~check_each_pass:a.check ~strategy ~warm_start:a.warm_start ~store:t.store
+        ?pool:t.pool ~seed:a.seed ~codecache:t.codecache ~cfg ~context ~spec ~n:a.n
+        ~flops_per_n:a.flops_per_n
+        ~test:(Generic.test compiled spec)
+        compiled
+    with
+    | exception Failure msg -> Error msg
+    | exception e -> Error (Printexc.to_string e)
+    | tuned -> Ok (Driver.record tuned)
+  in
+  Ok (key, compute)
 
 (* Opportunistic maintenance: after every computed tune, apply the
    configured bounds (age first, then size) — shards compact themselves
@@ -159,7 +152,7 @@ let apply_bounds t =
     in
     if dropped > 0 then logf t "evicted %d entries" dropped
 
-let tune_shared t (a : Proto.tune_args) cfgm context compiled key =
+let tune_shared t (key, compute) =
   match Tune_record.find t.store ~key with
   | Some r ->
     Atomic.incr t.n_tune_hits;
@@ -173,19 +166,17 @@ let tune_shared t (a : Proto.tune_args) cfgm context compiled key =
             Ok (r, true)
           | None ->
             Atomic.incr t.n_tunes;
-            let r = compute_tune t a cfgm context compiled in
+            let r = compute () in
             if Result.is_ok r then apply_bounds t;
             Result.map (fun r -> (r, false)) r)
     in
     if joined && Result.is_ok r then Atomic.incr t.n_tune_hits;
     Result.map (fun (r, hit) -> reply_of_record ~hit:(hit || joined) r) r
 
-let do_tune t a =
-  let* cfgm, context, compiled, key = resolve t a in
-  tune_shared t a cfgm context compiled key
+let do_tune t a = Result.bind (resolve t a) (tune_shared t)
 
 let do_lookup t a =
-  let* _, _, _, key = resolve t a in
+  let* key, _ = resolve t a in
   Atomic.incr t.n_lookups;
   Ok (Option.map (reply_of_record ~hit:true) (Tune_record.find t.store ~key))
 

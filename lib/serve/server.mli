@@ -14,9 +14,9 @@
     Each daemon memoizes its front end: a table maps a request's kernel
     source text to its {!Ifko_codegen.Lower.compiled} lowering and
     {!Ifko_search.Driver.kernel_fingerprint}, so a warm [tune] or
-    [lookup] goes from the table straight to the
-    {!Ifko_search.Tune_record} key and lookup without parsing, type
-    checking or lowering.  Only successful lowerings are kept: a
+    [lookup] goes from {!Proto.decode} and the table straight to
+    {!Ifko_search.Driver.tune_key} and the record's lookup without
+    parsing, type checking or lowering.  Only successful lowerings are kept: a
     rejected kernel is lowered again on every request and gets the same
     [Failed] text.  The table is an {!Ifko_par.Memo}: racing first
     requests for one source lower it once, and it holds at most

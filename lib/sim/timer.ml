@@ -16,9 +16,9 @@ type fidelity = Full | Sampled
 let fidelity_name = function Full -> "full" | Sampled -> "sampled"
 
 let fidelity_of_string = function
-  | "full" -> Some Full
-  | "sampled" -> Some Sampled
-  | _ -> None
+  | "full" -> Ok Full
+  | "sampled" -> Ok Sampled
+  | other -> Error (Printf.sprintf "unknown fidelity %S (full|sampled)" other)
 
 type fallback =
   | No_array_arguments

@@ -45,7 +45,8 @@ type spec = {
 type fidelity = Full | Sampled
 
 val fidelity_name : fidelity -> string
-val fidelity_of_string : string -> fidelity option
+val fidelity_of_string : string -> (fidelity, string) result
+(** The inverse of {!fidelity_name}: ["full" | "sampled"]. *)
 
 (** Why a [Sampled] request fell back to full fidelity. *)
 type fallback =

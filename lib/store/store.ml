@@ -525,15 +525,17 @@ let probe_key ~kernel ~machine ~context ~n ~seed ~check ?fidelity ~params () =
 let timing_key ~kind ~func ~machine ~context ~n ~seed =
   digest [ "timing"; kind; func; machine; context; string_of_int n; string_of_int seed ]
 
-(* [strategy] is appended only when present, so every key minted before
-   the strategy axis existed is unchanged (same convention as
-   [probe_key]'s fidelity field). *)
-let tune_key ?strategy ~kernel ~machine ~context ~n ~seed ~check ~flops_per_n () =
-  let base =
-    [ "tune"; kernel; machine; context; string_of_int n; string_of_int seed;
-      (if check then "check" else "nocheck"); Printf.sprintf "%.17g" flops_per_n ]
-  in
-  digest (match strategy with None -> base | Some s -> base @ [ "strategy:" ^ s ])
+(* [strategy], [fidelity] and [extensions] are appended only when
+   present, so every key minted before each axis existed is unchanged
+   (same convention as [probe_key]'s fidelity field). *)
+let tune_key ?strategy ?fidelity ?(extensions = false) ~kernel ~machine ~context ~n ~seed
+    ~check ~flops_per_n () =
+  let opt tag = function None -> [] | Some v -> [ tag ^ v ] in
+  digest
+    ([ "tune"; kernel; machine; context; string_of_int n; string_of_int seed;
+       (if check then "check" else "nocheck"); Printf.sprintf "%.17g" flops_per_n ]
+    @ opt "strategy:" strategy @ opt "fidelity:" fidelity
+    @ if extensions then [ "extensions" ] else [])
 
 (* ---------------------------------------------------------------- *)
 

@@ -210,6 +210,8 @@ val timing_key :
 
 val tune_key :
   ?strategy:string ->
+  ?fidelity:string ->
+  ?extensions:bool ->
   kernel:string ->
   machine:string ->
   context:string ->
@@ -223,9 +225,11 @@ val tune_key :
     daemon caches on top of the per-probe entries.  [kernel] is the
     {!Ifko_search.Driver.kernel_fingerprint}; [flops_per_n] is included
     because it scales the reported MFLOPS.  [strategy] names a
-    non-default search strategy; omit it for the default linesearch so
-    every key minted before the strategy axis existed stays valid (and
-    the strategies' results never alias). *)
+    non-default search strategy, [fidelity] a non-default timing
+    fidelity, and [extensions] (default [false]) a search over the
+    future-work transformations.  Omit each for its default so every
+    key minted before that axis existed stays valid (and results of
+    different strategies, fidelities or spaces never alias). *)
 
 (** {2 Statistics} *)
 

@@ -8,7 +8,10 @@
 # the same tune through `ifko tune --store`, which must compute no
 # probe.  Then the reverse direction: a surrogate tune by the CLI
 # writes the store, and a second daemon started on it answers the same
-# lookup as a cache hit with the MFLOPS the CLI printed.  Every step is
+# lookup as a cache hit with the MFLOPS the CLI printed, while a
+# sampled-fidelity CLI tune answers no full-fidelity lookup.  The CLI
+# and the query commands share their defaults (the workload seed
+# included), so no step passes --seed.  Every step is
 # timeout-bounded so a wedged daemon fails the gate instead of hanging
 # it.  Run from the repository root after `dune build`.
 set -eu
@@ -66,14 +69,23 @@ fi
 timeout 60 $IFKO store stat --json "$TMP/store" | tee "$TMP/store_stat.out"
 grep -q '"per_shard"' "$TMP/store_stat.out"
 timeout 60 $IFKO store compact "$TMP/store"
-# the daemon's default workload seed is 0
-timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 2000 --seed 0 | tee "$TMP/cli.out"
+timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 2000 | tee "$TMP/cli.out"
 grep -q ' 0 computed' "$TMP/cli.out"
 
 # The reverse direction: the CLI's surrogate tune is a daemon cache hit.
-timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 2000 --seed 0 --strategy surrogate \
+timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 2000 --strategy surrogate \
   | tee "$TMP/cli_surrogate.out"
+# A sampled tune's record is keyed by its fidelity: it is no answer to
+# the full-fidelity request of the same flags.
+timeout 240 $IFKO tune "$KERNEL" --store "$TMP/store" -n 4000 --fidelity sampled \
+  > "$TMP/cli_sampled.out"
 start_daemon
+if timeout 60 $IFKO query lookup "$KERNEL" --socket "$SOCK" -n 4000 > "$TMP/lookup_sampled.out"
+then
+  echo "serve_smoke: a sampled tune answered a full-fidelity lookup" >&2
+  exit 1
+fi
+grep -qx "miss" "$TMP/lookup_sampled.out"
 timeout 60 $IFKO query lookup "$KERNEL" --socket "$SOCK" -n 2000 --strategy surrogate \
   | tee "$TMP/lookup_surrogate.out"
 grep -q "cache hit" "$TMP/lookup_surrogate.out"

@@ -117,7 +117,7 @@ let test_two_array_indexing_idiom () =
   (match Ifko_transform.Unroll.apply c 4 with
   | Ok () -> ()
   | Error d -> Alcotest.fail (Ifko_analysis.Diag.to_string d));
-  Ifko_baselines.Atlas_idioms.two_array_indexing c;
+  Ifko_transform.Ciscidx.apply c;
   (* pointer bumps replaced by a single shared index update *)
   let f = c.Ifko_codegen.Lower.func in
   (match c.Ifko_codegen.Lower.loopnest with

@@ -8,10 +8,14 @@ let collatz_steps n =
 let test_map_preserves_order () =
   let xs = List.init 200 (fun i -> i + 1) in
   let expected = List.map collatz_steps xs in
-  Alcotest.(check (list int)) "jobs=4 equals sequential" expected
-    (Ifko_par.Par.map ~jobs:4 collatz_steps xs);
-  Alcotest.(check (list int)) "jobs=1 equals sequential" expected
-    (Ifko_par.Par.map ~jobs:1 collatz_steps xs)
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d equals sequential" jobs)
+        expected
+        (Ifko_par.Par.Pool.with_pool ~jobs (fun pool ->
+             Ifko_par.Par.Pool.map pool collatz_steps xs)))
+    [ 4; 1 ]
 
 let test_pool_reuse () =
   Ifko_par.Par.Pool.with_pool ~jobs:3 (fun pool ->
@@ -33,9 +37,10 @@ let test_lowest_index_exception () =
   List.iter
     (fun jobs ->
       match
-        Ifko_par.Par.map ~jobs
-          (fun i -> if i mod 2 = 1 then failwith (string_of_int i) else i)
-          (List.init 20 (fun i -> i))
+        Ifko_par.Par.Pool.with_pool ~jobs (fun pool ->
+            Ifko_par.Par.Pool.map pool
+              (fun i -> if i mod 2 = 1 then failwith (string_of_int i) else i)
+              (List.init 20 (fun i -> i)))
       with
       | _ -> Alcotest.fail "expected an exception"
       | exception Failure msg ->
@@ -75,9 +80,6 @@ let test_lanes_bounded_by_jobs () =
         true
         (Atomic.get peak <= jobs))
     [ 2; 3; 4 ]
-
-let test_available_jobs () =
-  Alcotest.(check bool) "at least one domain" true (Ifko_par.Par.available_jobs () >= 1)
 
 (* ---------- Memo ---------- *)
 
@@ -304,7 +306,6 @@ let suite =
     Alcotest.test_case "lowest-index exception" `Quick test_lowest_index_exception;
     Alcotest.test_case "pool survives failed batch" `Quick test_pool_survives_failed_batch;
     Alcotest.test_case "lanes bounded by jobs" `Quick test_lanes_bounded_by_jobs;
-    Alcotest.test_case "available jobs" `Quick test_available_jobs;
     Alcotest.test_case "memo: one compute across domains" `Quick test_memo_single_flight;
     Alcotest.test_case "memo: a raise is not stored" `Quick test_memo_raise;
     QCheck_alcotest.to_alcotest test_memo_bound;

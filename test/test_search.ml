@@ -313,6 +313,47 @@ let test_store_invalidation_on_kernel_edit () =
         (Ifko_store.Store.misses st);
       Ifko_store.Store.close st)
 
+(* The tune key holds [extensions]: an extended-space tune and a
+   default tune of one kernel into one store journal a record each,
+   and each tune's key finds its own record. *)
+let test_tune_key_extensions () =
+  let id = { Defs.routine = Defs.Copy; prec = Instr.D } in
+  let compiled = Hil_sources.compile id in
+  let cfg = Ifko_machine.Config.p4e and context = Ifko_sim.Timer.Out_of_cache in
+  let n = 4000 and flops_per_n = 1.0 in
+  let spec = Workload.timer_spec id ~seed:13 in
+  let kernel = Ifko_search.Driver.kernel_fingerprint compiled in
+  with_tmp_store_path (fun path ->
+      let st = Ifko_store.Store.open_ ~seed:13 path in
+      List.iter
+        (fun extensions ->
+          let t =
+            Ifko_search.Driver.tune ~extensions ~store:st ~seed:13 ~cfg ~context ~spec ~n
+              ~flops_per_n
+              ~test:(fun _ -> true)
+              compiled
+          in
+          let key =
+            Ifko_search.Driver.tune_key ~extensions ~seed:13 ~cfg ~context ~n ~flops_per_n
+              kernel
+          in
+          match Ifko_search.Tune_record.find st ~key with
+          | None -> Alcotest.failf "extensions=%b: no record under its key" extensions
+          | Some r ->
+            Alcotest.(check string)
+              (Printf.sprintf "extensions=%b: its own best" extensions)
+              (Params.canonical t.Ifko_search.Driver.best_params)
+              r.Ifko_search.Tune_record.best;
+            Alcotest.(check bool)
+              (Printf.sprintf "extensions=%b: its own MFLOPS bits" extensions)
+              true
+              (Int64.bits_of_float t.Ifko_search.Driver.ifko_mflops
+              = Int64.bits_of_float r.Ifko_search.Tune_record.mflops))
+        [ true; false ];
+      Alcotest.(check int) "one record per tune" 2
+        (Ifko_store.Store.stat st).Ifko_store.Store.st_tunes;
+      Ifko_store.Store.close st)
+
 (* ---- the compile-once probe cache ---- *)
 
 module Codecache = Ifko_search.Codecache
@@ -709,6 +750,7 @@ let suite =
     Alcotest.test_case "driver improves and verifies" `Slow test_driver_improves_and_verifies;
     Alcotest.test_case "driver rejects wrong answers" `Quick test_driver_rejects_wrong_answers;
     Alcotest.test_case "driver rejects n <= 0" `Quick test_driver_rejects_empty_problem;
+    Alcotest.test_case "tune key holds extensions" `Quick test_tune_key_extensions;
     Alcotest.test_case "codecache dedup and stats" `Quick test_codecache_dedup;
     Alcotest.test_case "codecache single flight" `Quick test_codecache_single_flight;
     Alcotest.test_case "driver codecache reuse" `Quick test_driver_codecache_reuse;

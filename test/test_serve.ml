@@ -918,6 +918,50 @@ let test_daemon_reads_stored_records () =
       | None -> Alcotest.fail "record not journaled");
       Store.close st)
 
+(* A tune record answers only the request that produced it.  A sampled
+   tune journaled into a daemon's directory is keyed by its fidelity:
+   the daemon's full-fidelity lookup of the same request misses, and
+   its tune is bit-identical to a storeless full-fidelity tune.  A
+   request naming an unknown strategy fails with the decode's text. *)
+let test_daemon_ignores_sampled_record () =
+  let n = 80000 and seed = 0 and flops_per_n = 2.0 in
+  let args = { (Proto.default_args ~kernel:ddot_src) with Proto.n; seed } in
+  let dir = tmp_dir "ifko_sampled" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let compiled = Ifko_codegen.Lower.of_source ddot_src in
+      let spec = Ifko_search.Generic.spec ~seed compiled in
+      let st = Store.open_ ~shards:4 dir in
+      let sampled =
+        Ifko_search.Driver.tune ~store:st ~seed ~fidelity:Ifko_sim.Timer.Sampled
+          ~cfg:Ifko_machine.Config.p4e ~context:Ifko_sim.Timer.Out_of_cache ~spec ~n
+          ~flops_per_n
+          ~test:(Ifko_search.Generic.test compiled spec)
+          compiled
+      in
+      Store.close st;
+      Alcotest.(check bool) "the tune ran sampled" true
+        (sampled.Ifko_search.Driver.fidelity_used = Ifko_sim.Timer.Sampled);
+      serve_dir dir (fun listen ->
+          Client.with_client listen (fun c ->
+              (match Client.lookup c args with
+              | Ok None -> ()
+              | Ok (Some r) ->
+                Alcotest.failf "the sampled record answered a lookup (%.1f MFLOPS)"
+                  r.Proto.mflops
+              | Error e -> Alcotest.failf "lookup failed: %s" e);
+              (match Client.tune c args with
+              | Ok r ->
+                Alcotest.(check bool) "computed, not a hit" false r.Proto.hit;
+                check_against_reference ddot_src r ~n ~seed ~flops_per_n
+              | Error e -> Alcotest.failf "tune failed: %s" e);
+              match Client.tune c { args with Proto.strategy = "bogus" } with
+              | Ok _ -> Alcotest.fail "an unknown strategy was tuned"
+              | Error e ->
+                Alcotest.(check string) "decode error"
+                  "unknown strategy \"bogus\" (linesearch|surrogate)" e)))
+
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -1000,6 +1044,8 @@ let suite =
       test_daemon_dir_is_a_store;
     Alcotest.test_case "daemon: stored tune records answered" `Quick
       test_daemon_reads_stored_records;
+    Alcotest.test_case "daemon: a sampled record answers no full request" `Quick
+      test_daemon_ignores_sampled_record;
     Alcotest.test_case "daemon: leftover checkpoint state never read" `Quick
       test_daemon_ignores_leftover_state;
   ]

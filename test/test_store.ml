@@ -245,15 +245,21 @@ let test_evict () =
   Store.clear path
 
 let test_tune_key () =
-  let key ?strategy ?(n = 100) ?(flops = 2.0) () =
-    Store.tune_key ?strategy ~kernel:"fp" ~machine:"P4E" ~context:"out-of-cache" ~n
-      ~seed:0 ~check:false ~flops_per_n:flops ()
+  let key ?strategy ?fidelity ?extensions ?(n = 100) ?(flops = 2.0) () =
+    Store.tune_key ?strategy ?fidelity ?extensions ~kernel:"fp" ~machine:"P4E"
+      ~context:"out-of-cache" ~n ~seed:0 ~check:false ~flops_per_n:flops ()
   in
   Alcotest.(check string) "deterministic" (key ()) (key ());
   Alcotest.(check bool) "flops_per_n changes the key" false (key () = key ~flops:3.0 ());
   Alcotest.(check bool) "n changes the key" false (key () = key ~n:200 ());
   Alcotest.(check bool) "strategy changes the key" false
     (key () = key ~strategy:"surrogate" ());
+  Alcotest.(check bool) "fidelity changes the key" false
+    (key () = key ~fidelity:"sampled" ());
+  Alcotest.(check bool) "extensions change the key" false
+    (key () = key ~extensions:true ());
+  Alcotest.(check string) "extensions:false is the old key" (key ())
+    (key ~extensions:false ());
   (* tune keys never collide with probe keys of the same inputs *)
   Alcotest.(check bool) "disjoint from probe keys" false
     (key ()
@@ -294,11 +300,12 @@ let test_concurrent_writers () =
   let st = Store.open_ path in
   let n = 200 in
   let _ : unit list =
-    Ifko_par.Par.map ~jobs:4
-      (fun i ->
-        Store.add st ~key:(Printf.sprintf "key-%03d" i) ~params:"" ~prov:""
-          (Store.Timed { mflops = float_of_int i; cycles = float_of_int (2 * i) }))
-      (List.init n (fun i -> i))
+    Ifko_par.Par.Pool.with_pool ~jobs:4 (fun pool ->
+        Ifko_par.Par.Pool.map pool
+          (fun i ->
+            Store.add st ~key:(Printf.sprintf "key-%03d" i) ~params:"" ~prov:""
+              (Store.Timed { mflops = float_of_int i; cycles = float_of_int (2 * i) }))
+          (List.init n (fun i -> i)))
   in
   Store.close st;
   let st2 = Store.open_ path in
