@@ -793,10 +793,10 @@ let profile t =
    checkpointing (see Ckpt in lib/sim).  Fills are copied record by
    record in both directions: a snapshot must not alias fills the live
    run will keep mutating, and a restore must not hand the run fills
-   owned by the snapshot.  Empty/tombstone slots are forced back to the
-   physical [no_fill] sentinel on restore — a marshalled-and-reread
-   snapshot holds a structural copy of the sentinel, and the in-flight
-   lookups compare physically. *)
+   owned by the snapshot.  Every free (empty or tombstone) slot of the
+   in-flight table holds the physical [no_fill] sentinel — [if_remove],
+   [if_grow] and [reset] all write it — and [copy_fill] keeps it, so
+   copying the slots keeps the lookups' physical comparisons exact. *)
 type snapshot = {
   ms_l1 : Cache.snapshot;
   ms_l2 : Cache.snapshot;
@@ -921,10 +921,7 @@ let restore t s =
   t.mshr_head <- s.ms_mshr_head;
   t.mshr_len <- s.ms_mshr_len;
   t.if_keys <- Array.copy s.ms_if_keys;
-  t.if_vals <-
-    Array.mapi
-      (fun i f -> if s.ms_if_keys.(i) < 0 then no_fill else copy_fill f)
-      s.ms_if_vals;
+  t.if_vals <- Array.map copy_fill s.ms_if_vals;
   t.if_n <- s.ms_if_n;
   t.if_used <- s.ms_if_used;
   Array.iteri

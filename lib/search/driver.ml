@@ -218,19 +218,15 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
       Surrogate.strategy ~extensions ~warm ~seed ~cfg ~report ~init:default_params
         ~init_perf ()
   in
-  let search map_batch =
-    match map_batch with
-    | None -> Strategy.run ~init:default_params ~make probe
-    | Some map_batch -> Strategy.run ~map_batch ~init:default_params ~make probe
+  let search ?pool () =
+    let map_batch = Option.map (fun pool f xs -> Ifko_par.Par.Pool.map pool f xs) pool in
+    Strategy.run ?map_batch ~init:default_params ~make probe
   in
   let result =
     match pool with
-    | Some pool -> search (Some (fun f xs -> Ifko_par.Par.Pool.map pool f xs))
-    | None ->
-      if jobs <= 1 then search None
-      else
-        Ifko_par.Par.Pool.with_pool ~jobs (fun pool ->
-            search (Some (fun f xs -> Ifko_par.Par.Pool.map pool f xs)))
+    | Some pool -> search ~pool ()
+    | None when jobs <= 1 -> search ()
+    | None -> Ifko_par.Par.Pool.with_pool ~jobs (fun pool -> search ~pool ())
   in
   let best = result.Strategy.best in
   let best_func =

@@ -27,7 +27,10 @@ val strategy :
   init_perf:float ->
   unit ->
   Strategy.t
-(** The line search behind the {!Strategy} interface.  With [?warm]
-    empty (the default) its probe sequence is bit-identical to the
-    pre-strategy sweep; warm points are probed first as an extra
+(** The line search behind the {!Strategy} interface: each sweep maps
+    one {!Space.axes} dimension's values over the incumbent
+    {!Strategy.run} hands it ([init_perf] is accepted for the uniform
+    constructor shape; the runner supplies the incumbent).  With
+    [?warm] empty (the default) its probe sequence is bit-identical to
+    the pre-strategy sweep; warm points are probed first as an extra
     opening batch and can only advance the incumbent. *)

@@ -5,15 +5,15 @@
     prefetch-target arrays each get an (instruction, distance) pair,
     and the machine's line size anchors the distance grid.
 
-    The space exists in two forms.  The raw {e grids} below are the
-    machine-independent value lists every consumer shares — the search
-    strategies prune them per kernel/machine through the candidate
-    functions, while the fuzzer's {!Ifko_fuzz.Sample} widens them with
-    invalid-adjacent boundary values the pipeline must reject cleanly.
-    {!axes} then packages the pruned space as data: one {!axis} record
-    per tunable dimension, with its domain, legality-pruned flag and
-    numeric encode/decode — what the surrogate searcher builds feature
-    vectors from. *)
+    The space exists in one form, {!axes}: one {!axis} record per
+    tunable dimension, with its legal values in search order, its
+    legality-pruned flag and its numeric encode/decode on a point.
+    Every strategy reads it — the line search's sweeps, the surrogate's
+    feature vectors and candidate pool, the warm-start adapter's
+    snapping.  The raw {e grids} and per-kernel candidate lists below
+    are only what {!axes} is built from; the fuzzer's
+    {!Ifko_fuzz.Sample} widens the same grids with invalid-adjacent
+    boundary values the pipeline must reject cleanly. *)
 
 open Ifko_machine
 
@@ -94,7 +94,7 @@ let cisc_candidates ~extensions (report : Ifko_analysis.Report.t) =
     [ false; true ]
   else [ false ]
 
-(* ---- point surgery shared by the strategies ---- *)
+(* ---- point surgery for the per-array axes ---- *)
 
 module Params = Ifko_transform.Params
 
@@ -151,10 +151,9 @@ type axis = {
 }
 
 (** Every tunable dimension of this (kernel, machine) pair as data:
-    domains, pruned flags and numeric encode/decode.  Strategies that
-    need the space as a vector (the surrogate model, the warm-start
-    fingerprints) and the per-axis sweeps of the linesearch both
-    derive from this one definition. *)
+    domains, pruned flags and numeric encode/decode.  The per-array
+    axes follow [report]'s prefetch arrays; [BF] and [CISC] hold only
+    their off value unless [extensions]. *)
 let axes ?(extensions = false) ~(cfg : Config.t) ~(report : Ifko_analysis.Report.t) () =
   let axis name values get set =
     {
@@ -220,3 +219,7 @@ let axes ?(extensions = false) ~(cfg : Config.t) ~(report : Ifko_analysis.Report
       report.Ifko_analysis.Report.prefetch_arrays
   in
   scalar @ per_array
+
+(** The axis called [name] among [axes]; [Not_found] names a dimension
+    this space does not have. *)
+let axis axes name = List.find (fun ax -> ax.ax_name = name) axes

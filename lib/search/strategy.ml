@@ -4,10 +4,8 @@ type probe = Params.t -> float
 type batch_map = (Params.t -> float) -> Params.t list -> float list
 
 type t = {
-  name : string;
-  propose : unit -> Params.t list;
+  propose : Params.t * float -> Params.t list;
   observe : (Params.t * float) list -> unit;
-  best : unit -> Params.t * float;
   contributions : unit -> (string * float) list;
 }
 
@@ -26,34 +24,35 @@ let seq_map f xs = List.rev (List.rev_map f xs)
 
 (* The shared propose/observe loop.  Every strategy runs through here:
    the loop owns the memo cache (one probe per distinct point, ever),
-   the evaluation counter, and the probes-to-best accounting; the
-   strategy owns candidate generation and winner selection.
+   the evaluation counter and the incumbent; the strategy owns
+   candidate generation.
 
    A proposed batch is deduplicated against the cache (and against
    itself) in proposal order, the fresh remainder is evaluated through
    [map_batch] — concurrently, when the driver supplies a domain
-   pool — and the full batch with its values is handed back to the
-   strategy in proposal order.  Winner selection therefore never
-   depends on evaluation completion order, which is what makes any
-   order-preserving [map_batch] bit-identical to the sequential one. *)
+   pool — and the incumbent advances by a strict-[>] fold over the
+   full batch in proposal order: the first candidate wins ties, so the
+   winner never depends on evaluation completion order, which is what
+   makes any order-preserving [map_batch] bit-identical to the
+   sequential one.  The incumbent's first measurement is the
+   probes-to-best index: a point that strictly beats everything before
+   it in proposal order was never measured earlier. *)
 let run ?(map_batch = seq_map) ~init ~(make : init_perf:float -> t) probe =
-  let cache : (Params.t, float) Hashtbl.t = Hashtbl.create 64 in
+  let cache : (Params.t, float * int) Hashtbl.t = Hashtbl.create 64 in
   let evals = ref 0 in
-  let top = ref neg_infinity in
-  let top_at = ref 0 in
-  let note v =
+  let measure p v =
     incr evals;
-    if v > !top then begin
-      top := v;
-      top_at := !evals
-    end
+    Hashtbl.replace cache p (v, !evals)
   in
   let init_perf = probe init in
-  Hashtbl.replace cache init init_perf;
-  note init_perf;
+  measure init init_perf;
+  (* (point, performance, evaluation index): [init] counts as found
+     only once it beats a failed probe's [neg_infinity] *)
+  let best = ref (init, init_perf, if init_perf > neg_infinity then 1 else 0) in
   let strat = make ~init_perf in
   let rec loop () =
-    match strat.propose () with
+    let cur, cur_perf, _ = !best in
+    match strat.propose (cur, cur_perf) with
     | [] -> ()
     | batch ->
       let batched = Hashtbl.create 8 in
@@ -67,22 +66,23 @@ let run ?(map_batch = seq_map) ~init ~(make : init_perf:float -> t) probe =
             end)
           batch
       in
-      let vals = map_batch probe fresh in
-      List.iter2
-        (fun p v ->
-          Hashtbl.replace cache p v;
-          note v)
-        fresh vals;
-      strat.observe (List.map (fun p -> (p, Hashtbl.find cache p)) batch);
+      List.iter2 measure fresh (map_batch probe fresh);
+      List.iter
+        (fun p ->
+          let v, at = Hashtbl.find cache p in
+          let _, top, _ = !best in
+          if v > top then best := (p, v, at))
+        batch;
+      strat.observe (List.map (fun p -> (p, fst (Hashtbl.find cache p))) batch);
       loop ()
   in
   loop ();
-  let best, best_perf = strat.best () in
+  let best, best_perf, probes_to_best = !best in
   {
     best;
     best_perf;
     start_perf = init_perf;
     contributions = strat.contributions ();
     evaluations = !evals;
-    probes_to_best = !top_at;
+    probes_to_best;
   }

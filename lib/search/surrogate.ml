@@ -69,6 +69,7 @@ let ei ~best (mu, sigma) =
 let strategy ?(extensions = false) ?(warm = []) ~seed ~cfg ~report ~init ~init_perf () =
   let axes = Space.axes ~extensions ~cfg ~report () in
   let live = List.filter (fun ax -> not ax.Space.ax_pruned) axes in
+  let sv = Space.axis axes "SV" and ur = Space.axis axes "UR" and ae = Space.axis axes "AE" in
   let encode p =
     Array.of_list
       (List.map
@@ -80,14 +81,15 @@ let strategy ?(extensions = false) ?(warm = []) ~seed ~cfg ~report ~init ~init_p
   in
   let rng = Rng.create seed in
   (* Observations for the model (Illegal/Test_failed probes come in as
-     -inf; clamp to 0 so one refused point cannot poison every mean),
-     plus exact incumbent tracking on the true values. *)
+     -inf; clamp to 0 so one refused point cannot poison every mean). *)
   let obs = ref [ (encode init, Float.max 0.0 init_perf) ] in
   let seen = Hashtbl.create 64 in
   Hashtbl.replace seen (Params.canonical init) ();
-  let cur = ref init in
-  let cur_perf = ref init_perf in
+  (* The incumbent's performance when the model rounds began (after
+     the warm batch) and at the last proposal: a round that leaves it
+     where it was is a stall. *)
   let warm_base = ref init_perf in
+  let last = ref init_perf in
   let round = ref 0 in
   let stall = ref 0 in
   let warm_pending = ref (warm <> []) in
@@ -98,14 +100,14 @@ let strategy ?(extensions = false) ?(warm = []) ~seed ~cfg ~report ~init ~init_p
         ax.Space.ax_set p (List.nth vals (Rng.int rng (List.length vals))))
       init live
   in
-  let candidates () =
+  let candidates cur =
     (* One-axis neighbors of the incumbent, in axis order... *)
     let neighbors =
       List.concat_map
         (fun ax ->
-          let here = ax.Space.ax_get !cur in
+          let here = ax.Space.ax_get cur in
           List.filter_map
-            (fun v -> if v = here then None else Some (ax.Space.ax_set !cur v))
+            (fun v -> if v = here then None else Some (ax.Space.ax_set cur v))
             ax.Space.ax_values)
         live
     in
@@ -115,14 +117,12 @@ let strategy ?(extensions = false) ?(warm = []) ~seed ~cfg ~report ~init ~init_p
        incumbent's side of it)... *)
     let cross =
       List.concat_map
-        (fun sv ->
+        (fun s ->
+          let at_s = sv.Space.ax_set cur s in
           List.concat_map
-            (fun u ->
-              List.map
-                (fun ae -> { !cur with Params.sv; unroll = u; ae })
-                (Space.ae_candidates report))
-            (Space.unroll_candidates report))
-        (Space.sv_candidates report)
+            (fun u -> List.map (ae.Space.ax_set (ur.Space.ax_set at_s u)) ae.Space.ax_values)
+            ur.Space.ax_values)
+        sv.Space.ax_values
     in
     (* ...and uniform random exploration (the only Rng consumer, and
        only ever called from propose, so the stream is a pure function
@@ -139,56 +139,52 @@ let strategy ?(extensions = false) ?(warm = []) ~seed ~cfg ~report ~init ~init_p
         end)
       (neighbors @ cross @ explore)
   in
-  let propose () =
+  let propose (cur, cur_perf) =
     if !warm_pending then begin
       warm_pending := false;
       warm
     end
-    else if !round >= rounds || !stall >= patience then []
     else begin
-      incr round;
-      let scored =
-        List.map (fun p -> (ei ~best:!cur_perf (predict ~obs:!obs (encode p)), p))
-          (candidates ())
-      in
-      (* Best acquisition first; float ties (and there are many, at the
-         EI floor) break on the canonical string, never on list
-         position luck. *)
-      let ranked =
-        List.sort
-          (fun ((ea : float), pa) (eb, pb) ->
-            match compare eb ea with
-            | 0 -> compare (Params.canonical pa) (Params.canonical pb)
-            | c -> c)
-          scored
-      in
-      let rec take n = function z :: r when n > 0 -> z :: take (n - 1) r | _ -> [] in
-      List.map snd (take batch ranked)
+      if !round = 0 then warm_base := cur_perf
+      else if cur_perf > !last then stall := 0
+      else incr stall;
+      last := cur_perf;
+      if !round >= rounds || !stall >= patience then []
+      else begin
+        incr round;
+        let scored =
+          List.map (fun p -> (ei ~best:cur_perf (predict ~obs:!obs (encode p)), p))
+            (candidates cur)
+        in
+        (* Best acquisition first; float ties (and there are many, at
+           the EI floor) break on the canonical string, never on list
+           position luck. *)
+        let ranked =
+          List.sort
+            (fun ((ea : float), pa) (eb, pb) ->
+              match compare eb ea with
+              | 0 -> compare (Params.canonical pa) (Params.canonical pb)
+              | c -> c)
+            scored
+        in
+        let rec take n = function z :: r when n > 0 -> z :: take (n - 1) r | _ -> [] in
+        List.map snd (take batch ranked)
+      end
     end
   in
   let observe vals =
-    let before = !cur_perf in
     List.iter
       (fun (p, v) ->
         Hashtbl.replace seen (Params.canonical p) ();
-        obs := (encode p, Float.max 0.0 v) :: !obs;
-        if v > !cur_perf then begin
-          cur := p;
-          cur_perf := v
-        end)
-      vals;
-    if !round = 0 then warm_base := !cur_perf
-    else if !cur_perf > before then stall := 0
-    else incr stall
+        obs := (encode p, Float.max 0.0 v) :: !obs)
+      vals
   in
   {
-    Strategy.name = "surrogate";
-    propose;
+    Strategy.propose;
     observe;
-    best = (fun () -> (!cur, !cur_perf));
     contributions =
       (fun () ->
         let ratio a b = if a > 0.0 then b /. a else 1.0 in
         (if warm = [] then [] else [ ("WARM", ratio init_perf !warm_base) ])
-        @ [ ("MODEL", ratio !warm_base !cur_perf) ]);
+        @ [ ("MODEL", ratio !warm_base !last) ]);
   }

@@ -6,8 +6,9 @@
     k-nearest-neighbor regressor predicts the performance (mean and
     spread) of unprobed points; an expected-improvement acquisition
     ranks a candidate pool — one-axis neighbors of the incumbent, the
-    UR x AE cross, and uniform random exploration — and the top eight
-    points are proposed together, keeping a domain pool saturated.
+    SV x UR x AE cross around it (all read from the axes), and uniform
+    random exploration — and the top eight points are proposed
+    together, keeping a domain pool saturated.
 
     Determinism: the batch width is a fixed constant (never derived
     from [--jobs]), the threaded {!Ifko_util.Rng} is consumed only
@@ -32,5 +33,5 @@ val strategy :
     proposed as the opening batch before any model round and enter the
     model as ordinary observations.  Failed probes ([-inf]) are clamped
     to 0 in the model fit, so a refused point cannot poison the
-    neighborhood means, while incumbent tracking uses the true
+    neighborhood means; the incumbent is {!Strategy.run}'s, on the true
     values. *)

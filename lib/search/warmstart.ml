@@ -41,21 +41,29 @@ let distance a b =
     0.0 names
 
 (* Re-express a donor's winning point in the target kernel's space:
-   prefetch settings remap positionally onto the target's arrays (the
-   donor's array names mean nothing here), distances snap to the target
-   machine's grid, and every axis the target's legality oracles pruned
-   falls back to the target default — an adapted seed is always a point
-   the pipeline will accept. *)
+   every scalar axis keeps the donor's value when the target's space
+   holds it and falls back to the target default otherwise (so an axis
+   the target's legality oracles pruned always does); prefetch settings
+   remap positionally onto the target's arrays (the donor's array names
+   mean nothing here), with distances snapped to the target machine's
+   grid — an adapted seed is always a point the pipeline will accept. *)
 let adapt ?(extensions = false) ~cfg ~report ~init (d : donor) =
   let p = d.d_params in
-  let mem v cands fallback = if List.mem v cands then v else fallback in
-  let pf_dists = Space.pf_dist_candidates cfg in
-  let pf_inss = Space.pf_ins_candidates cfg in
-  let nearest_dist v =
-    match pf_dists with
-    | [] -> 0
+  let axes = Space.axes ~extensions ~cfg ~report () in
+  let values name = (Space.axis axes name).Space.ax_values in
+  let snap acc ax =
+    let v = ax.Space.ax_get p in
+    if List.mem v ax.Space.ax_values then ax.Space.ax_set acc v else acc
+  in
+  let scalar =
+    List.fold_left snap init
+      (List.map (Space.axis axes) [ "SV"; "WNT"; "UR"; "AE"; "BF"; "CISC" ])
+  in
+  let nearest v = function
+    | [] -> 0.0
     | d0 :: rest ->
-      List.fold_left (fun best c -> if abs (c - v) < abs (best - v) then c else best)
+      List.fold_left
+        (fun best c -> if Float.abs (c -. v) < Float.abs (best -. v) then c else best)
         d0 rest
   in
   let donor_pf = List.map snd p.Params.prefetch in
@@ -64,27 +72,17 @@ let adapt ?(extensions = false) ~cfg ~report ~init (d : donor) =
       (fun i (name, (dflt : Params.pf_param)) ->
         match List.nth_opt donor_pf i with
         | Some (s : Params.pf_param) ->
+          let code = float_of_int (Space.pf_ins_code s.Params.pf_ins) in
           let pf_ins =
-            if List.mem s.Params.pf_ins pf_inss then s.Params.pf_ins
+            if List.mem code (values ("PF_INS:" ^ name)) then s.Params.pf_ins
             else dflt.Params.pf_ins
           in
-          let pf_dist =
-            if pf_ins = None then 0 else nearest_dist s.Params.pf_dist
-          in
-          (name, { Params.pf_ins; pf_dist })
+          let dist = nearest (float_of_int s.Params.pf_dist) (values ("PF_DST:" ^ name)) in
+          (name, { Params.pf_ins; pf_dist = (if pf_ins = None then 0 else int_of_float dist) })
         | None -> (name, dflt))
       init.Params.prefetch
   in
-  {
-    init with
-    Params.sv = mem p.Params.sv (Space.sv_candidates report) init.Params.sv;
-    unroll = mem p.Params.unroll (Space.unroll_candidates report) init.Params.unroll;
-    ae = mem p.Params.ae (Space.ae_candidates report) init.Params.ae;
-    wnt = mem p.Params.wnt (Space.wnt_candidates report) init.Params.wnt;
-    bf = mem p.Params.bf (Space.bf_candidates ~extensions report) init.Params.bf;
-    cisc = mem p.Params.cisc (Space.cisc_candidates ~extensions report) init.Params.cisc;
-    prefetch;
-  }
+  { scalar with Params.prefetch }
 
 let seeds ?(extensions = false) ?(k = 2) ~cfg ~report ~init ~feat donors =
   let ranked =

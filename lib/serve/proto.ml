@@ -180,6 +180,12 @@ let decode (a : tune_args) =
   let* cfg = Ifko_machine.Config.of_name a.machine in
   let* context = Ifko_sim.Timer.context_of_name a.context in
   let* strategy = Ifko_search.Driver.strategy_of_string a.strategy in
+  (* MFLOPS scale with flops_per_n: at zero or below, or not finite,
+     the search would maximise a meaningless (or negated) score *)
+  let* () =
+    if Float.is_finite a.flops_per_n && a.flops_per_n > 0.0 then Ok ()
+    else Error "field \"flops_per_n\" must be positive and finite"
+  in
   Ok (cfg, context, strategy)
 
 let parse_tune_reply fields ~hit =

@@ -50,8 +50,9 @@ val decode :
     the daemon and [ifko tune] share.  [Error] is the text of the first
     bad field, in that order ({!Ifko_machine.Config.of_name},
     {!Ifko_sim.Timer.context_of_name},
-    {!Ifko_search.Driver.strategy_of_string}).  {!parse_request} checks
-    only the wire shape, so an unknown name fails here. *)
+    {!Ifko_search.Driver.strategy_of_string}, then a [flops_per_n] that
+    is not positive and finite).  {!parse_request} checks only the wire
+    shape, so an unknown name fails here. *)
 
 type request =
   | Tune of tune_args

@@ -595,6 +595,75 @@ let test_linesearch_matches_legacy_sweep () =
       { Defs.routine = Defs.Copy; prec = Instr.S };
     ]
 
+(* The surrogate's exact trajectories, pinned: seed 42 on the synthetic
+   objective, cold on ddot and sasum, and warm-started on ddot from one
+   donor whose point needs snapping (an off-grid unroll and prefetch
+   distance, an instruction P4E lacks, a pruned WNT).  The pinned
+   values are the best point, the bits of its performance, the
+   evaluation count, probes-to-best and the contributions. *)
+let surrogate_pin ?(warm = false) id =
+  let report = report_for id in
+  let cfg = Ifko_machine.Config.p4e in
+  let init = Params.default ~line_bytes:128 report in
+  let warm =
+    if not warm then []
+    else
+      let module W = Ifko_search.Warmstart in
+      let feat = Ifko_analysis.Report.features report in
+      let d_params =
+        { init with
+          Params.sv = false;
+          unroll = 6;
+          ae = 4;
+          wnt = true;
+          prefetch =
+            [ ("A", { Params.pf_ins = Some Instr.T1; pf_dist = 1000 });
+              ("B", { Params.pf_ins = Some Instr.W; pf_dist = 640 });
+            ];
+        }
+      in
+      W.seeds ~cfg ~report ~init ~feat
+        [ { W.d_kernel = "donor"; d_feat = feat; d_params; d_mflops = 1.0 } ]
+  in
+  let r =
+    Ifko_search.Strategy.run ~init
+      ~make:(fun ~init_perf ->
+        Ifko_search.Surrogate.strategy ~warm ~seed:42 ~cfg ~report ~init ~init_perf ())
+      synthetic_probe
+  in
+  (List.map Params.canonical warm, r)
+
+let check_pin (seeds, (r : Ifko_search.Strategy.result)) ~warm ~best ~bits ~evals ~at
+    ~contributions =
+  Alcotest.(check (list string)) "warm seeds" warm seeds;
+  Alcotest.(check string) "best point" best (Params.canonical r.Ifko_search.Strategy.best);
+  Alcotest.(check int64) "best perf bits" bits
+    (Int64.bits_of_float r.Ifko_search.Strategy.best_perf);
+  Alcotest.(check int) "evaluations" evals r.Ifko_search.Strategy.evaluations;
+  Alcotest.(check int) "probes to best" at r.Ifko_search.Strategy.probes_to_best;
+  Alcotest.(check (list (pair string (float 0.0)))) "contributions" contributions
+    r.Ifko_search.Strategy.contributions
+
+let test_surrogate_pinned () =
+  check_pin
+    (surrogate_pin { Defs.routine = Defs.Dot; prec = Instr.D })
+    ~warm:[] ~best:"sv=1;ur=128;lc=1;ae=4;wnt=0;bf=0;cisc=0;pf=X:t0:640,Y:t1:256"
+    ~bits:0x405c666666666666L ~evals:33 ~at:11
+    ~contributions:[ ("MODEL", 0x1.2c6e043b3d5afp+2) ];
+  check_pin
+    (surrogate_pin { Defs.routine = Defs.Asum; prec = Instr.S })
+    ~warm:[] ~best:"sv=0;ur=128;lc=1;ae=3;wnt=0;bf=0;cisc=0;pf=X:t1:4096"
+    ~bits:0x406191eb851eb852L ~evals:33 ~at:11
+    ~contributions:[ ("MODEL", 0x1.fc3d5304eae24p+1) ]
+
+let test_surrogate_warm_pinned () =
+  check_pin
+    (surrogate_pin ~warm:true { Defs.routine = Defs.Dot; prec = Instr.D })
+    ~warm:[ "sv=0;ur=16;lc=1;ae=4;wnt=0;bf=0;cisc=0;pf=X:t1:1024,Y:nta:640" ]
+    ~best:"sv=1;ur=128;lc=1;ae=4;wnt=0;bf=0;cisc=0;pf=X:t1:4096,Y:nta:640"
+    ~bits:0x406351eb851eb852L ~evals:50 ~at:31
+    ~contributions:[ ("WARM", 0x1.c0f3ba9ade928p+0); ("MODEL", 0x1.d2280d83041ap+1) ]
+
 (* The surrogate's proposal stream must be a pure function of its seed:
    the same search on 1, 4 and 8 worker domains probes the same points
    and lands on the same answer, bit for bit. *)
@@ -759,6 +828,8 @@ let suite =
       test_linesearch_parallel_matches_sequential;
     Alcotest.test_case "linesearch matches legacy sweep" `Quick
       test_linesearch_matches_legacy_sweep;
+    Alcotest.test_case "surrogate trajectory pinned" `Quick test_surrogate_pinned;
+    Alcotest.test_case "warm surrogate trajectory pinned" `Quick test_surrogate_warm_pinned;
     Alcotest.test_case "surrogate deterministic at jobs 1/4/8" `Quick
       test_surrogate_jobs_deterministic;
     Alcotest.test_case "warm-start donors" `Quick test_warmstart_donors;

@@ -962,6 +962,36 @@ let test_daemon_ignores_sampled_record () =
                 Alcotest.(check string) "decode error"
                   "unknown strategy \"bogus\" (linesearch|surrogate)" e)))
 
+(* A non-positive or non-finite flops_per_n would have the search
+   maximise a negated or zero score: decode refuses it, the daemon's
+   reply carries decode's text, and no tune record is journaled. *)
+let test_daemon_rejects_flops_per_n () =
+  let args = Proto.default_args ~kernel:ddot_src in
+  let msg = "field \"flops_per_n\" must be positive and finite" in
+  List.iter
+    (fun flops_per_n ->
+      match Proto.decode { args with Proto.flops_per_n } with
+      | Ok _ -> Alcotest.failf "decode accepted flops_per_n = %g" flops_per_n
+      | Error e -> Alcotest.(check string) (Printf.sprintf "decode %g" flops_per_n) msg e)
+    [ 0.0; -2.0; nan; infinity; neg_infinity ];
+  let dir = tmp_dir "ifko_flops" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      serve_dir dir (fun listen ->
+          Client.with_client listen (fun c ->
+              List.iter
+                (fun flops_per_n ->
+                  match Client.tune c { args with Proto.n = 600; flops_per_n } with
+                  | Ok _ -> Alcotest.failf "tuned at flops_per_n = %g" flops_per_n
+                  | Error e ->
+                    Alcotest.(check string) (Printf.sprintf "reply %g" flops_per_n) msg e)
+                [ 0.0; -2.0 ]));
+      let st = Store.open_ ~shards:4 dir in
+      let tunes = (Store.stat st).Store.st_tunes in
+      Store.close st;
+      Alcotest.(check int) "no tune record journaled" 0 tunes)
+
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -1046,6 +1076,8 @@ let suite =
       test_daemon_reads_stored_records;
     Alcotest.test_case "daemon: a sampled record answers no full request" `Quick
       test_daemon_ignores_sampled_record;
+    Alcotest.test_case "daemon: flops_per_n must be positive and finite" `Quick
+      test_daemon_rejects_flops_per_n;
     Alcotest.test_case "daemon: leftover checkpoint state never read" `Quick
       test_daemon_ignores_leftover_state;
   ]
