@@ -33,8 +33,10 @@ bench:
 # engine on every BLAS kernel, untimed and timed, each over the rate
 # of the kernel's native reference (Workload.expectation) in the same
 # process, with fast-path coverage and cycle attribution, plus the
-# sampled-vs-full fidelity comparison.  Guarded against the committed
-# results (the baseline is read before the results file is rewritten):
+# sampled-vs-full fidelity comparison.  Its report goes to
+# _build/simbench_results.json, leaving the committed
+# BENCH_results.json (the baseline CI reads) as it is.  Guarded
+# against the committed results:
 # a >15% regression of either host-normalised geomean fails the
 # target, as does sampled fidelity exceeding its 1% cycle-error budget
 # (against this run and against the baseline's full-fidelity cycles)
@@ -47,16 +49,18 @@ bench:
 # (double precision only), which clears it.
 simbench:
 	dune exec bench/main.exe -- --exp simbench --no-store --profile \
-		--baseline BENCH_results.json
+		--baseline BENCH_results.json --json _build/simbench_results.json
 
 # Search-strategy race: probes-to-best and best MFLOPS of the line
 # search, the cold surrogate, and the store-warmed surrogate on every
 # BLAS kernel (deterministic simulator — exactly reproducible).  Fails
 # unless the surrogate's probes-to-best geomean stays under 0.6x of
 # linesearch at same-or-better MFLOPS, and warm starts stay under 0.5x
-# of the surrogate's own cold probes-to-best.
+# of the surrogate's own cold probes-to-best.  Its report goes to
+# _build/searchbench_results.json.
 searchbench:
-	dune exec bench/main.exe -- --exp searchbench --no-store
+	dune exec bench/main.exe -- --exp searchbench --no-store \
+		--json _build/searchbench_results.json
 
 # Tuning-service smoke: daemon on a Unix socket, cold tune, warm
 # lookup (must be a cache hit), stat, graceful shutdown — every step

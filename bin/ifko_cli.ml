@@ -41,7 +41,14 @@ let lower_file path text =
 
 let load path = lower_file path (read_file path)
 
-let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
+(* A user error (a bad flag value, an unknown machine): one line naming
+   the command on stderr and exit 1, as opposed to the 125 of an
+   uncaught exception, which is a bug. *)
+let user_error cmd msg =
+  Printf.eprintf "ifko %s: %s\n" cmd msg;
+  Stdlib.exit 1
+
+let ok_or_exit cmd = function Ok v -> v | Error msg -> user_error cmd msg
 
 (* Workloads and testers for arbitrary user kernels live in
    {!Ifko.Generic}, shared with the serve daemon — both must build the
@@ -94,7 +101,7 @@ let point_of_flags ~cfg compiled sv ur ae wnt pf_dist =
 let compile_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file machine sv ur ae wnt pf_dist =
-    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
+    let cfg = ok_or_exit "compile" (Ifko_machine.Config.of_name machine) in
     let compiled = load file in
     let params = point_of_flags ~cfg compiled sv ur ae wnt pf_dist in
     let func = Ifko.compile_point ~cfg compiled params in
@@ -135,7 +142,9 @@ let lint_cmd =
       exit 2
     in
     match
-      let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
+      let cfg =
+        match Ifko_machine.Config.of_name machine with Ok c -> c | Error msg -> failwith msg
+      in
       let compiled = load file in
       (cfg, compiled)
     with
@@ -294,8 +303,8 @@ let tune_cmd =
              fidelity when the sampled estimate misses the 1% error budget)")
   in
   let run (file, (a : Ifko.Serve.Proto.tune_args)) asm store_path jobs fidelity =
-    let cfg, context, strategy = ok_or_fail (Ifko.Serve.Proto.decode a) in
-    let fidelity = ok_or_fail (Ifko_sim.Timer.fidelity_of_string fidelity) in
+    let cfg, context, strategy = ok_or_exit "tune" (Ifko.Serve.Proto.decode a) in
+    let fidelity = ok_or_exit "tune" (Ifko_sim.Timer.fidelity_of_string fidelity) in
     let seed = a.Ifko.Serve.Proto.seed in
     let compiled = lower_file file a.Ifko.Serve.Proto.kernel in
     let spec = generic_spec ~seed compiled in
@@ -309,9 +318,7 @@ let tune_cmd =
           compiled
       with
       | tuned -> tuned
-      | exception Invalid_argument msg ->
-        Printf.eprintf "ifko tune: %s\n" msg;
-        Stdlib.exit 1
+      | exception Invalid_argument msg -> user_error "tune" msg
     in
     (match store with
     | Some st ->
@@ -452,7 +459,7 @@ let fuzz_cmd =
   in
   let run machine seed count max_size points_per_kernel corpus check_each_pass cross_check
       replay check_fidelity =
-    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
+    let cfg = ok_or_exit "fuzz" (Ifko_machine.Config.of_name machine) in
     match replay with
     | Some path ->
       let results =
@@ -537,12 +544,9 @@ let sim_cmd =
              estimate neither meets the error budget nor falls back to full fidelity")
   in
   let run file machine sv ur ae wnt pf_dist context n untimed profile seed compare_fidelity =
-    if n < 0 then begin
-      Printf.eprintf "ifko sim: n must not be negative\n";
-      Stdlib.exit 1
-    end;
-    let cfg = ok_or_fail (Ifko_machine.Config.of_name machine) in
-    let context = ok_or_fail (Ifko_sim.Timer.context_of_name context) in
+    if n < 0 then user_error "sim" "n must not be negative";
+    let cfg = ok_or_exit "sim" (Ifko_machine.Config.of_name machine) in
+    let context = ok_or_exit "sim" (Ifko_sim.Timer.context_of_name context) in
     let compiled = load file in
     let params = point_of_flags ~cfg compiled sv ur ae wnt pf_dist in
     let func = Ifko.compile_point ~cfg compiled params in
@@ -813,10 +817,7 @@ let serve_cmd =
       $ max_age $ quiet)
 
 let query_cmd =
-  let fail msg =
-    Printf.eprintf "ifko query: %s\n" msg;
-    Stdlib.exit 1
-  in
+  let fail = user_error "query" in
   let print_reply verb (r : Ifko.Serve.Proto.tune_reply) =
     Printf.printf "%s: %8.1f MFLOPS (fko %.1f, %d evaluations, %s)\nbest: %s\n" verb
       r.Ifko.Serve.Proto.mflops r.Ifko.Serve.Proto.fko_mflops

@@ -50,6 +50,33 @@ let time_func ?store ~kind ~params ~prov ~seed ~cfg ~context ~spec ~n ~flops_per
 let select ?store ~cfg ~context ~n ~seed (id : Defs.kernel_id) =
   let spec = Workload.timer_spec id ~seed in
   let flops_per_n = Defs.flops_per_n id.Defs.routine in
+  (* Some grid settings build identical code (no output array to write
+     non-temporally, a candidate that ignores the prefetch setting):
+     each distinct function is timed once, and a repeat, equal and so
+     never strictly better, leaves the winner as it was. *)
+  let timed = Hashtbl.create 16 in
+  let time (cand : Atlas_kernels.candidate) pf wnt func =
+    let text = Cfg.to_string func in
+    match Hashtbl.find_opt timed text with
+    | Some mflops -> mflops
+    | None ->
+      let mflops =
+        time_func ?store ~kind:"atlas"
+          ~params:
+            (Printf.sprintf "%s pf=%s wnt=%b" cand.Atlas_kernels.cand_name
+               (match pf with
+               | None -> "none"
+               | Some (_, d) -> string_of_int d)
+               wnt)
+          ~prov:
+            (Printf.sprintf "atlas:%s@%s/%s/n=%d" (Defs.name id) cfg.Config.name
+               (Ifko_sim.Timer.context_name context)
+               n)
+          ~seed ~cfg ~context ~spec ~n ~flops_per_n func
+      in
+      Hashtbl.add timed text mflops;
+      mflops
+  in
   let best = ref None in
   List.iter
     (fun (cand : Atlas_kernels.candidate) ->
@@ -62,20 +89,7 @@ let select ?store ~cfg ~context ~n ~seed (id : Defs.kernel_id) =
               | func ->
                 (* building is construction, timing is simulation: only
                    the timing is worth journaling *)
-                let mflops =
-                  time_func ?store ~kind:"atlas"
-                    ~params:
-                      (Printf.sprintf "%s pf=%s wnt=%b" cand.Atlas_kernels.cand_name
-                         (match pf with
-                         | None -> "none"
-                         | Some (_, d) -> string_of_int d)
-                         wnt)
-                    ~prov:
-                      (Printf.sprintf "atlas:%s@%s/%s/n=%d" (Defs.name id) cfg.Config.name
-                         (Ifko_sim.Timer.context_name context)
-                         n)
-                    ~seed ~cfg ~context ~spec ~n ~flops_per_n func
-                in
+                let mflops = time cand pf wnt func in
                 let better =
                   match !best with None -> true | Some (m, _, _) -> mflops > m
                 in

@@ -71,6 +71,11 @@ let record t =
     feat = Some (Tune_record.feat_json (Ifko_analysis.Report.features t.report));
   }
 
+(* Templates one tune holds at once: above the prefetch shapes of any
+   line search (at most 36 on the BLAS kernels), far below a
+   surrogate's distinct points. *)
+let max_templates = 64
+
 let score = function
   | Ifko_store.Store.Timed { mflops; _ } -> mflops
   | Ifko_store.Store.Test_failed | Ifko_store.Store.Illegal -> neg_infinity
@@ -110,17 +115,42 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
      cache (multi-size sweeps, fidelity comparisons, the serve daemon)
      share candidates across whole tunes. *)
   let codecache = match codecache with Some c -> c | None -> Codecache.create () in
+  (* One pipeline run per prefetch shape: a point is its shape's
+     template with the prefetch kinds and distances patched in
+     ([Pipeline.instantiate]), byte for byte the code the pipeline
+     gives the point itself.  The templates are per tune and single
+     flight, so two pool domains never build one twice; a shape the
+     pipeline refuses is held as [None], since all its points are
+     refused alike.  Per-pass checking lints real distances, so a
+     checked tune runs the pipeline on each point. *)
+  let templates = Ifko_par.Memo.create ~limit:max_templates () in
+  let transform params =
+    match check with
+    | Some _ -> (
+      match compile_point ?check ~cfg compiled params with
+      | exception (Ifko_transform.Passcheck.Pass_failed _ as broken) ->
+        raise broken (* fail fast: a transform miscompiled this point *)
+      | exception _ -> None (* an illegal point is just skipped *)
+      | func -> Some func)
+    | None ->
+      let shape = Ifko_transform.Pipeline.shape params in
+      Ifko_par.Memo.get templates (Ifko_transform.Params.canonical shape) (fun () ->
+          match compile_point ~cfg compiled shape with
+          | exception _ -> None
+          | func -> Some func)
+      (* outside the handler: an unmappable prefetch is a bug, and
+         fails the tune *)
+      |> Option.map (fun template -> Ifko_transform.Pipeline.instantiate template params)
+  in
   let candidate params =
     Codecache.find_or_compile codecache
       ~key:
         (Codecache.key ~kernel ~machine:cfg.Config.name
            ~params:(Ifko_transform.Params.canonical params) ~check:check_each_pass ~seed)
       (fun () ->
-        match compile_point ?check ~cfg compiled params with
-        | exception (Ifko_transform.Passcheck.Pass_failed _ as broken) ->
-          raise broken (* fail fast: a transform miscompiled this point *)
-        | exception _ -> Codecache.Illegal (* an illegal point is just skipped *)
-        | func ->
+        match transform params with
+        | None -> Codecache.Illegal
+        | Some func ->
           if not (test func) then Codecache.Test_failed
           else Codecache.Compiled (func, Ifko_sim.Exec.compile func))
   in

@@ -118,7 +118,11 @@ val tune :
     after every transformation pass of every probed point: instead of
     silently discarding a miscompiled point (or worse, timing it), the
     tune fails fast with {!Ifko_transform.Passcheck.Pass_failed}
-    naming the offending pass.
+    naming the offending pass.  Without it, the pipeline runs once
+    per prefetch shape ({!Ifko_transform.Pipeline.shape}) and each
+    point is that output with its prefetches patched
+    ({!Ifko_transform.Pipeline.instantiate}): the same code, byte for
+    byte, as {!compile_point} gives the point.
 
     [strategy] selects the searcher (default [Linesearch]; omitting it
     is bit-identical to the pre-strategy driver).  [warm_start] seeds

@@ -208,8 +208,12 @@ let repeatable ?on_pass ?protect f = fst (repeatable_live ?on_pass ?protect f)
     then compiles {e without} that transform and [?on_skip] receives
     the rejection diagnostic (IFK012) so callers can log or surface
     it. *)
+let started = Atomic.make 0
+let runs () = Atomic.get started
+
 let apply ?(skip_regalloc = false) ?check ?inject ?on_skip ~line_bytes
     (compiled : Lower.compiled) (params : Params.t) =
+  Atomic.incr started;
   let c = snapshot compiled in
   let f = c.Lower.func in
   let reference =
@@ -265,3 +269,54 @@ let apply ?(skip_regalloc = false) ?check ?inject ?on_skip ~line_bytes
     Validate.check_physical f
   end;
   c
+
+(* Prefetch shapes.  Array [i] of a shape prefetches at the sentinel
+   distance [(i + 1) * sentinel_unit] with [template_kind]; every
+   displacement PF emits for it is [sentinel i + j * line], so a
+   displacement's magnitude names its array and its line offset. *)
+let sentinel_unit = 1 lsl 24
+let sentinel i = (i + 1) * sentinel_unit
+let template_kind = Instr.Nta
+
+let shape (p : Params.t) =
+  {
+    p with
+    Params.prefetch =
+      List.mapi
+        (fun i (a, (pf : Params.pf_param)) ->
+          ( a,
+            match pf.Params.pf_ins with
+            | None -> Params.no_prefetch
+            | Some _ -> { Params.pf_ins = Some template_kind; pf_dist = sentinel i } ))
+        p.Params.prefetch;
+  }
+
+let instantiate (template : Cfg.func) (p : Params.t) =
+  let settings = Array.of_list p.Params.prefetch in
+  let patch kind (m : Instr.mem) =
+    let ahead = abs m.Instr.disp in
+    let i = (ahead / sentinel_unit) - 1 in
+    let setting =
+      if i < 0 || i >= Array.length settings then None else Some (snd settings.(i))
+    in
+    match setting with
+    | Some { Params.pf_ins = Some k; pf_dist } when kind = template_kind ->
+      let d = pf_dist + (ahead - sentinel i) in
+      Instr.Prefetch (k, { m with Instr.disp = (if m.Instr.disp < 0 then -d else d) })
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "Pipeline.instantiate: %s: prefetch %s matches no array of %s"
+           template.Cfg.fname
+           (Instr.to_string (Instr.Prefetch (kind, m)))
+           (Params.canonical p))
+  in
+  let f = Cfg.copy template in
+  List.iter
+    (fun (b : Block.t) ->
+      if List.exists (function Instr.Prefetch _ -> true | _ -> false) b.Block.instrs then
+        b.Block.instrs <-
+          List.map
+            (function Instr.Prefetch (kind, m) -> patch kind m | i -> i)
+            b.Block.instrs)
+    f.Cfg.blocks;
+  f

@@ -72,3 +72,44 @@ val apply :
     [on_skip] receives the {!Ifko_analysis.Legality} rejection
     diagnostic (IFK012) whenever a requested transform refused its
     parameters; the point still compiles, without that transform. *)
+
+val runs : unit -> int
+(** Number of {!apply} calls made in this process so far, on any
+    domain: the count of pipeline runs a caller can take a difference
+    of. *)
+
+(** {2 Prefetch shapes}
+
+    The prefetch shape of a point is the point with each array's
+    prefetch kind and distance erased, keeping only whether the array
+    is prefetched at all.  Every point of one shape compiles to the
+    same code except in its prefetch instructions: PF is the last
+    fundamental pass that reads prefetch settings, and nothing after it
+    reads a [Prefetch]'s kind or displacement — WNT's legality checks
+    only stores, dead-code elimination keeps every prefetch,
+    {!Ifko_analysis.Depend} gives prefetches no dependence, and the
+    repeatable block, register allocation and the final peephole only
+    copy them.  So a tune runs the pipeline once per shape, on
+    {!shape}, and builds each point of the shape with {!instantiate}:
+    [Cfg.to_string (instantiate (apply (shape p)).func p)] is
+    [Cfg.to_string (apply p).func] for every [p] (checked in the test
+    suite over the golden grid, the line-search trajectories and the
+    fuzz corpus).  Per-pass checking reads real distances, so it runs
+    {!apply} on the point itself. *)
+
+val shape : Params.t -> Params.t
+(** The template point of [p]'s shape: array [i] of [p.prefetch] (in
+    list order), when prefetched, gets the sentinel distance
+    [(i + 1) * 2^24] bytes and kind [nta]; unprefetched arrays and
+    every other field are kept.  Points of one shape have one
+    [Params.canonical (shape p)]. *)
+
+val instantiate : Cfg.func -> Params.t -> Cfg.func
+(** [instantiate template p] is a copy of [template] (the pipeline's
+    output on [shape p]) with each prefetch of array [i] patched to
+    [p]'s kind for it and its displacement [±(S_i + j * line)] mapped
+    back to [±(d_i + j * line)], [S_i] the sentinel and [d_i] [p]'s
+    distance.  [template] is not modified.
+    @raise Invalid_argument on a prefetch that names no prefetched
+    array of [p] — the template was built from another shape, or a pass
+    moved a prefetch displacement: a bug, never an illegal point. *)

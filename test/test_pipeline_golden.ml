@@ -502,9 +502,189 @@ let test_repeatable_matches_naive_loop () =
     done
   done
 
+(* Prefetch-shape templates: a point compiled as a copy of its shape's
+   output with the prefetches patched renders byte for byte as the
+   point compiled directly, and the two agree on which points are
+   illegal.  Checked on the golden grid on both machines' line sizes,
+   on every point the line search of each reproduction study probes,
+   and on the fuzz corpus's kernels. *)
+let render c = Cfg.to_string c.Ifko_codegen.Lower.func
+
+let via_template ?templates ~line_bytes lowered p =
+  let build () =
+    match Pipeline.apply ~line_bytes lowered (Pipeline.shape p) with
+    | c -> Some c.Ifko_codegen.Lower.func
+    | exception _ -> None
+  in
+  let template =
+    match templates with
+    | None -> build ()
+    | Some tbl -> (
+      let key = Params.canonical (Pipeline.shape p) in
+      match Hashtbl.find_opt tbl key with
+      | Some t -> t
+      | None ->
+        let t = build () in
+        Hashtbl.replace tbl key t;
+        t)
+  in
+  Option.map (fun t -> Cfg.to_string (Pipeline.instantiate t p)) template
+
+let check_template ?templates ?direct what ~line_bytes lowered p =
+  let direct =
+    match direct with
+    | Some d -> d
+    | None -> (
+      match Pipeline.apply ~line_bytes lowered p with
+      | c -> Some (render c)
+      | exception _ -> None)
+  in
+  Alcotest.(check (option string))
+    (Printf.sprintf "%s %s" what (Params.canonical p))
+    direct
+    (via_template ?templates ~line_bytes lowered p)
+
+let machines = [ Ifko_machine.Config.p4e; Ifko_machine.Config.opteron ]
+
+let test_template_grid () =
+  List.iter
+    (fun (cfg : Ifko_machine.Config.t) ->
+      let line_bytes = cfg.Ifko_machine.Config.prefetchable_line in
+      List.iter
+        (fun id ->
+          let lowered = Hil_sources.compile id in
+          let report = Ifko_analysis.Report.analyze lowered in
+          let d = Params.default ~line_bytes report in
+          (* the grid's prefetch points again at this line size, every
+             kind, and distances that differ per array *)
+          let pf kind step =
+            List.mapi
+              (fun i (a, _) ->
+                (a, { Params.pf_ins = Some kind; pf_dist = (i + step) * line_bytes }))
+              d.Params.prefetch
+          in
+          let first_only =
+            List.mapi (fun i (a, p) -> (a, if i = 0 then p else Params.no_prefetch)) d.Params.prefetch
+          in
+          let extra =
+            List.map
+              (fun k -> ("pf-" ^ Params.pf_kind_to_string k, { d with Params.prefetch = pf k 1 }))
+              [ Instr.Nta; Instr.T0; Instr.T1; Instr.W ]
+            @ [ ("pf-far", { d with Params.prefetch = pf Instr.T0 9 });
+                ("pf-first-only", { d with Params.prefetch = first_only });
+              ]
+          in
+          List.iter
+            (fun (point, p) ->
+              check_template
+                (Printf.sprintf "%s %s on %s" (Defs.name id) point cfg.Ifko_machine.Config.name)
+                ~line_bytes lowered p)
+            (grid id @ extra))
+        Defs.all)
+    machines;
+  (* a template of another shape is a bug, not an illegal point *)
+  let id = { Defs.routine = Defs.Dot; prec = Instr.D } in
+  let lowered = Hil_sources.compile id in
+  let d = Params.default ~line_bytes (Ifko_analysis.Report.analyze lowered) in
+  let template = (Pipeline.apply ~line_bytes lowered (Pipeline.shape d)).Ifko_codegen.Lower.func in
+  let unprefetched =
+    { d with Params.prefetch = List.map (fun (a, _) -> (a, Params.no_prefetch)) d.Params.prefetch }
+  in
+  List.iter
+    (fun p ->
+      match Pipeline.instantiate template p with
+      | _ -> Alcotest.failf "instantiated %s from another shape" (Params.canonical p)
+      | exception Invalid_argument _ -> ())
+    [ unprefetched; { d with Params.prefetch = [] } ]
+
+(* The four studies of the reproduction (paper Section 3). *)
+let studies =
+  [ (Ifko_machine.Config.p4e, Ifko_sim.Timer.Out_of_cache, 80000);
+    (Ifko_machine.Config.opteron, Ifko_sim.Timer.Out_of_cache, 80000);
+    (Ifko_machine.Config.p4e, Ifko_sim.Timer.In_l2, 1024);
+    (Ifko_machine.Config.opteron, Ifko_sim.Timer.In_l2, 1024);
+  ]
+
+(* The line search of one study row, probing through the tester and the
+   timer as the driver does, each probed point checked on the way. *)
+let test_template_linesearch () =
+  let seed = 0 in
+  List.iter
+    (fun ((cfg : Ifko_machine.Config.t), context, n) ->
+      let line_bytes = cfg.Ifko_machine.Config.prefetchable_line in
+      List.iter
+        (fun id ->
+          let lowered = Hil_sources.compile id in
+          let report = Ifko_analysis.Report.analyze lowered in
+          let init = Params.default ~line_bytes report in
+          let spec = Workload.timer_spec id ~seed in
+          let test = Ifko_eval.Eval.make_test id ~seed in
+          let flops_per_n = Defs.flops_per_n id.Defs.routine in
+          let templates = Hashtbl.create 32 in
+          let ckpt = (Ifko_sim.Ckpt.create ~cfg (), Defs.name id) in
+          let what =
+            Printf.sprintf "%s on %s/%s" (Defs.name id) cfg.Ifko_machine.Config.name
+              (Ifko_sim.Timer.context_name context)
+          in
+          let probe p =
+            let direct =
+              match Pipeline.apply ~line_bytes lowered p with
+              | c -> Some c.Ifko_codegen.Lower.func
+              | exception _ -> None
+            in
+            check_template ~templates ~direct:(Option.map Cfg.to_string direct) what ~line_bytes
+              lowered p;
+            match direct with
+            | None -> neg_infinity
+            | Some f when not (test f) -> neg_infinity
+            | Some f ->
+              Ifko_sim.Timer.mflops ~cfg ~flops_per_n ~n
+                ~cycles:(Ifko_sim.Timer.measure ~ckpt ~cfg ~context ~spec ~n f)
+          in
+          ignore
+            (Ifko_search.Strategy.run ~init
+               ~make:(fun ~init_perf ->
+                 Ifko_search.Linesearch.strategy ~cfg ~report ~init ~init_perf ())
+               probe))
+        Defs.all)
+    studies
+
+let test_template_corpus () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let rng = Ifko_util.Rng.create 32 in
+  let check_kernel what lowered points =
+    let report = Ifko_analysis.Report.analyze lowered in
+    List.iter
+      (fun (cfg : Ifko_machine.Config.t) ->
+        let line_bytes = cfg.Ifko_machine.Config.prefetchable_line in
+        let what = Printf.sprintf "%s on %s" what cfg.Ifko_machine.Config.name in
+        List.iter (check_template what ~line_bytes lowered) points;
+        for _ = 1 to 6 do
+          check_template what ~line_bytes lowered (Ifko_fuzz.Sample.point rng ~line_bytes ~report)
+        done)
+      machines
+  in
+  List.iter
+    (fun path ->
+      let case = Ifko_fuzz.Corpus.read path in
+      check_kernel (Filename.basename path)
+        (Ifko_fuzz.Fuzz.compile case.Ifko_fuzz.Corpus.kernel)
+        [ case.Ifko_fuzz.Corpus.params ])
+    (Ifko_fuzz.Corpus.files ~dir);
+  (* the corpus's kernels prefetch nothing: generated ones do *)
+  for k = 1 to 40 do
+    check_kernel (Printf.sprintf "fuzz k%d" k)
+      (Ifko_fuzz.Fuzz.compile
+         (Ifko_fuzz.Gen.kernel rng ~name:(Printf.sprintf "k%d" k) ~max_size:8))
+      []
+  done
+
 let suite =
   [ Alcotest.test_case "pipeline output matches goldens" `Quick test_goldens;
     Alcotest.test_case "trajectory points match goldens" `Quick test_trajectory_goldens;
     Alcotest.test_case "repeatable block = the naive loop" `Quick test_repeatable_matches_naive_loop;
     Alcotest.test_case "Exec.digest is the MD5 of the rendered CFG" `Quick test_exec_digest;
+    Alcotest.test_case "shape template = direct (golden grid)" `Quick test_template_grid;
+    Alcotest.test_case "shape template = direct (line searches)" `Slow test_template_linesearch;
+    Alcotest.test_case "shape template = direct (corpus, fuzz)" `Quick test_template_corpus;
   ]

@@ -444,7 +444,9 @@ let test_driver_codecache_reuse () =
    point), and those are answered from the driver's per-tune table, at
    one domain or two.  Every probe still reaches a [cache] hook, and the
    result is the one recorded before the table existed, bit for bit
-   (when every probe was timed: 99 probes, 100 candidate lookups). *)
+   (when every probe was timed: 99 probes, 100 candidate lookups), its
+   71 distinct points compiled in 35 pipeline runs, one per prefetch
+   shape. *)
 let test_driver_probe_memo () =
   let id = { Defs.routine = Defs.Dot; prec = Instr.D } in
   let compiled = Hil_sources.compile id in
@@ -459,12 +461,14 @@ let test_driver_probe_memo () =
         f ()
       in
       let cc = Codecache.create () in
+      let runs = Ifko_transform.Pipeline.runs () in
       let t =
         Ifko_search.Driver.tune ~cache ~codecache:cc ~jobs ~seed:3 ~cfg
           ~context:Ifko_sim.Timer.In_l2 ~spec ~n:1024 ~flops_per_n:2.0
           ~test:(fun _ -> true)
           compiled
       in
+      let runs = Ifko_transform.Pipeline.runs () - runs in
       let what s = Printf.sprintf "j%d: %s" jobs s in
       let probes = Hashtbl.fold (fun _ n acc -> n + acc) keys 0 in
       let distinct = Hashtbl.length keys in
@@ -475,6 +479,8 @@ let test_driver_probe_memo () =
       (* one candidate lookup per distinct key, plus the winner's *)
       Alcotest.(check int) (what "one timing per distinct key") (distinct + 1)
         (s.Codecache.hits + s.Codecache.misses);
+      (* one pipeline run per prefetch shape, not per distinct key *)
+      Alcotest.(check int) (what "pipeline runs") 35 runs;
       Alcotest.(check string) (what "winner")
         "sv=1;ur=32;lc=1;ae=3;wnt=0;bf=0;cisc=0;pf=X:none:0,Y:none:0"
         (Params.canonical t.Ifko_search.Driver.best_params);
